@@ -3,25 +3,42 @@ smoothness densities, the singular-surface locus via incidence marking,
 and orbit-stabilizer audits for the change-of-coordinates group.
 
 Coefficient tuples are encoded as mixed-radix integers with a_{2,0} the
-fastest digit, so exhaustive passes are flat numpy loops over index
-ranges and reports shard reproducibly.
+fastest digit.  The census classifies chunks of tuples, held as int64 rows,
+by array passes of ffpoly's batched F_p[t] kernel.  For p >= 5, with D^(j)
+the Hasse derivatives and ord_inf f = deg(form) - deg f(1, t): minimal iff
+d = 0, or gcd(D^(0..1) a2, D^(0..3) a4, D^(0..5) a6) is a nonzero constant
+and the top 2, 4, 6 coefficients do not all vanish; squarefree_disc iff
+g1 = gcd(Delta, D1 Delta) is constant and ord_inf Delta <= 1; smooth (bad
+fibers I_1 or II) iff minimal, gcd(g1, D2 Delta) is constant, g1 | c4, and
+ord_inf Delta <= 1, or = 2 with c4 vanishing at infinity.
 """
 
+import functools
 import itertools
 import time
 
 import numpy as np
 
 from . import ffpoly, weierstrass
-from .ffpoly import BinaryForm, Place, UniPoly, ord_at
+from .ffpoly import BinaryForm, UniPoly
 from .rng import SplitMix64
 
 _EXHAUSTIVE_BUDGET = 1 << 28
 _CHUNK = 1 << 20
+# tuples per census array pass: bounds peak memory, amortizes numpy calls
+_CLASSIFY_CHUNK = 512
 
 
 def coeff_lengths(d):
     return (2 * d + 1, 4 * d + 1, 6 * d + 1)
+
+
+def exhaustive_space(q, d):
+    """Size q^(12d+3) of the coefficient space; raises past the budget."""
+    total = q ** (12 * d + 3)
+    if total > _EXHAUSTIVE_BUDGET:
+        raise ValueError("budget exceeded: q^(12d+3) = %d > 2^28" % total)
+    return total
 
 
 def tuple_to_index(coeffs, q):
@@ -76,67 +93,74 @@ class CensusReport:
         }
 
 
-def _classify_tuple(F, d, digits):
-    """(minimal, disc_nonzero, smooth, squarefree_disc) for one tuple."""
-    a2, a4, a6 = _forms_from_digits(F, d, digits)
-    minimal = weierstrass.minimality_of_forms(F, d, a2, a4, a6)
-    disc = weierstrass._disc_form(a2, a4, a6)
-    if disc.is_zero():
-        return minimal, False, False, False
-    m = weierstrass.WeierstrassModel(F, d, a2, a4, a6)
-    smooth = minimal and weierstrass.is_smooth_surface(m)
-    dt = disc.dehomog_t()
-    sqfree = ffpoly.is_squarefree(dt) and ord_at(disc, Place.infinity()) <= 1
-    return minimal, True, smooth, sqfree
+def classify(digits, q, d):
+    """Census bits (see the module docstring) of the tuples in the rows of
+    `digits`, as boolean arrays by count name; exact for p >= 5, any d."""
+    l2, l4, _ = coeff_lengths(d)
+    a2, a4, a6 = digits[:, :l2], digits[:, l2:l2 + l4], digits[:, l2 + l4:]
+    deg, hasse = ffpoly.rows_degree, ffpoly.rows_hasse
+    mul = functools.partial(ffpoly.rows_mul, p=q)
+    gcd = functools.partial(ffpoly.rows_gcd, p=q)
+    minimal = np.ones(len(digits), dtype=bool)
+    if d > 0:
+        g = functools.reduce(gcd, (hasse(f, j, q) for f, k in
+                                   ((a2, 2), (a4, 4), (a6, 6)) for j in range(k)))
+        minimal_at_inf = a2[:, -2:].any(1) | a4[:, -4:].any(1) | a6[:, -6:].any(1)
+        minimal = (deg(g) == 0) & minimal_at_inf
+
+    # Delta = -16 (a6 (4 a2^3 + 27 a6 - 18 a2 a4) + a4^2 (4 a4 - a2^2))
+    a2sq = mul(a2, a2)
+    inner = mul(a6, (4 * mul(a2sq, a2) + 27 * a6 - 18 * mul(a2, a4)) % q) \
+        + mul(mul(a4, a4), (4 * a4 - a2sq) % q)
+    disc = -16 * inner % q
+    ord_inf = 12 * d - deg(disc)
+    g1 = gcd(disc, hasse(disc, 1, q))
+    g2 = gcd(g1, hasse(disc, 2, q))
+    c4 = 16 * (a2sq - 3 * a4) % q
+    return {
+        "minimal": minimal,
+        "smooth": minimal & (deg(g2) == 0) & (deg(gcd(c4, g1)) == deg(g1))
+        & ((ord_inf <= 1) | ((ord_inf == 2) & (c4[:, -1] == 0))),
+        "squarefree_disc": (deg(g1) == 0) & (ord_inf <= 1),
+        "disc_zero": ~disc.any(1),
+    }
 
 
 def run_census(q, d, mode="sample", n=10 ** 4, seed=0):
-    """Model-by-model statistics; p >= 5 (the smoothness classification
-    rests on the tame Kodaira tables)."""
+    """Statistics over coefficient tuples, classified by `classify` in
+    chunks; p >= 5, where its predicates are exact, and p < 2^31."""
     F = ffpoly.field_make(q)  # rejects p in {2, 3}
-    if F.k != 1:
-        raise ValueError("census runs over prime fields")
+    if F.k != 1 or q >= 1 << 31:
+        raise ValueError("census runs over prime fields with p < 2^31")
     width = 12 * d + 3
     total_space = q ** width
     t0 = time.time()
 
     if mode == "exhaustive":
-        if total_space > _EXHAUSTIVE_BUDGET:
-            raise ValueError("budget exceeded: q^(12d+3) = %d > 2^28" % total_space)
-        indices = range(total_space)
-        n_models = total_space
-        seed_out = None
-        rng = None
+        n_models = exhaustive_space(q, d)
+        seed_out = rng = None
     elif mode == "sample":
         if n < 10 ** 4:
             raise ValueError("sampling needs N >= 10^4")
         rng = SplitMix64(seed)
         n_models = n
         seed_out = seed
-        indices = None
     else:
         raise ValueError("mode must be 'exhaustive' or 'sample'")
 
-    minimal = smooth = sqfree = disc0 = 0
-    it = indices if indices is not None else range(n_models)
-    for i in it:
+    counts = {"total": n_models, "minimal": 0, "smooth": 0,
+              "squarefree_disc": 0, "disc_zero": 0}
+    for lo in range(0, n_models, _CLASSIFY_CHUNK):
+        rows = min(_CLASSIFY_CHUNK, n_models - lo)
         if rng is None:
-            digits = index_to_tuple(i, q, width)
+            idx = np.arange(lo, lo + rows, dtype=np.int64)
+            digits = idx[:, None] // q ** np.arange(width, dtype=np.int64) % q
         else:
-            digits = [rng.below(q) for _ in range(width)]
-        mn, dnz, sm, sq = _classify_tuple(F, d, digits)
-        minimal += mn
-        smooth += sm
-        sqfree += sq
-        disc0 += not dnz
+            digits = np.array([rng.below(q) for _ in range(rows * width)],
+                              dtype=np.int64).reshape(rows, width)
+        for key, bits in classify(digits, q, d).items():
+            counts[key] += int(bits.sum())
 
-    counts = {
-        "total": total_space if mode == "exhaustive" else n_models,
-        "minimal": minimal,
-        "smooth": smooth,
-        "squarefree_disc": sqfree,
-        "disc_zero": disc0,
-    }
     ratios = {}
     for key in ("minimal", "smooth", "squarefree_disc"):
         frac = counts[key] / counts["total"]
@@ -148,10 +172,10 @@ def run_census(q, d, mode="sample", n=10 ** 4, seed=0):
 
     group_order = q ** (2 * d + 1) * (q - 1)
     if mode == "exhaustive":
-        stacky = minimal / group_order
-        assert stacky * group_order == minimal  # sanity anchor, exact
+        stacky = counts["minimal"] / group_order
+        assert stacky * group_order == counts["minimal"]  # exact anchor
     else:
-        stacky = (minimal / n_models) * total_space / group_order
+        stacky = counts["minimal"] / n_models * total_space / group_order
     return CensusReport(q, d, mode, seed_out, counts, ratios, stacky,
                         time.time() - t0, n=n_models)
 
@@ -190,9 +214,7 @@ def exhaustive_minimality(q, d=1):
     if d != 1:
         raise ValueError("exhaustive minimality implemented for d = 1")
     width = 12 * d + 3
-    total = q ** width
-    if total > _EXHAUSTIVE_BUDGET:
-        raise ValueError("budget exceeded: q^(12d+3) = %d > 2^28" % total)
+    total = exhaustive_space(q, d)
     t0 = time.time()
     l2, l4, l6 = coeff_lengths(d)
 
@@ -385,10 +407,7 @@ def incidence_mask(q, d=1):
     if d != 1:
         raise ValueError("incidence marking implemented for d = 1")
     width = 12 * d + 3
-    total = q ** width
-    if total > _EXHAUSTIVE_BUDGET:
-        raise ValueError("budget exceeded: q^(12d+3) = %d > 2^28" % total)
-    mask = np.zeros(total, dtype=bool)
+    mask = np.zeros(exhaustive_space(q, d), dtype=bool)
     radix = q ** np.arange(width, dtype=np.int64)
     tpoints = list(range(q)) + ["inf"]
     for tp in tpoints:

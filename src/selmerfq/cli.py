@@ -27,6 +27,16 @@ def _sigma(n):
     return sum(m for m in range(1, n + 1) if n % m == 0)
 
 
+def _int_at_least(lo):
+    """argparse type: an integer >= lo, else exit 2 with a message."""
+    def parse(text):
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError("must be >= %d, got %s" % (lo, text))
+        return int(text)
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 def _field_or_die(spec):
     try:
         return ffpoly.field_from_spec(spec)
@@ -54,6 +64,11 @@ def _cmd_census(args):
         raise ValidationError("census runs over prime fields")
     if args.mode == "sample" and args.n < 10 ** 4:
         raise ValidationError("sampling needs --n >= 10^4")
+    if args.mode == "exhaustive":
+        try:
+            census.exhaustive_space(F.p, args.d)
+        except ValueError as exc:
+            raise ValidationError(str(exc))
     rep = census.run_census(F.p, args.d, mode=args.mode, n=args.n,
                             seed=args.seed)
     return rep.to_json()
@@ -61,10 +76,12 @@ def _cmd_census(args):
 
 def _cmd_divisor_count(args):
     try:
-        int(args.q)
+        q = ffpoly.Field(int(args.q)).p
     except ValueError:
         raise ValidationError("divisor-count takes a prime --q")
-    rep = census.singular_divisor_count(int(args.q), args.d, seed=args.seed,
+    if q == 2:
+        raise ValidationError("characteristic 2 is outside the domain")
+    rep = census.singular_divisor_count(q, args.d, seed=args.seed,
                                         direct_samples=args.samples)
     return rep.to_json()
 
@@ -149,33 +166,33 @@ def build_parser():
     common.add_argument("--out", default=None, help="report file (default stdout)")
     common.add_argument("--threads", type=int, default=1,
                         help="reserved; current build is single-threaded")
-    common.add_argument("--budget-bits", type=int, default=None,
+    common.add_argument("--budget-bits", type=_int_at_least(0), default=None,
                         help="log2 of the enumeration budget")
 
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("census", parents=[common])
     p.add_argument("--q", required=True, help="field spec p or p^k")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_int_at_least(0), required=True)
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="sample")
     p.add_argument("--n", type=int, default=10 ** 4)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("divisor-count", parents=[common])
     p.add_argument("--q", required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--samples", type=int, default=4000)
+    p.add_argument("--d", type=int, default=1, choices=(1,))
+    p.add_argument("--samples", type=_int_at_least(1), default=4000)
     p.set_defaults(func=_cmd_divisor_count)
 
     p = sub.add_parser("orbits", parents=[common])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
     p.add_argument("--pairs", type=int, default=100)
     p.set_defaults(func=_cmd_orbits)
 
     p = sub.add_parser("weyl-e8", parents=[common])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.set_defaults(func=_cmd_weyl_e8)
 
     p = sub.add_parser("tate", parents=[common])
@@ -194,8 +211,8 @@ def build_parser():
 
     p = sub.add_parser("model-gen", parents=[common])
     p.add_argument("--q", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--d", type=_int_at_least(0), required=True)
+    p.add_argument("--count", type=_int_at_least(0), default=1)
     p.add_argument("--minimal", action="store_true")
     p.add_argument("--smooth", action="store_true")
     p.set_defaults(func=_cmd_model_gen)

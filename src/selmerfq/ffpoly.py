@@ -10,6 +10,10 @@ bookkeeping between abstractly-isomorphic extensions.
 All values are immutable after construction.
 """
 
+import math
+
+import numpy as np
+
 from .rng import SplitMix64
 
 
@@ -849,4 +853,54 @@ def places_of_degree_one(field):
     for c in field.elements():
         out.append(Place(x - UniPoly.const(field, c)))
     out.append(Place.infinity())
+    return out
+
+
+# ---------------------------------------------------------------------------
+# batched F_p[t]: one polynomial per row of an int64 array, low degree first,
+# entries in [0, p) with p < 2^31 so that products fit in int64
+
+def rows_mul(A, B, p):
+    """Row-wise product of two polynomial batches."""
+    out = np.zeros((A.shape[0], A.shape[1] + B.shape[1] - 1), dtype=np.int64)
+    for i in range(A.shape[1]):
+        out[:, i:i + B.shape[1]] += A[:, i:i + 1] * B % p
+    return out % p
+
+
+def rows_hasse(A, j, p):
+    """Row-wise Hasse derivative D^(j): t^m -> C(m, j) t^(m-j).  In any
+    characteristic, (t - a)^k | f iff D^(0..k-1) f all vanish at a."""
+    binom = np.array([math.comb(m, j) % p for m in range(j, A.shape[1])],
+                     dtype=np.int64)
+    return A[:, j:] * binom % p
+
+
+def rows_degree(A):
+    """Degree of each row; -1 for the zero polynomial."""
+    return np.where(A != 0, np.arange(A.shape[1]), -1).max(axis=1)
+
+
+def rows_gcd(A, B, p):
+    """Row-wise gcd up to a unit, by Euclid on every row at once.  A step
+    orders each pair so that deg a >= deg b and sets a to lead(b) a -
+    lead(a) t^(deg a - deg b) b, which needs no inverses mod p.  A row is
+    done once b is zero (the gcd is a) or a nonzero constant (a unit)."""
+    width = max(A.shape[1], B.shape[1])
+    a = np.pad(A, ((0, 0), (0, width - A.shape[1])))
+    b = np.pad(B, ((0, 0), (0, width - B.shape[1])))
+    out = np.empty_like(a)
+    rows = np.arange(a.shape[0])
+    while rows.size:
+        da, db = rows_degree(a), rows_degree(b)
+        swap = da < db
+        a[swap], b[swap] = b[swap], a[swap]
+        da, db = np.maximum(da, db), np.minimum(da, db)
+        done = db <= 0
+        out[rows[done]] = np.where(db[done, None] == 0, b[done], a[done])
+        rows, a, b, da, db = (x[~done] for x in (rows, a, b, da, db))
+        r = np.arange(rows.size)[:, None]
+        # t^(da - db) b: the entries that wrap around are above deg b, so 0
+        shifted = b[r, (np.arange(width) - (da - db)[:, None]) % width]
+        a = (b[r, db[:, None]] * a - a[r, da[:, None]] * shifted) % p
     return out

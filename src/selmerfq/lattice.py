@@ -57,13 +57,6 @@ class IntegralLattice:
     def det(self):
         return _int_det(self.gram)
 
-    def signature(self):
-        """(positive, negative) inertia indices."""
-        eig = np.linalg.eigvalsh(self.gram.astype(np.float64))
-        pos = int(np.sum(eig > 1e-9))
-        neg = int(np.sum(eig < -1e-9))
-        return pos, neg
-
 
 def _int_det(mat):
     """Exact integer determinant (fraction-free Gaussian elimination)."""

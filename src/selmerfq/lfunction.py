@@ -61,7 +61,7 @@ class ExtField:
 
     @staticmethod
     def _generator(F):
-        order_facs = _prime_divisors(F.q - 1)
+        order_facs = ffpoly._prime_divisors(F.q - 1)
         for g in range(2, F.q):
             if all(F.pow(g, (F.q - 1) // ell) != F.one for ell in order_facs):
                 return g
@@ -92,32 +92,11 @@ class ExtField:
         a = np.asarray(a, dtype=np.int64)
         return np.where(a == 0, np.int64(-1), self.log[a])
 
-    def lmul(self, la, lb):
-        out = (la + lb) % (self.Q - 1)
-        return np.where((la < 0) | (lb < 0), np.int64(-1), out)
-
     def ladd(self, la, lb):
         z = self.zech[(lb - la) % (self.Q - 1)]
         out = np.where(z < 0, np.int64(-1), (la + z) % (self.Q - 1))
         out = np.where(la < 0, lb, out)
         return np.where(lb < 0, la, out)
-
-    def lchi(self, la):
-        return np.where(la < 0, 0, 1 - 2 * (la & 1))
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _frobenius_orbit_reps(E, q):

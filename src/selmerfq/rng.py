@@ -31,10 +31,6 @@ class SplitMix64:
             if x < limit:
                 return x % n
 
-    def randint(self, lo, hi):
-        """Uniform integer in [lo, hi] inclusive."""
-        return lo + self.below(hi - lo + 1)
-
     def spawn(self):
         """Derive an independent child generator."""
         return SplitMix64(self.next_u64())

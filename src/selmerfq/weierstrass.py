@@ -9,7 +9,6 @@ action on equations and its stabilizers, torsion-section search at levels
 
 from . import ffpoly
 from .ffpoly import BinaryForm, Place, UniPoly, factor, ord_at
-from .rng import SplitMix64
 
 
 class WeierstrassModel:
@@ -458,13 +457,15 @@ def _product(lists):
 def random_model(field, d, rng, minimal=False, smooth=False):
     """Seeded random model of height d; optionally resample until minimal
     and/or smooth.  rng is a SplitMix64."""
+    if d < 0:
+        raise ValueError("height d must be >= 0, got %r" % (d,))
     while True:
+        a2 = BinaryForm(field, 2 * d, [field.random(rng) for _ in range(2 * d + 1)])
+        a4 = BinaryForm(field, 4 * d, [field.random(rng) for _ in range(4 * d + 1)])
+        a6 = BinaryForm(field, 6 * d, [field.random(rng) for _ in range(6 * d + 1)])
         try:
-            a2 = BinaryForm(field, 2 * d, [field.random(rng) for _ in range(2 * d + 1)])
-            a4 = BinaryForm(field, 4 * d, [field.random(rng) for _ in range(4 * d + 1)])
-            a6 = BinaryForm(field, 6 * d, [field.random(rng) for _ in range(6 * d + 1)])
             m = WeierstrassModel(field, d, a2, a4, a6)
-        except ValueError:
+        except ValueError:  # singular generic fiber: draw again
             continue
         if minimal and not is_minimal(m):
             continue

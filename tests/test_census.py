@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from selmerfq import census, weierstrass
-from selmerfq.census import (coeff_lengths, exhaustive_minimality,
+from selmerfq.census import (classify, coeff_lengths, exhaustive_minimality,
                              incidence_mask, index_to_tuple,
                              orbit_stabilizer_audit, run_census,
                              singular_divisor_count, tuple_to_index)
-from selmerfq.ffpoly import Field, field_make
+from selmerfq.ffpoly import Field, Place, field_make, is_squarefree, ord_at
 from selmerfq.rng import SplitMix64
 
 # q = 3, d = 1 fixture: fiber at t = 0 is y^2 = (x - 1)^2 x with an I_2
@@ -116,6 +116,56 @@ def test_run_census_sample_reproducible_and_dense():
         assert 0.5 < f1 <= 1.0
         se = ((rad1 / 1.96) ** 2 + (rad2 / 1.96) ** 2) ** 0.5
         assert abs(f1 - f2) <= max(3 * se, 1e-12)
+
+
+def test_run_census_seed0_counts():
+    # the benchmark's independent recount over the same draws agrees
+    rep = run_census(5, 1, mode="sample", n=10 ** 4, seed=0)
+    assert rep.counts == {"total": 10 ** 4, "minimal": 10000, "smooth": 7616,
+                          "squarefree_disc": 6109, "disc_zero": 0}
+
+
+def _scalar_bits(F, d, digits):
+    """The census bits from the single-model routes: minimality_of_forms,
+    the Kodaira route is_smooth_surface, and is_squarefree."""
+    a2, a4, a6 = census._forms_from_digits(F, d, digits)
+    minimal = weierstrass.minimality_of_forms(F, d, a2, a4, a6)
+    disc = weierstrass._disc_form(a2, a4, a6)
+    if disc.is_zero():
+        return {"minimal": minimal, "smooth": False,
+                "squarefree_disc": False, "disc_zero": True}
+    m = weierstrass.WeierstrassModel(F, d, a2, a4, a6)
+    return {
+        "minimal": minimal,
+        "smooth": minimal and weierstrass.is_smooth_surface(m),
+        "squarefree_disc": is_squarefree(disc.dehomog_t())
+        and ord_at(disc, Place.infinity()) <= 1,
+        "disc_zero": False,
+    }
+
+
+@pytest.mark.parametrize("q,d,count", [(5, 1, 400), (7, 1, 300), (5, 2, 80)])
+def test_classify_matches_single_model_routes(q, d, count):
+    # digits are 0 with a per-tuple probability from 0 to 1, so that
+    # non-minimal, disc-zero and additive tuples all occur
+    F = field_make(q)
+    rng = SplitMix64(1000 * q + d)
+    width = 12 * d + 3
+    rows = []
+    for _ in range(count):
+        zero_in_20 = rng.below(21)
+        rows.append([0 if rng.below(20) < zero_in_20 else rng.below(q)
+                     for _ in range(width)])
+    bits = classify(np.array(rows, dtype=np.int64), q, d)
+    seen = set()
+    for i, digits in enumerate(rows):
+        want = _scalar_bits(F, d, digits)
+        got = {k: bool(v[i]) for k, v in bits.items()}
+        assert got == want, (digits, got, want)
+        seen.add((want["minimal"], want["disc_zero"], want["smooth"]))
+    assert any(not mn for mn, _, _ in seen)
+    assert any(d0 for _, d0, _ in seen)
+    assert (True, False, False) in seen  # minimal, disc nonzero, not smooth
 
 
 def test_run_census_sample_size_floor():

@@ -1,6 +1,9 @@
 """CLI dispatch, report schema, exit codes, and reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -155,3 +158,25 @@ def test_divisor_count_cli(capsys):
     assert code == 0
     res = json.loads(out)["result"]
     assert 3 ** 13 < res["image_count"] < 3 ** 15
+
+
+@pytest.mark.parametrize("argv", [
+    ["weyl-e8", "--n", "0"],
+    ["orbits", "--n", "0", "--d", "2"],
+    ["census", "--q", "5", "--d", "-1"],
+    ["model-gen", "--q", "5", "--d", "-1"],
+    ["divisor-count", "--q", "2", "--samples", "20"],
+    ["divisor-count", "--q", "3", "--d", "2"],
+    ["census", "--q", "5", "--d", "1", "--mode", "exhaustive"],
+    ["weyl-e8", "--n", "2", "--budget-bits", "-1"],
+    ["model-gen", "--q", "5", "--d", "1", "--count", "-1"],
+])
+def test_invalid_arguments_exit_2(argv):
+    # a fresh process under a timeout: one of these used to hang
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-m", "selmerfq.cli"] + argv,
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.strip()
+    assert proc.stdout == ""

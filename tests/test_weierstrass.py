@@ -27,6 +27,8 @@ def test_degree_validation():
     good = BinaryForm.zero(F, 2)
     with pytest.raises(ValueError):
         WeierstrassModel(F, 1, good, BinaryForm.zero(F, 3), BinaryForm.zero(F, 6))
+    with pytest.raises(ValueError):
+        random_model(F, -1, SplitMix64(0))
 
 
 def test_zero_discriminant_rejected():
