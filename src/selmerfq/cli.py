@@ -16,7 +16,7 @@ from . import __version__, census, ffpoly, lattice, lfunction, localdata, \
     weierstrass
 from .rng import SplitMix64
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ValidationError(Exception):
@@ -46,7 +46,11 @@ def _field_or_die(spec):
 
 def _load_model(path):
     with open(path) as fh:
-        return weierstrass.WeierstrassModel.from_json(json.load(fh))
+        try:
+            return weierstrass.WeierstrassModel.from_json(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError("%s is not a model file (%s: %s)"
+                                  % (path, type(exc).__name__, exc))
 
 
 def _budget(args):
@@ -128,7 +132,11 @@ def _cmd_lfunction(args):
 
 
 def _cmd_average_table(args):
-    ns = [int(x) for x in args.n.split(",")]
+    try:
+        ns = [int(x) for x in args.n.split(",")]
+    except ValueError:
+        raise ValidationError("--n takes comma-separated integers, got %r"
+                              % args.n)
     rows = []
     for n in ns:
         if n < 1:
@@ -164,8 +172,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None, help="report file (default stdout)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="reserved; current build is single-threaded")
     common.add_argument("--budget-bits", type=_int_at_least(0), default=None,
                         help="log2 of the enumeration budget")
 
@@ -188,7 +194,7 @@ def build_parser():
     p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-    p.add_argument("--pairs", type=int, default=100)
+    p.add_argument("--pairs", type=_int_at_least(1), default=100)
     p.set_defaults(func=_cmd_orbits)
 
     p = sub.add_parser("weyl-e8", parents=[common])
@@ -201,12 +207,12 @@ def build_parser():
 
     p = sub.add_parser("lfunction", parents=[common])
     p.add_argument("--model", required=True)
-    p.add_argument("--mod", type=int, default=None)
+    p.add_argument("--mod", type=_int_at_least(2), default=None)
     p.set_defaults(func=_cmd_lfunction)
 
     p = sub.add_parser("average-table", parents=[common])
     p.add_argument("--n", required=True, help="comma-separated n values")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_int_at_least(1), required=True)
     p.set_defaults(func=_cmd_average_table)
 
     p = sub.add_parser("model-gen", parents=[common])

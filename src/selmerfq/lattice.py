@@ -296,8 +296,8 @@ def orbit_decompose(module, generators, budget=DEFAULT_BUDGET):
                 b = (coords @ gw) % n
                 imgs = (coords - ((b * inv) % n)[:, None] * w[None, :]) % n
                 images.append(imgs @ pows)
-            nxt = np.unique(np.concatenate(images))
-            nxt = nxt[~visited[nxt]]
+            cat = np.concatenate(images)
+            nxt = np.unique(cat[~visited[cat]])
             visited[nxt] = True
             label[nxt] = oid
             size += nxt.size

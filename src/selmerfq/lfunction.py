@@ -2,10 +2,12 @@
 Frobenius traces on the middle cohomology piece, and the integral
 L-polynomial of degree 12d-4 with its weight-2 root bounds.
 
-Counting is table driven: each extension F_{q^e} gets log/exp tables over
-a multiplicative generator (multiplication and the quadratic character
-become array gathers) while addition works digitwise on the base-p digit
-encoding of ffpoly.Field elements, so whole fibers are counted with numpy.
+Each extension F_{q^e} gets log/exp tables over a multiplicative generator
+(multiplication and the quadratic character become array gathers), while
+addition works digitwise on the base-p digit encoding of ffpoly.Field
+elements.  That encoding makes (F_{q^e}, +) the index grid (Z/p)^e, so the
+character sums of all fibers come from one additive convolution, an FFT
+over that grid, per depressed cubic shape.
 """
 
 import math
@@ -54,10 +56,6 @@ class ExtField:
         chi[0] = 0
         self.chi_table = chi
         self._pows = np.array([p ** i for i in range(e)], dtype=np.int64)
-        # Zech logarithms: zech[k] = log(1 + g^k), -1 where 1 + g^k = 0
-        ones = self.add(np.int64(F.one), exp)
-        zech = np.where(ones == 0, np.int64(-1), log[ones])
-        self.zech = zech
 
     @staticmethod
     def _generator(F):
@@ -81,86 +79,34 @@ class ExtField:
         out = self.exp[(la + lb) % (self.Q - 1)]
         return np.where((a == 0) | (b == 0), 0, out)
 
-    def chi(self, a):
-        return self.chi_table[np.asarray(a, dtype=np.int64)]
 
-    # Log-domain ("Zech") arithmetic: elements are discrete logs, with -1
-    # standing for zero.  Multiplication needs no table gathers at all and
-    # addition needs one, which is what makes the fiber loop fast.
+def surface_point_count(m, e):
+    """#W(F_{q^e}) of the projective Weierstrass surface, fiberwise: each t
+    in P^1(F_{q^e}) contributes Q + 1 + sum_x chi(cubic(x)).
 
-    def log_of(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        return np.where(a == 0, np.int64(-1), self.log[a])
-
-    def ladd(self, la, lb):
-        z = self.zech[(lb - la) % (self.Q - 1)]
-        out = np.where(z < 0, np.int64(-1), (la + z) % (self.Q - 1))
-        out = np.where(la < 0, lb, out)
-        return np.where(lb < 0, la, out)
-
-
-def _frobenius_orbit_reps(E, q):
-    """Representatives and sizes of the orbits of t -> t^q on F_{q^e}.
-
-    The coefficient forms live over F_q, so conjugate fibers are Frobenius
-    twists of each other with equal point counts; counting one fiber per
-    orbit cuts the work by a factor of about e.
+    The cubic is depressed and rescaled to sign * (v^3 + eps v + B') with
+    eps in {0, 1, g}, so a fiber's character sum is h_eps(B') for
+    h_eps(b) = sum_v chi(v^3 + eps v + b).  With elements as base-p digit
+    integers, (F_Q, +) is the index grid (Z/p)^e, and h_eps for every b is
+    one FFT cross-correlation of chi with the value counts of v^3 + eps v.
     """
-    key = q
-    cache = getattr(E, "_orbit_cache", None)
-    if cache is None:
-        cache = E._orbit_cache = {}
-    if key in cache:
-        return cache[key]
-    Qm1 = E.Q - 1
-    seen = np.zeros(Qm1, dtype=bool)
-    reps = [np.int64(0)]
-    weights = [1]
-    for l in range(Qm1):
-        if seen[l]:
-            continue
-        size = 0
-        cur = l
-        while True:
-            seen[cur] = True
-            size += 1
-            cur = (cur * q) % Qm1
-            if cur == l:
-                break
-        reps.append(E.exp[l])
-        weights.append(size)
-    reps = np.array(reps, dtype=np.int64)
-    weights = np.array(weights, dtype=np.int64)
-    assert int(weights.sum()) == E.Q
-    cache[key] = (reps, weights)
-    return reps, weights
-
-
-def surface_point_count(m, e, check_fibers=True):
-    """#W(F_{q^e}) of the projective Weierstrass surface, fiberwise:
-    each t in P^1(F_{q^e}) contributes Q + 1 + sum_x chi(cubic(x)).
-    Only one fiber per Frobenius orbit of t is actually counted, and the
-    cubic is depressed first so the inner loop is one log-domain multiply
-    and two Zech additions per cell."""
     if m.field.k != 1:
         raise ValueError("extension counting assumes a prime base field")
-    E = ExtField(m.field.p, e * m.field.k)
+    E = ExtField(m.field.p, e)
     Q = E.Q
-    reps, weights = _frobenius_orbit_reps(E, m.field.q)
-    ncols = len(reps) + 1  # orbit representatives + the fiber at infinity
+    elts = np.arange(Q, dtype=np.int64)
 
-    def eval_on_reps(form):
-        cs = form.coeffs
-        acc = np.full(len(reps), cs[-1], dtype=np.int64)
-        for c in reversed(cs[:-1]):
-            acc = E.add(E.mul(acc, reps), np.int64(c))
-        inf_val = np.int64(form.dehomog_s().evaluate(m.field.zero))
-        return np.concatenate([acc, [inf_val]])
+    def evaluate(form):
+        """form at every (1, t), t in F_Q, then at (0, 1)."""
+        acc = np.full(Q, form.coeffs[-1], dtype=np.int64)
+        for c in reversed(form.coeffs[:-1]):
+            acc = E.add(E.mul(acc, elts), np.int64(c))
+        return np.append(acc, form.dehomog_s().evaluate(m.field.zero))
 
-    A2, A4, A6 = (eval_on_reps(f) for f in (m.a2, m.a4, m.a6))
+    A2, A4, A6 = (evaluate(f) for f in (m.a2, m.a4, m.a6))
     # depress: x -> u - a2/3 turns the cubic into u^3 + A u + B with
     # A = a4 - 3 t^2 and B = 2 t^3 - a4 t + a6 for t = a2/3
-    F1 = ffpoly.Field(m.field.p, 1)
+    F1 = m.field
     third = np.int64(F1.inv(F1.from_int(3)))
     negone = np.int64(F1.neg(F1.one))
     t = E.mul(A2, third)
@@ -169,105 +115,54 @@ def surface_point_count(m, e, check_fibers=True):
     B = E.add(E.add(E.mul(np.int64(F1.from_int(2)), E.mul(t, t2)),
                     E.mul(negone, E.mul(A4, t))), A6)
 
-    fiber = np.full(ncols, Q + 1, dtype=np.int64)  # point at infinity + x-grid
-    Qm1 = Q - 1
-    lA = E.log_of(A)
-    lB = E.log_of(B)
-    # rescale u = c v so the cubic becomes v^3 + eps v + B' with eps in
-    # {0, 1, n} for the fixed nonsquare n = g; chi picks up chi(c^3) = chi(c)
-    lc = np.where(lA < 0, 0, np.where(lA % 2 == 0, lA // 2, (lA - 1) // 2))
-    eps_idx = np.where(lA < 0, 0, np.where(lA % 2 == 0, 1, 2))
-    sgn = np.where(lA < 0, 1, 1 - 2 * (lc & 1)).astype(np.int64)
-    lBp = np.where(lB < 0, -1, (lB - 3 * lc) % Qm1).astype(np.int32)
+    # rescale u = c v with c = g^(log A // 2): A / c^2 is 1 or g, and the
+    # character picks up chi(c^3) = chi(c); A = 0 keeps c = 1, eps = 0
+    lc = np.where(A == 0, 0, E.log[A] // 2)
+    eps_idx = np.where(A == 0, 0, 1 + E.log[A] % 2)
+    sgn = 1 - 2 * (lc & 1)
+    Bp = np.where(B == 0, 0, E.exp[(E.log[B] - 3 * lc) % (Q - 1)])
 
-    # chi(1 + g^k) straight off the Zech table, as a byte per exponent;
-    # then chi(g(v) + B') = chi(g(v)) * zchi[log(B'/g(v))] cell by cell
-    zchi = np.where(E.zech < 0, 0, 1 - 2 * (E.zech & 1)).astype(np.int8)
-    varr = np.arange(Q, dtype=np.int64)
-    v2 = E.mul(varr, varr)
-    chi_col = np.zeros(ncols, dtype=np.int64)
-    for gi, eps in enumerate((np.int64(0), np.int64(1), E.exp[1])):
-        cols = np.nonzero(eps_idx == gi)[0]
-        if len(cols) == 0:
-            continue
-        g = E.mul(varr, E.add(v2, eps))
-        lg = E.log_of(g).astype(np.int32)
-        chig = np.where(lg < 0, 0, 1 - 2 * (lg & 1)).astype(np.int8)
-        colsum = np.zeros(len(cols), dtype=np.int64)
-        lBc = lBp[cols]
-        good = lBc >= 0
-        # B' = 0 columns reduce to the fixed sum over the scaled curve
-        colsum[~good] = int(chig.sum(dtype=np.int64))
-        # the (at most three) rows with g(v) = 0 each contribute chi(B')
-        nzero = int((lg < 0).sum())
-        colsum += nzero * np.where(good, 1 - 2 * (lBc & 1), 0)
-        rows = np.nonzero(lg >= 0)[0]
-        lgr = lg[rows]
-        chir = chig[rows]
-        lBg = lBc[good]
-        if len(lBg):
-            acc = np.zeros(len(lBg), dtype=np.int64)
-            step = max(1, (1 << 23) // len(lBg))
-            for lo in range(0, len(rows), step):
-                d = lBg[None, :] - lgr[lo:lo + step, None]
-                d = np.where(d < 0, d + np.int32(Qm1), d)
-                acc += (chir[lo:lo + step, None] * zchi[d]).sum(
-                    axis=0, dtype=np.int64)
-            colsum[good] += acc
-        chi_col[cols] = sgn[cols] * colsum
-    fiber += chi_col
+    shape = (E.p,) * E.e
+    chi_hat = np.fft.fftn(E.chi_table.reshape(shape))
+    v3 = E.mul(elts, E.mul(elts, elts))
+    fiber = np.full(Q + 1, Q + 1, dtype=np.int64)
+    for k, eps in enumerate((0, 1, E.exp[1])):
+        N = np.bincount(E.add(v3, E.mul(eps, elts)), minlength=Q)
+        N_hat = np.fft.fftn(N.reshape(shape))
+        h = np.fft.ifftn(chi_hat * np.conj(N_hat)).ravel()
+        h_int = np.rint(h.real).astype(np.int64)
+        residual = float(np.max(np.abs(h - h_int)))
+        if residual > 0.25:
+            raise ValueError("FFT rounding residual %.3g exceeds 0.25 at "
+                             "q^e = %d" % (residual, Q))
+        cols = eps_idx == k
+        fiber[cols] += sgn[cols] * h_int[Bp[cols]]
 
-    if check_fibers:
-        dvals = eval_on_reps(weierstrass.discriminant(m))
-        sing = dvals == 0
-        hasse = math.isqrt(4 * Q)
-        good = fiber[~sing]
-        assert np.all(np.abs(good - (Q + 1)) <= hasse), "Hasse bound violated"
-        bad = fiber[sing]
-        assert np.all((bad >= Q - 1) & (bad <= Q + 2)), "singular fiber count out of range"
-
-    full_weights = np.concatenate([weights, [1]])
-    return int((fiber * full_weights).sum())
+    sing = evaluate(weierstrass.discriminant(m)) == 0
+    hasse = math.isqrt(4 * Q)
+    if np.any(np.abs(fiber[~sing] - (Q + 1)) > hasse):
+        raise ValueError("Hasse bound violated at q^e = %d" % Q)
+    if np.any((fiber[sing] < Q - 1) | (fiber[sing] > Q + 2)):
+        raise ValueError("singular fiber count out of range at q^e = %d" % Q)
+    return int(fiber.sum())
 
 
 def surface_point_count_slow(m, e):
-    """Pure-Python oracle for small q^e: identical totals, no tables."""
+    """Pure-Python oracle for small q^e: identical totals, no tables.
+    Prime-field coefficients are the same integers in F_{p^e}."""
     F = ffpoly.Field(m.field.p, e * m.field.k)
-    base = m.field
+    forms = [ffpoly.BinaryForm(F, f.degree, f.coeffs)
+             for f in (m.a2, m.a4, m.a6)]
     total = 0
     pts = [(F.one, t) for t in F.elements()] + [(F.zero, F.one)]
     for s0, t0 in pts:
-        a2 = _eval_form(F, base, m.a2, s0, t0)
-        a4 = _eval_form(F, base, m.a4, s0, t0)
-        a6 = _eval_form(F, base, m.a6, s0, t0)
+        a2, a4, a6 = (f.evaluate(s0, t0) for f in forms)
         cnt = 1
         for x in F.elements():
             val = F.add(F.mul(F.add(F.mul(F.add(x, a2), x), a4), x), a6)
             cnt += 1 + F.chi(val)
         total += cnt
     return total
-
-
-def _eval_form(F, base, form, s0, t0):
-    out = F.zero
-    tp = F.one
-    spow = [F.one]
-    for _ in range(form.degree):
-        spow.append(F.mul(spow[-1], s0))
-    for j, c in enumerate(form.coeffs):
-        if c != base.zero:
-            out = F.add(out, F.mul(F.mul(c, tp), spow[form.degree - j]))
-        tp = F.mul(tp, t0)
-    return out
-
-
-class TraceVector:
-    def __init__(self, model, traces):
-        self.model = model
-        self.traces = traces  # S_1..S_m
-
-    def __len__(self):
-        return len(self.traces)
 
 
 def frobenius_traces(m, m_max):
@@ -285,7 +180,7 @@ def frobenius_traces(m, m_max):
         s = surface_point_count(m, e) - (1 + 2 * qe + qe * qe)
         assert abs(s) <= (12 * m.d - 4) * qe, "weight bound violated"
         out.append(s)
-    return TraceVector(m, out)
+    return out
 
 
 class LPolynomial:
@@ -386,8 +281,7 @@ def l_polynomial(m):
         raise ValueError("full L-polynomials are computed for d = 1 only")
     q = m.field.q
     D = 8
-    tv = frobenius_traces(m, 5)
-    S = tv.traces
+    S = frobenius_traces(m, 5)
     half = _newton_coeffs(S[:4], 4)  # c_0..c_4
 
     def full_coeffs(eps):

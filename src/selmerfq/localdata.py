@@ -10,7 +10,8 @@ Component counts come from Ogg's relation ord_disc = f_v + m_v - 1.
 """
 
 from . import ffpoly, weierstrass
-from .ffpoly import Place, UniPoly, factor, ord_at
+from .ffpoly import UniPoly, ord_at
+from .weierstrass import bad_places
 
 
 class PlaceData:
@@ -204,18 +205,6 @@ def _istar_tamagawa(K, A2, A4, A6, n):
         step += 1
         if step > n:
             raise AssertionError("starred-I subloop overran ord_disc")
-
-
-def bad_places(m):
-    """Places dividing the discriminant (including infinity if it does)."""
-    disc = weierstrass.discriminant(m)
-    out = []
-    dt = disc.dehomog_t()
-    if not dt.is_constant():
-        out.extend(Place(f) for f, _ in factor(dt))
-    if ord_at(disc, Place.infinity()) > 0:
-        out.append(Place.infinity())
-    return out
 
 
 def global_summary(m):

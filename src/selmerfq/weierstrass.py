@@ -89,6 +89,18 @@ def discriminant(m):
     return m._disc
 
 
+def bad_places(m):
+    """Places dividing the discriminant (including infinity if it does)."""
+    disc = discriminant(m)
+    out = []
+    dt = disc.dehomog_t()
+    if not dt.is_constant():
+        out.extend(Place(f) for f, _ in factor(dt))
+    if ord_at(disc, Place.infinity()) > 0:
+        out.append(Place.infinity())
+    return out
+
+
 def c4_form(m):
     """c4 = 16(a2^2 - 3 a4), a degree-4d form."""
     F = m.field
@@ -262,16 +274,8 @@ def singular_surface_points(m):
     residue field and test the t-derivative condition there.  Returns a
     list of (place, x0) witnesses.
     """
-    F = m.field
-    disc = m._disc
     witnesses = []
-    dt = disc.dehomog_t()
-    bad = []
-    if not dt.is_constant():
-        bad.extend(Place(f) for f, _ in factor(dt))
-    if ord_at(disc, Place.infinity()) > 0:
-        bad.append(Place.infinity())
-    for v in bad:
+    for v in bad_places(m):
         x0 = _fiber_multiple_root(m, v)
         if x0 is None:
             continue

@@ -32,7 +32,7 @@ def test_weyl_e8_subcommand(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["result"]["orbit_count"] == 5
-    assert rep["schema_version"] == 1
+    assert rep["schema_version"] == 2
     assert "tool_version" in rep and "config" in rep
 
 
@@ -138,6 +138,20 @@ def test_computation_error_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["tate", "lfunction"])
+def test_non_model_json_exits_2(tmp_path, capsys, command):
+    # a model-gen report is JSON but not a model
+    code, out = _run(["model-gen", "--q", "5", "--d", "1"], capsys)
+    assert code == 0
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    code = cli.main([command, "--model", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "not a model file" in captured.err
+
+
 def test_missing_model_file_exits_1(capsys):
     code, _ = _run(["tate", "--model", "/nonexistent/model.json"], capsys)
     assert code == 1
@@ -170,6 +184,13 @@ def test_divisor_count_cli(capsys):
     ["census", "--q", "5", "--d", "1", "--mode", "exhaustive"],
     ["weyl-e8", "--n", "2", "--budget-bits", "-1"],
     ["model-gen", "--q", "5", "--d", "1", "--count", "-1"],
+    ["average-table", "--n", "2,x", "--d", "2"],
+    ["average-table", "--n", "2", "--d", "0"],
+    ["average-table", "--n", "2", "--d", "-3"],
+    ["orbits", "--n", "2", "--d", "2", "--mode", "sample", "--pairs", "-5"],
+    ["orbits", "--n", "2", "--d", "2", "--mode", "sample", "--pairs", "0"],
+    ["lfunction", "--model", "unused.json", "--mod", "0"],
+    ["lfunction", "--model", "unused.json", "--mod", "-3"],
 ])
 def test_invalid_arguments_exit_2(argv):
     # a fresh process under a timeout: one of these used to hang
