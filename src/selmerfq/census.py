@@ -11,10 +11,26 @@ and the top 2, 4, 6 coefficients do not all vanish; squarefree_disc iff
 g1 = gcd(Delta, D1 Delta) is constant and ord_inf Delta <= 1; smooth (bad
 fibers I_1 or II) iff minimal, gcd(g1, D2 Delta) is constant, g1 | c4, and
 ord_inf Delta <= 1, or = 2 with c4 vanishing at infinity.
+
+The direct singularity test `singular_branches` runs on the same kernel and
+is exact for every odd p.  With A, B, C = a2, a4, a6 and ' = d/dt, put
+N = 9C - AB and M = 2(A^2 - 3B): the first subresultant of the fiber cubic
+f and f_x is -M x + N, so at a root of Delta with M != 0 the double root is
+x0 = N/M and f_t(x0) = 0 iff G = A' N^2 + B' N M + C' M^2 vanishes; with
+M = 0 the root is triple and f_t(x0) = 0 iff H vanishes, H = A' A^2 -
+3 A B' + 9 C' for p >= 5 and, as x0^3 = -C, H = A'^3 C^2 - B'^3 C + C'^3
+for p = 3.  A tuple is singular iff h = gcd(Delta, G) has a root off M,
+i.e. deg gcd(h, M^k) < deg h for k >= 12d; or gcd(Delta, M, H) is not
+constant; or, on the rows reversed (the chart at infinity), Delta(0) = 0
+and G(0) = 0 when M(0) != 0, H(0) = 0 when M(0) = 0.  Delta = 0 counts as
+singular and needs no test of its own: the multiple-root section
+(x0(t), 0) is integral over F_p[t] and has f = f_x = 0, hence f_t = 0,
+along it, so it meets the fiber at infinity in a point the last test finds.
 """
 
 import functools
 import itertools
+import math
 import time
 
 import numpy as np
@@ -93,13 +109,21 @@ class CensusReport:
         }
 
 
+def _disc_rows(a2, a4, a6, p):
+    """Delta = -16 (a6 (4 a2^3 + 27 a6 - 18 a2 a4) + a4^2 (4 a4 - a2^2))."""
+    mul = functools.partial(ffpoly.rows_mul, p=p)
+    a2sq = mul(a2, a2)
+    inner = mul(a6, (4 * mul(a2sq, a2) + 27 * a6 - 18 * mul(a2, a4)) % p) \
+        + mul(mul(a4, a4), (4 * a4 - a2sq) % p)
+    return -16 * inner % p
+
+
 def classify(digits, q, d):
     """Census bits (see the module docstring) of the tuples in the rows of
     `digits`, as boolean arrays by count name; exact for p >= 5, any d."""
     l2, l4, _ = coeff_lengths(d)
     a2, a4, a6 = digits[:, :l2], digits[:, l2:l2 + l4], digits[:, l2 + l4:]
     deg, hasse = ffpoly.rows_degree, ffpoly.rows_hasse
-    mul = functools.partial(ffpoly.rows_mul, p=q)
     gcd = functools.partial(ffpoly.rows_gcd, p=q)
     minimal = np.ones(len(digits), dtype=bool)
     if d > 0:
@@ -108,15 +132,11 @@ def classify(digits, q, d):
         minimal_at_inf = a2[:, -2:].any(1) | a4[:, -4:].any(1) | a6[:, -6:].any(1)
         minimal = (deg(g) == 0) & minimal_at_inf
 
-    # Delta = -16 (a6 (4 a2^3 + 27 a6 - 18 a2 a4) + a4^2 (4 a4 - a2^2))
-    a2sq = mul(a2, a2)
-    inner = mul(a6, (4 * mul(a2sq, a2) + 27 * a6 - 18 * mul(a2, a4)) % q) \
-        + mul(mul(a4, a4), (4 * a4 - a2sq) % q)
-    disc = -16 * inner % q
+    disc = _disc_rows(a2, a4, a6, q)
     ord_inf = 12 * d - deg(disc)
     g1 = gcd(disc, hasse(disc, 1, q))
     g2 = gcd(g1, hasse(disc, 2, q))
-    c4 = 16 * (a2sq - 3 * a4) % q
+    c4 = 16 * (ffpoly.rows_mul(a2, a2, q) - 3 * a4) % q
     return {
         "minimal": minimal,
         "smooth": minimal & (deg(g2) == 0) & (deg(gcd(c4, g1)) == deg(g1))
@@ -173,7 +193,10 @@ def run_census(q, d, mode="sample", n=10 ** 4, seed=0):
     group_order = q ** (2 * d + 1) * (q - 1)
     if mode == "exhaustive":
         stacky = counts["minimal"] / group_order
-        assert stacky * group_order == counts["minimal"]  # exact anchor
+        if stacky * group_order != counts["minimal"]:  # exact anchor
+            raise ValueError("stacky count %r times |G| = %d is not the "
+                             "minimal count %d"
+                             % (stacky, group_order, counts["minimal"]))
     else:
         stacky = counts["minimal"] / n_models * total_space / group_order
     return CensusReport(q, d, mode, seed_out, counts, ratios, stacky,
@@ -206,7 +229,7 @@ def _vector_taylor(cols, alpha, k, p):
 def exhaustive_minimality(q, d=1):
     """Exact count of minimal tuples over the whole coefficient space.
 
-    Two independent routes whose agreement is asserted: a vectorized
+    Two independent routes whose agreement is checked: a vectorized
     per-tuple divisibility test at every candidate place (degree <= d
     plus infinity), and direct enumeration of the non-minimal locus as a
     union of coordinate subspaces.  Feasible budget: q^{12d+3} <= 2^28.
@@ -269,7 +292,10 @@ def exhaustive_minimality(q, d=1):
                         cs = list(poly.coeffs) + [0] * (ln - len(poly.coeffs))
                         parts.extend(int(x) for x in cs[:ln])
                     oracle.add(tuple_to_index(parts, q))
-    assert set(nonmin_indices) == oracle, "minimality routes disagree"
+    if set(nonmin_indices) != oracle:
+        raise ValueError("minimality routes disagree: %d non-minimal tuples "
+                         "by divisibility, %d by the subspace union"
+                         % (len(set(nonmin_indices)), len(oracle)))
 
     return {
         "q": q, "d": d, "total": total,
@@ -287,7 +313,6 @@ def exhaustive_minimality(q, d=1):
 def _taylor_functional(width, offset, length, alpha, j, p):
     """Row vector of the functional 'j-th Taylor coefficient at alpha' on
     the coefficient block [offset, offset+length), via binomials mod p."""
-    import math
     row = [0] * width
     for m in range(j, length):
         row[offset + m] = (math.comb(m, j) * pow(int(alpha), m - j, p)) % p
@@ -302,7 +327,9 @@ def _infinity_functional(width, offset, length, j):
 
 
 def _solve_mod_p(rows, rhs, p):
-    """Gaussian elimination mod p; returns (rank, particular, null_basis)."""
+    """Gaussian elimination mod p; returns (rank, particular, null_basis,
+    pivot_columns).  Null vector j is 1 at the j-th free column, 0 at the
+    other free columns."""
     width = len(rows[0])
     aug = [list(r) + [b % p] for r, b in zip(rows, rhs)]
     pivots = []
@@ -338,7 +365,7 @@ def _solve_mod_p(rows, rhs, p):
         for r, col in enumerate(pivots):
             vec[col] = (-aug[r][fc]) % p
         basis.append(vec)
-    return rank, particular, basis
+    return rank, particular, basis, pivots
 
 
 def _incidence_system(q, d, x0, tpoint):
@@ -408,74 +435,109 @@ def incidence_mask(q, d=1):
         raise ValueError("incidence marking implemented for d = 1")
     width = 12 * d + 3
     mask = np.zeros(exhaustive_space(q, d), dtype=bool)
-    radix = q ** np.arange(width, dtype=np.int64)
+    radix = q ** np.arange(width, dtype=np.int32)  # indices are below 2^28
     tpoints = list(range(q)) + ["inf"]
     for tp in tpoints:
         for x0 in range(q):
             rows, rhs = _incidence_system(q, d, x0, tp)
-            rank, part, basis = _solve_mod_p(rows, rhs, q)
-            assert rank == 3, "incidence system must have rank 3"
-            nfree = len(basis)
-            count = q ** nfree
-            combos = np.empty((count, nfree), dtype=np.int32)
-            tmp = np.arange(count, dtype=np.int64)
-            for j in range(nfree):
-                combos[:, j] = tmp % q
-                tmp //= q
-            B = np.array(basis, dtype=np.int32)
-            P = np.array(part, dtype=np.int32)
-            sol = (combos @ B + P[None, :]) % q
-            mask[sol.astype(np.int64) @ radix] = True
+            rank, part, basis, pivots = _solve_mod_p(rows, rhs, q)
+            if rank != 3:
+                raise ValueError("incidence system at (%d, %s) has rank %d, "
+                                 "not 3" % (x0, tp, rank))
+            # one row per solution: column 0 sums the free digits' place
+            # values, columns 1..3 are the pivot digits before reduction
+            free = [c for c in range(width) if c not in pivots]
+            step = np.column_stack(
+                [radix[free], np.array(basis, dtype=np.int32)[:, pivots]])
+            grid = np.zeros((1, 4), dtype=np.int32)
+            for w in step:
+                grid = (np.arange(q, dtype=np.int32)[:, None, None] * w
+                        + grid).reshape(-1, 4)
+            index, digits = grid[:, 0], grid[:, 1:]
+            digits += np.array(part, dtype=np.int32)[pivots]
+            digits %= q
+            index += digits @ radix[pivots]
+            mask[index] = True
     return mask
 
 
-def _direct_singular(F, d, digits):
-    """Does the tuple define a singular surface?  Jacobian route only.
+def _jacobian_rows(A, B, C, p):
+    """(M, G, H) of the module docstring for coefficient rows a2, a4, a6."""
+    mul = functools.partial(ffpoly.rows_mul, p=p)
+    dA, dB, dC = (ffpoly.rows_hasse(f, 1, p) for f in (A, B, C))
+    AA = mul(A, A)
+    N = (9 * C - mul(A, B)) % p
+    M = 2 * (AA - 3 * B) % p
+    G = (mul(dA, mul(N, N)) + mul(dB, mul(N, M)) + mul(dC, mul(M, M))) % p
+    if p == 3:  # x0^3 = -C, and cubing is additive
+        def cube(f):
+            return mul(mul(f, f), f)
+        H = mul(cube(dA), mul(C, C)) - mul(cube(dB), C) + cube(dC)
+    else:  # x0 = -A/3
+        H = mul(dA, AA) - 3 * mul(A, dB) + 9 * dC
+    return M, G, H % p
 
-    A vanishing discriminant means the multiple-root section (x0(t), 0)
-    lies on the surface with f = f_x = 0 identically, and differentiating
-    f(x0(t), t) = 0 kills f_t along it too, so such tuples are singular
-    without further search.
-    """
-    a2, a4, a6 = _forms_from_digits(F, d, digits)
-    disc = weierstrass._disc_form(a2, a4, a6)
-    if disc.is_zero():
-        return True
-    m = weierstrass.WeierstrassModel(F, d, a2, a4, a6)
-    return len(weierstrass.singular_surface_points(m)) > 0
+
+def singular_branches(digits, q, d):
+    """The three branches of the Jacobian criterion in the module docstring,
+    as boolean arrays over the rows of `digits`; a tuple is singular iff
+    one of them holds.  Exact for odd p and d >= 1."""
+    l2, l4, _ = coeff_lengths(d)
+    forms = digits[:, :l2], digits[:, l2:l2 + l4], digits[:, l2 + l4:]
+    deg = ffpoly.rows_degree
+    gcd = functools.partial(ffpoly.rows_gcd, p=q)
+    disc = _disc_rows(*forms, q)
+    M, G, H = _jacobian_rows(*forms, q)
+    # h has a root off M iff deg gcd(h, M^k) < deg h, for k >= deg h;
+    # gcd(h, g^2) for g = gcd(h, M^k) is gcd(h, M^2k), of width at most h's
+    h = gcd(disc, G)
+    h_on_M = gcd(h, M)
+    for _ in range(math.ceil(math.log2(12 * d))):
+        h_on_M = gcd(h, ffpoly.rows_mul(h_on_M, h_on_M, q))[:, :h.shape[1]]
+    # the chart at infinity: the rows reversed, at s = 0
+    M_inf, G_inf, H_inf = (f[:, 0] for f in
+                           _jacobian_rows(*(f[:, ::-1] for f in forms), q))
+    return {
+        "double_root": deg(h_on_M) < deg(h),
+        "triple_root": deg(gcd(gcd(disc, M), H)) > 0,
+        "infinity": (disc[:, -1] == 0)
+        & np.where(M_inf != 0, G_inf == 0, H_inf == 0),
+    }
 
 
 def singular_divisor_count(q, d=1, seed=0, direct_samples=4000):
     """(image_count, direct_count) for the singular-surface locus.
 
     image_count is exact (bitset union of the marked codimension-3
-    subspaces).  The per-model direct count over the full space is out of
-    time budget in this implementation, so direct_count is a sampling
-    estimate; the containment audit (marked => directly singular) runs on
-    the same sample.
+    subspaces).  direct_count is a sampling estimate: `direct_samples`
+    uniform tuples, decided in chunks by the batched Jacobian test
+    `singular_branches`; only an exhaustive direct count over the whole
+    space is out of time budget.  The containment audit (marked =>
+    directly singular) runs on the same sample.
     """
     t0 = time.time()
     mask = incidence_mask(q, d)
     image_count = int(mask.sum())
     width = 12 * d + 3
     total = q ** width
+    radix = q ** np.arange(width, dtype=np.int64)
 
-    F = ffpoly.Field(q, 1)
     rng = SplitMix64(seed)
     sampled_singular = 0
     sampled_marked = 0
     containment_violations = 0
-    for _ in range(direct_samples):
-        idx = rng.below(total)
-        digits = index_to_tuple(idx, q, width)
-        sing = _direct_singular(F, d, digits)
-        marked = bool(mask[idx])
-        sampled_singular += sing
-        sampled_marked += marked
-        if marked and not sing:
-            containment_violations += 1
-    assert containment_violations == 0, \
-        "incidence-marked model with no singular point"
+    for lo in range(0, direct_samples, _CLASSIFY_CHUNK):
+        rows = min(_CLASSIFY_CHUNK, direct_samples - lo)
+        idx = np.array([rng.below(total) for _ in range(rows)], dtype=np.int64)
+        sing = np.logical_or.reduce(list(
+            singular_branches(idx[:, None] // radix % q, q, d).values()))
+        marked = mask[idx]
+        sampled_singular += int(sing.sum())
+        sampled_marked += int(marked.sum())
+        containment_violations += int((marked & ~sing).sum())
+    if containment_violations:
+        raise ValueError("%d incidence-marked sampled models have no singular "
+                         "point" % containment_violations)
 
     direct_count = round(sampled_singular / direct_samples * total)
     detail = {

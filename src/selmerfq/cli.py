@@ -85,6 +85,10 @@ def _cmd_divisor_count(args):
         raise ValidationError("divisor-count takes a prime --q")
     if q == 2:
         raise ValidationError("characteristic 2 is outside the domain")
+    try:
+        census.exhaustive_space(q, args.d)
+    except ValueError as exc:
+        raise ValidationError(str(exc))
     rep = census.singular_divisor_count(q, args.d, seed=args.seed,
                                         direct_samples=args.samples)
     return rep.to_json()

@@ -43,19 +43,26 @@ class ExtField:
         self.e = e
         self.Q = Q
         g = self._generator(F)
-        exp = np.zeros(Q - 1, dtype=np.int64)
+        pows = p ** np.arange(e, dtype=np.int64)
+        # exp by doubling: exp[n:2n] = exp[:n] g^n, where multiplying by
+        # g^n is an e x e matrix mod p on base-p digits (row j: g^n x^j)
+        exp = np.ones(Q - 1, dtype=np.int64)
+        n = 1
+        while n < Q - 1:
+            gn = F.pow(g, n)
+            times_gn = np.array([F.mul(gn, int(pw)) for pw in pows])[:, None] \
+                // pows % p
+            digits = exp[:min(n, Q - 1 - n), None] // pows % p
+            exp[n:2 * n] = (digits @ times_gn % p) @ pows
+            n *= 2
         log = np.zeros(Q, dtype=np.int64)
-        cur = F.one
-        for i in range(Q - 1):
-            exp[i] = cur
-            log[cur] = i
-            cur = F.mul(cur, g)
+        log[exp] = np.arange(Q - 1)
         self.exp = exp
         self.log = log
         chi = np.where(log % 2 == 0, 1, -1).astype(np.int8)
         chi[0] = 0
         self.chi_table = chi
-        self._pows = np.array([p ** i for i in range(e)], dtype=np.int64)
+        self._pows = pows
 
     @staticmethod
     def _generator(F):

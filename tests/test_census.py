@@ -1,6 +1,10 @@
 """Parameter-space statistics: minimality counts, the singular-surface
 locus, and orbit-stabilizer audits."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -88,6 +92,65 @@ def test_singular_divisor_count_window():
     assert rep.direct_count >= rep.image_count
 
 
+def test_singular_divisor_count_seed0():
+    # the values of the earlier per-model Jacobian search and combos @ B mask
+    rep = singular_divisor_count(3, 1, seed=0, direct_samples=4000)
+    assert rep.image_count == 5389497
+    assert rep.direct_count == 5969145
+    assert rep.direct_detail == {"samples": 4000, "seed": 0,
+                                 "sampled_singular": 1664,
+                                 "sampled_marked": 1541,
+                                 "containment_violations": 0}
+
+
+@pytest.mark.parametrize("q,d,count",
+                         [(3, 1, 400), (5, 1, 300), (7, 1, 250), (3, 2, 120)])
+def test_singular_branches_match_jacobian_search(q, d, count):
+    # bit by bit against the scalar search singular_surface_points, with
+    # a vanishing discriminant counted as singular
+    F = Field(q, 1)
+    rows = _zero_biased_rows(q, d, count, 2000 * q + d)
+    branches = census.singular_branches(np.array(rows, dtype=np.int64), q, d)
+    disc_zero = 0
+    for i, digits in enumerate(rows):
+        a2, a4, a6 = census._forms_from_digits(F, d, digits)
+        if weierstrass._disc_form(a2, a4, a6).is_zero():
+            want = True
+            disc_zero += 1
+        else:
+            m = weierstrass.WeierstrassModel(F, d, a2, a4, a6)
+            want = len(weierstrass.singular_surface_points(m)) > 0
+        got = {k: bool(v[i]) for k, v in branches.items()}
+        assert any(got.values()) == want, (digits, got)
+    # each branch alone decides some tuple, and disc-zero tuples occur
+    bits = np.array(list(branches.values()))
+    for k, b in zip(branches, bits):
+        assert (b & (bits.sum(0) == 1)).any(), k
+    assert disc_zero
+
+
+def test_containment_check_survives_python_O():
+    # with a batched test that finds nothing, the marked sample models
+    # violate containment; the check must fire with asserts stripped
+    script = (
+        "import numpy as np\n"
+        "from selmerfq import census\n"
+        "census.singular_branches = lambda digits, q, d: "
+        "{'none': np.zeros(len(digits), dtype=bool)}\n"
+        "try:\n"
+        "    census.singular_divisor_count(3, 1, seed=0, direct_samples=50)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    raise SystemExit('no error')\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "have no singular point" in proc.stdout
+
+
 def test_run_census_exhaustive_d0():
     rep = run_census(5, 0, mode="exhaustive")
     assert rep.counts["total"] == 125
@@ -144,18 +207,22 @@ def _scalar_bits(F, d, digits):
     }
 
 
-@pytest.mark.parametrize("q,d,count", [(5, 1, 400), (7, 1, 300), (5, 2, 80)])
-def test_classify_matches_single_model_routes(q, d, count):
-    # digits are 0 with a per-tuple probability from 0 to 1, so that
-    # non-minimal, disc-zero and additive tuples all occur
-    F = field_make(q)
-    rng = SplitMix64(1000 * q + d)
-    width = 12 * d + 3
+def _zero_biased_rows(q, d, count, seed):
+    """Digits that are 0 with a per-tuple probability from 0 to 1, so that
+    non-minimal, disc-zero and additive tuples all occur."""
+    rng = SplitMix64(seed)
     rows = []
     for _ in range(count):
         zero_in_20 = rng.below(21)
         rows.append([0 if rng.below(20) < zero_in_20 else rng.below(q)
-                     for _ in range(width)])
+                     for _ in range(12 * d + 3)])
+    return rows
+
+
+@pytest.mark.parametrize("q,d,count", [(5, 1, 400), (7, 1, 300), (5, 2, 80)])
+def test_classify_matches_single_model_routes(q, d, count):
+    F = field_make(q)
+    rows = _zero_biased_rows(q, d, count, 1000 * q + d)
     bits = classify(np.array(rows, dtype=np.int64), q, d)
     seen = set()
     for i, digits in enumerate(rows):

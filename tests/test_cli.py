@@ -191,6 +191,7 @@ def test_divisor_count_cli(capsys):
     ["orbits", "--n", "2", "--d", "2", "--mode", "sample", "--pairs", "0"],
     ["lfunction", "--model", "unused.json", "--mod", "0"],
     ["lfunction", "--model", "unused.json", "--mod", "-3"],
+    ["divisor-count", "--q", "5"],
 ])
 def test_invalid_arguments_exit_2(argv):
     # a fresh process under a timeout: one of these used to hang

@@ -37,6 +37,18 @@ def test_extfield_tables():
         assert E.chi_table[a] == (1 if a in sq else -1)
 
 
+@pytest.mark.parametrize("p,e", [(5, 1), (5, 3), (5, 4), (7, 2), (3, 5)])
+def test_extfield_tables_match_scalar_powers(p, e):
+    # the doubling build against g^i by repeated scalar Field.mul
+    E = ExtField(p, e)
+    g = E._generator(E.F)
+    cur = E.F.one
+    for i in range(E.Q - 1):
+        assert E.exp[i] == cur and E.log[cur] == i
+        cur = E.F.mul(cur, g)
+    assert cur == E.F.one and E.log[0] == 0
+
+
 def test_supersingular_constant_surface_count():
     # y^2 = x^3 + 1 over F_5 is supersingular (5 = 2 mod 3): each of the
     # 6 fibers has exactly 6 points, 36 total
