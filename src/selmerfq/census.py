@@ -65,22 +65,6 @@ def tuple_to_index(coeffs, q):
     return idx
 
 
-def index_to_tuple(idx, q, width):
-    out = []
-    for _ in range(width):
-        out.append(idx % q)
-        idx //= q
-    return out
-
-
-def _forms_from_digits(F, d, digits):
-    l2, l4, l6 = coeff_lengths(d)
-    a2 = BinaryForm(F, 2 * d, digits[:l2])
-    a4 = BinaryForm(F, 4 * d, digits[l2:l2 + l4])
-    a6 = BinaryForm(F, 6 * d, digits[l2 + l4:])
-    return a2, a4, a6
-
-
 class CensusReport:
     def __init__(self, q, d, mode, seed, counts, ratios, stacky_count,
                  elapsed, n=None):
@@ -193,10 +177,6 @@ def run_census(q, d, mode="sample", n=10 ** 4, seed=0):
     group_order = q ** (2 * d + 1) * (q - 1)
     if mode == "exhaustive":
         stacky = counts["minimal"] / group_order
-        if stacky * group_order != counts["minimal"]:  # exact anchor
-            raise ValueError("stacky count %r times |G| = %d is not the "
-                             "minimal count %d"
-                             % (stacky, group_order, counts["minimal"]))
     else:
         stacky = counts["minimal"] / n_models * total_space / group_order
     return CensusReport(q, d, mode, seed_out, counts, ratios, stacky,

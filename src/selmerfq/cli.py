@@ -125,6 +125,10 @@ def _cmd_tate(args):
 
 def _cmd_lfunction(args):
     m = _load_model(args.model)
+    try:
+        lfunction.table_size(m.field.q, 5)
+    except ValueError as exc:
+        raise ValidationError("S_5 needs F_{q^5}: %s" % exc)
     L = lfunction.l_polynomial(m)
     out = L.to_json()
     if args.mod is not None:

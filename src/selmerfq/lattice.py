@@ -202,7 +202,9 @@ def standard_generators(d, rng=None, extra=64):
         v[0] = 1
         v[1] = 0
         v[1] = targets[i % 4] - lat.q(v)
-        assert lat.q(v) == targets[i % 4]
+        if lat.q(v) != targets[i % 4]:
+            raise ValueError("extra generator %d misses q = %d"
+                             % (i, targets[i % 4]))
         gens.append(v)
     return lat, gens
 
@@ -309,10 +311,12 @@ def orbit_decompose(module, generators, budget=DEFAULT_BUDGET):
     key = inv_t.astype(np.int64) * (n + 1) + inv_q
     for oid in range(len(orbits)):
         vals = np.unique(key[label == oid])
-        assert vals.size == 1, "orbit %d not invariant-homogeneous" % oid
+        if vals.size != 1:
+            raise ValueError("orbit %d not invariant-homogeneous" % oid)
         rep, size, _ = orbits[oid]
         orbits[oid] = (rep, size, module.content_invariant(rep))
-    assert sum(s for _, s, _ in orbits) == total
+    if sum(s for _, s, _ in orbits) != total:
+        raise ValueError("orbit sizes do not sum to n^r = %d" % total)
     return OrbitReport(n, r, "exhaustive", len(orbits), orbits,
                        generator_qs=gen_qs)
 
@@ -380,7 +384,9 @@ def sampling_connectivity(module, rng, pairs_per_class=100, tries=256):
                 v = x
                 for w in word:
                     v = np.array(module.reflect(w, v), dtype=np.int64)
-                assert tuple(int(c) for c in v) == tuple(int(c) % n for c in y)
+                if tuple(int(c) for c in v) != tuple(int(c) % n for c in y):
+                    raise ValueError("reflection word maps %s to %s, not "
+                                     "to %s mod %d" % (x, v, y, n))
                 connected += 1
         results[str((t, qbar))] = {"pairs": pairs_per_class, "connected": connected}
         if connected < pairs_per_class:

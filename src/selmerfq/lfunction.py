@@ -1,6 +1,13 @@
 """Point counts of smooth Weierstrass surfaces over extension fields,
 Frobenius traces on the middle cohomology piece, and the integral
-L-polynomial of degree 12d-4 with its weight-2 root bounds.
+L-polynomial of a d = 1 model with its exact cyclotomic factorization.
+
+For d = 1 the surface is rational, and Frobenius acts on the E8
+Mordell-Weil lattice as q times an isometry of finite order.  So
+P(T) = L(T/q) is +-prod Phi_k^m_k with phi(k) <= 8, the sign of the
+functional equation is the global root number prod_v w_v of the local
+data, and the analytic rank is m_1.  L follows from S_1..S_4 and that
+sign; S_5 cross-checks it, and exact division checks the factorization.
 
 Each extension F_{q^e} gets log/exp tables over a multiplicative generator
 (multiplication and the quadratic character become array gathers), while
@@ -10,14 +17,22 @@ character sums of all fibers come from one additive convolution, an FFT
 over that grid, per depressed cubic shape.
 """
 
+import cmath
 import math
-from fractions import Fraction
 
 import numpy as np
 
-from . import ffpoly, weierstrass
+from . import ffpoly, localdata, weierstrass
 
 _TABLE_BUDGET = 1 << 24
+
+
+def table_size(q, e):
+    """q^e, the entries of an F_{q^e} table; raises past the 2^24 budget."""
+    Q = q ** e
+    if Q > _TABLE_BUDGET:
+        raise ValueError("q^e = %d exceeds table budget 2^24" % Q)
+    return Q
 
 
 class ExtField:
@@ -34,10 +49,8 @@ class ExtField:
         return cls._cache[key]
 
     def _build(self, p, e):
+        Q = table_size(p, e)
         F = ffpoly.Field(p, e)
-        Q = F.q
-        if Q > _TABLE_BUDGET:
-            raise ValueError("q^e = %d exceeds table budget" % Q)
         self.F = F
         self.p = p
         self.e = e
@@ -185,29 +198,31 @@ def frobenius_traces(m, m_max):
     for e in range(1, m_max + 1):
         qe = q ** e
         s = surface_point_count(m, e) - (1 + 2 * qe + qe * qe)
-        assert abs(s) <= (12 * m.d - 4) * qe, "weight bound violated"
+        if abs(s) > (12 * m.d - 4) * qe:
+            raise ValueError("weight bound violated: |S_%d| = %d > %d q^%d"
+                             % (e, abs(s), 12 * m.d - 4, e))
         out.append(s)
     return out
 
 
 class LPolynomial:
-    """det(1 - Frob T) on the middle piece; degree D = 12d-4, c_0 = 1."""
+    """det(1 - Frob T) on the middle piece of a d = 1 model: degree 8,
+    c_0 = 1.  The constructor factors P(T) = L(T/q) exactly into
+    cyclotomic polynomials and raises when it cannot."""
 
     def __init__(self, q, coeffs, epsilon):
         self.q = q
         self.coeffs = list(coeffs)
         self.degree = len(coeffs) - 1
         self.epsilon = epsilon
-
-    def reciprocal_roots(self):
-        """The alpha_i, i.e. roots of z^D L(1/z) = c_0 z^D + ... + c_D."""
-        return np.roots(self.coeffs)
+        self.factorization = cyclotomic_factorization(q, self.coeffs)
 
     def distinct_reciprocal_roots(self):
-        """Roots of the exact square-free part (multiple roots make plain
-        np.roots lose ~eps^(1/mult) digits, too coarse for the 1e-6 purity
-        tolerance)."""
-        return np.roots(_squarefree_part(self.coeffs))
+        """The exact values q zeta, zeta a primitive k-th root of unity, for
+        each Phi_k in the factorization."""
+        return np.array([self.q * cmath.exp(2j * math.pi * j / k)
+                         for k in self.factorization
+                         for j in range(1, k + 1) if math.gcd(j, k) == 1])
 
     def to_json(self):
         roots = self.distinct_reciprocal_roots()
@@ -219,128 +234,103 @@ class LPolynomial:
             "epsilon": self.epsilon,
             "roots_abs_check": {"max_relative_deviation": absdev,
                                 "tolerance": 1e-6},
+            "cyclotomic_factorization": dict(self.factorization),
+            "analytic_rank": self.factorization.get(1, 0),
         }
 
 
-def _squarefree_part(coeffs):
-    """Exact square-free part of an integer polynomial (highest-first),
-    via a Fraction Euclidean gcd with the derivative."""
-    def norm(p):
-        while p and p[0] == 0:
-            p = p[1:]
-        return [Fraction(x) for x in p]
+def _divmod_monic(a, b):
+    """Quotient and remainder of integer polynomials (lowest degree first)
+    by a monic b."""
+    a = list(a)
+    quot = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(quot) - 1, -1, -1):
+        f = quot[shift] = a[shift + len(b) - 1]
+        for i, y in enumerate(b):
+            a[shift + i] -= f * y
+    return quot, a[:len(b) - 1]
 
-    def polymod(a, b):
-        a = list(a)
-        while len(a) >= len(b) and a:
-            f = a[0] / b[0]
-            for i in range(len(b)):
-                a[i] -= f * b[i]
-            a = a[1:]
-            while a and a[0] == 0:
-                a = a[1:]
-        return a
 
-    p = norm(coeffs)
-    dp = norm([c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])])
-    a, b = p, dp
-    while b:
-        a, b = b, polymod(a, b)
-    g = a
-    # divide p by g exactly
-    quot = []
-    rem = list(p)
-    while len(rem) >= len(g):
-        f = rem[0] / g[0]
-        quot.append(f)
-        for i in range(len(g)):
-            rem[i] -= f * g[i]
-        rem = rem[1:]
-    return [float(x) for x in quot]
+def _cyclotomics(n):
+    """Phi_k for k <= n, lowest degree first: T^k - 1 over Phi_j, j | k."""
+    phis = {}
+    for k in range(1, n + 1):
+        phis[k] = [-1] + [0] * (k - 1) + [1]
+        for j in range(1, k):
+            if k % j == 0:
+                phis[k] = _divmod_monic(phis[k], phis[j])[0]
+    return phis
+
+
+# deg Phi_k = phi(k) <= 8 holds only for k <= 30
+_CYCLOTOMIC = {k: f for k, f in _cyclotomics(30).items() if len(f) <= 9}
+
+
+def cyclotomic_factorization(q, coeffs):
+    """{k: m_k} with L(T/q) = +-prod Phi_k^m_k over phi(k) <= 8, for the
+    integer coefficients c_0, c_1, ... of L.  Raises ValueError unless
+    q^i | c_i and the division leaves +-1: weight-2 purity, exactly."""
+    if any(c % q ** i for i, c in enumerate(coeffs)):
+        raise ValueError("L(T/q) is not integral: q^i does not divide c_i "
+                         "in %s" % (coeffs,))
+    P = rest = [c // q ** i for i, c in enumerate(coeffs)]
+    out = {}
+    for k, phi in _CYCLOTOMIC.items():
+        while len(rest) >= len(phi):
+            quot, rem = _divmod_monic(rest, phi)
+            if any(rem):
+                break
+            rest = quot
+            out[k] = out.get(k, 0) + 1
+    if rest not in ([1], [-1]):
+        raise ValueError("weight-2 purity failed: L(T/q) = %s leaves %s "
+                         "after dividing out cyclotomic factors" % (P, rest))
+    return out
 
 
 def _newton_coeffs(power_sums, k_max):
-    """c_1..c_k from p_1..p_k via c_k = -(p_k + sum c_i p_{k-i})/k."""
-    c = [Fraction(1)]
+    """c_0..c_k from p_1..p_k via c_k = -(p_k + sum c_i p_{k-i})/k."""
+    c = [1]
     for k in range(1, k_max + 1):
-        acc = Fraction(power_sums[k - 1])
-        for i in range(1, k):
-            acc += c[i] * power_sums[k - 1 - i]
-        c.append(-acc / k)
-    for x in c:
-        assert x.denominator == 1, "non-integral Newton coefficient"
-    return [int(x) for x in c]
+        acc = power_sums[k - 1] + sum(c[i] * power_sums[k - 1 - i]
+                                      for i in range(1, k))
+        if acc % k:
+            raise ValueError("non-integral Newton coefficient c_%d = %d/%d "
+                             "from power sums %s" % (k, -acc, k, power_sums))
+        c.append(-acc // k)
+    return c
 
 
 def _predicted_power_sum(coeffs, power_sums, k):
     """p_k from c_1..c_k and p_1..p_{k-1} (Newton, k <= deg)."""
-    s = -k * coeffs[k]
-    for i in range(1, k):
-        s -= coeffs[i] * power_sums[k - 1 - i]
-    return s
+    return -k * coeffs[k] - sum(coeffs[i] * power_sums[k - 1 - i]
+                                for i in range(1, k))
 
 
 def l_polynomial(m):
-    """Integral L-polynomial for a smooth d = 1 model: Newton identities on
-    S_1..S_4, the top half from the functional equation c_{8-i} = eps
-    q^{8-2i} c_i, and eps pinned by S_5 (S_6 only if S_5 cannot decide)."""
+    """Integral L-polynomial of a smooth d = 1 model.
+
+    c_1..c_4 come from Newton's identities on S_1..S_4.  The sign eps of
+    the functional equation c_{8-i} = eps q^{8-2i} c_i is the global root
+    number from Tate's algorithm (localdata.root_number), and fills in the
+    top half.  The one cross-check: Newton's p_5 from c_1..c_5 must equal
+    the counted S_5.  LPolynomial then checks purity by exact cyclotomic
+    division.  Point counts run over F_{q^e} for e <= 5 only, so q^5 must
+    fit the table budget (q <= 27).
+    """
     if m.d != 1:
         raise ValueError("full L-polynomials are computed for d = 1 only")
     q = m.field.q
-    D = 8
+    table_size(q, 5)
     S = frobenius_traces(m, 5)
-    half = _newton_coeffs(S[:4], 4)  # c_0..c_4
-
-    def full_coeffs(eps):
-        c = list(half)
-        for i in range(3, -1, -1):
-            c.append(eps * q ** (D - 2 * i) * c[i])
-        return c
-
-    candidates = []
-    for eps in (1, -1):
-        if half[4] != 0 and eps * half[4] != half[4]:
-            continue  # c_4 = eps c_4 forces eps = +1 when c_4 != 0
-        c = full_coeffs(eps)
-        if _predicted_power_sum(c, S, 5) == S[4]:
-            candidates.append(eps)
-    if not candidates:
-        raise ValueError("trace inconsistency")
-    if len(candidates) > 1:
-        if half[1:] == [0, 0, 0, 0]:
-            # all traces vanish, L = 1 + eps q^8 T^8.  Frobenius here is
-            # q times a finite-order isometry phi of the rank-8 middle
-            # lattice; eps = +1 would make char(phi) = x^8 + 1, forcing
-            # phi to have order 16, but the orthogonal group of that
-            # lattice has 2-Sylow exponent 8.  So eps = -1, no S_6 needed.
-            candidates = [-1]
-        else:
-            S6 = surface_point_count(m, 6) - (1 + 2 * q ** 6 + q ** 12)
-            S = S + [S6]
-            candidates = [eps for eps in candidates
-                          if _predicted_power_sum(full_coeffs(eps), S, 6) == S6]
-            if len(candidates) > 1:
-                # still tied: then c_2 = c_3 = c_4 = 0 with c_1 != 0, e.g.
-                # L = (1 + c_1 T)(1 +- q^7 T^7), and both signs are pure;
-                # p_7 depends on eps through c_7 = eps q^6 c_1, so S_7 decides
-                S7 = surface_point_count(m, 7) - (1 + 2 * q ** 7 + q ** 14)
-                S = S + [S7]
-                candidates = [eps for eps in candidates
-                              if _predicted_power_sum(full_coeffs(eps), S, 7) == S7]
-            if len(candidates) > 1:
-                raise ValueError("epsilon undetermined at trace budget")
-        if len(candidates) != 1:
-            raise ValueError("trace inconsistency")
-    eps = candidates[0]
-    L = LPolynomial(q, full_coeffs(eps), eps)
-
-    roots = L.distinct_reciprocal_roots()
-    assert np.all(np.abs(np.abs(roots) - q) <= 1e-6 * q), "weight-2 purity failed"
-    # functional equation pairing: {q^2/alpha} = {alpha} as sets of
-    # distinct roots (multiplicity pairing is the eps relation above)
-    paired = np.sort_complex(q * q / roots)
-    assert np.allclose(np.sort_complex(roots), paired, rtol=1e-6, atol=1e-6 * q)
-    return L
+    c = _newton_coeffs(S[:4], 4)
+    eps = localdata.root_number(m)
+    c += [eps * q ** (8 - 2 * i) * c[i] for i in range(3, -1, -1)]
+    p5 = _predicted_power_sum(c, S, 5)
+    if p5 != S[4]:
+        raise ValueError("S_5 cross-check failed: Newton predicts %d, the "
+                         "point count gives %d" % (p5, S[4]))
+    return LPolynomial(q, c, eps)
 
 
 def charpoly_mod(L, n):
@@ -354,16 +344,10 @@ def charpoly_mod(L, n):
         raise ValueError("gcd(q, n) = 1 required")
     coeffs = [c % n for c in L.coeffs]
     mult = 0
-    work = list(coeffs)
+    work = coeffs
     while len(work) > 1 and sum(work) % n == 0:
-        # synthetic division by (T - 1); the unit factor -1 of (1 - T)
-        # does not affect multiplicity
-        out = []
-        acc = 0
-        for c in reversed(work):
-            acc = (acc + c) % n
-            out.append(acc)
-        assert out[-1] % n == 0
-        work = list(reversed(out[:-1]))
+        # divide by T - 1, whose remainder work(1) = sum(work) is 0 mod n;
+        # the unit factor -1 of (1 - T) does not affect multiplicity
+        work = [c % n for c in _divmod_monic(work, (-1, 1))[0]]
         mult += 1
     return coeffs, mult

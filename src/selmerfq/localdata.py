@@ -1,6 +1,7 @@
 """Kodaira types, conductor exponents, component counts, and Tamagawa
 numbers at places of bad reduction, for p >= 5 (tame reduction), plus
-global consistency sums and a fiber-point-count oracle.
+global consistency sums, the root number of a smooth model, and a
+fiber-point-count oracle.
 
 The type is read off the valuations (ord_v c4, ord_v Delta); Tamagawa
 numbers that depend on rationality questions (split multiplicative,
@@ -27,7 +28,9 @@ class PlaceData:
         self.m_v = m_v
         self.c_v = c_v
         self.split = split
-        assert ord_disc == f_v + m_v - 1, "Ogg relation violated"
+        if ord_disc != f_v + m_v - 1:
+            raise ValueError("Ogg relation violated at %r: ord_disc %d != "
+                             "f_v %d + m_v %d - 1" % (place, ord_disc, f_v, m_v))
 
     def to_json(self):
         if self.place.is_infinity:
@@ -174,46 +177,67 @@ def _istar_tamagawa(K, A2, A4, A6, n):
     """
     P = UniPoly(K, [_coeff(A6, 3), _coeff(A4, 2), _coeff(A2, 1), K.one])
     g = P.gcd(P.derivative())
-    assert g.degree() == 1, "starred-I place must have a residual double root"
+    if g.degree() != 1:
+        raise ValueError("I_n* place without a residual double root: "
+                         "deg gcd(P, P') = %d" % g.degree())
     t0 = K.neg(K.mul(g.coeffs[0], K.inv(g.coeffs[1])))
     A2, A4, A6 = _translate_x(K, A2, A4, A6, UniPoly(K, [K.zero, t0]))
     a21 = _coeff(A2, 1)
-    assert a21 != K.zero
+    if a21 == K.zero:
+        raise ValueError("I_n* place: a_{2,1} vanishes after re-centering")
 
     step = 1
-    while True:
+    while step <= n:
         if step % 2 == 1:
             # test Y^2 = A6 coefficient at u^(step+3)
-            a6c = _coeff(A6, step + 3)
-            if a6c != K.zero:
-                assert step == n, (step, n)
-                return 4 if K.chi(a6c) == 1 else 2
+            test = _coeff(A6, step + 3)
         else:
             # test a21 X^2 + a4c X + a6c
             a4c = _coeff(A4, (step + 4) // 2)
             a6c = _coeff(A6, step + 3)
-            D = K.sub(K.mul(a4c, a4c),
-                      K.mul(K.from_int(4), K.mul(a21, a6c)))
-            if D != K.zero:
-                assert step == n, (step, n)
-                return 4 if K.chi(D) == 1 else 2
+            test = K.sub(K.mul(a4c, a4c),
+                         K.mul(K.from_int(4), K.mul(a21, a6c)))
+        if test != K.zero:
+            if step != n:
+                raise ValueError("I_n* subloop ended at %d, n = %d"
+                                 % (step, n))
+            return 4 if K.chi(test) == 1 else 2
+        if step % 2 == 0:
             # depress: kill the a4c term by an x-shift at level u^((step+2)/2)
             shift = K.neg(K.mul(a4c, K.inv(K.mul(K.from_int(2), a21))))
             j = (step + 2) // 2
             r = UniPoly(K, [K.zero] * j + [shift])
             A2, A4, A6 = _translate_x(K, A2, A4, A6, r)
         step += 1
-        if step > n:
-            raise AssertionError("starred-I subloop overran ord_disc")
+    raise ValueError("I_n* subloop overran n = %d" % n)
 
 
 def global_summary(m):
-    """Aggregate local data over every bad place; asserts the degree-12d
-    discriminant bookkeeping."""
+    """Aggregate local data over every bad place; raises unless the
+    discriminant valuations sum to 12d."""
     data = [local_data_at(m, v) for v in bad_places(m)]
     summary = GlobalLocalSummary(m, data)
-    assert summary.disc_degree_check, "bad-place valuations must sum to 12d"
+    if not summary.disc_degree_check:
+        raise ValueError("bad-place valuations must sum to 12d")
     return summary
+
+
+def root_number(m):
+    """Global root number prod_v w_v of a smooth model, p >= 5 (Rohrlich,
+    "Variation of the root number in families of elliptic curves", 1993).
+    Its bad fibers are I_1, with w_v = -1 if split and +1 if not, and II,
+    with w_v = (-1 | kappa(v)) = ((-1)^((q-1)/2))^deg v."""
+    q = m.field.q
+    w = 1
+    for pd in global_summary(m).places:
+        if pd.kodaira == "I_1":
+            w *= -1 if pd.split else 1
+        elif pd.kodaira == "II":
+            w *= (-1) ** ((q - 1) // 2 * pd.place.degree())
+        else:
+            raise ValueError("root number needs I_1 or II fibers, found %s"
+                             % pd.kodaira)
+    return w
 
 
 def fiber_point_count(m, v):

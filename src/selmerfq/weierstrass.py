@@ -43,10 +43,6 @@ class WeierstrassModel:
     def __repr__(self):
         return "WeierstrassModel(d=%d over %r)" % (self.d, self.field)
 
-    def coeff_tuple(self):
-        """Flat coefficient tuple (a2 coeffs, a4 coeffs, a6 coeffs)."""
-        return self.a2.coeffs + self.a4.coeffs + self.a6.coeffs
-
     def to_json(self):
         return {
             "p": self.field.p,

@@ -10,15 +10,32 @@ import pytest
 
 from selmerfq import census, weierstrass
 from selmerfq.census import (classify, coeff_lengths, exhaustive_minimality,
-                             incidence_mask, index_to_tuple,
-                             orbit_stabilizer_audit, run_census,
-                             singular_divisor_count, tuple_to_index)
-from selmerfq.ffpoly import Field, Place, field_make, is_squarefree, ord_at
+                             incidence_mask, orbit_stabilizer_audit,
+                             run_census, singular_divisor_count,
+                             tuple_to_index)
+from selmerfq.ffpoly import (BinaryForm, Field, Place, field_make,
+                             is_squarefree, ord_at)
 from selmerfq.rng import SplitMix64
 
 # q = 3, d = 1 fixture: fiber at t = 0 is y^2 = (x - 1)^2 x with an I_2
 # node at x0 = 1, built to satisfy the three incidence constraints
 NODE_DIGITS = [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0]
+
+
+def index_to_tuple(idx, q, width):
+    out = []
+    for _ in range(width):
+        out.append(idx % q)
+        idx //= q
+    return out
+
+
+def _forms_from_digits(F, d, digits):
+    l2, l4, l6 = coeff_lengths(d)
+    a2 = BinaryForm(F, 2 * d, digits[:l2])
+    a4 = BinaryForm(F, 4 * d, digits[l2:l2 + l4])
+    a6 = BinaryForm(F, 6 * d, digits[l2 + l4:])
+    return a2, a4, a6
 
 
 def test_index_roundtrip():
@@ -52,7 +69,7 @@ def test_incidence_mask_marks_node_fixture():
 def test_node_fixture_is_directly_singular_i2():
     from selmerfq.ffpoly import Place, UniPoly, ord_at
     F = Field(3, 1)
-    a2, a4, a6 = census._forms_from_digits(F, 1, NODE_DIGITS)
+    a2, a4, a6 = _forms_from_digits(F, 1, NODE_DIGITS)
     m = weierstrass.WeierstrassModel(F, 1, a2, a4, a6)
     wits = weierstrass.singular_surface_points(m)
     assert any((not v.is_infinity) and v.poly.coeffs == (0, 1) and x == 1
@@ -69,7 +86,7 @@ def test_squarefree_disc_not_marked():
     checked = 0
     while checked < 30:
         digits = [rng.below(3) for _ in range(15)]
-        a2, a4, a6 = census._forms_from_digits(F, 1, digits)
+        a2, a4, a6 = _forms_from_digits(F, 1, digits)
         disc = weierstrass._disc_form(a2, a4, a6)
         if disc.is_zero():
             continue
@@ -113,7 +130,7 @@ def test_singular_branches_match_jacobian_search(q, d, count):
     branches = census.singular_branches(np.array(rows, dtype=np.int64), q, d)
     disc_zero = 0
     for i, digits in enumerate(rows):
-        a2, a4, a6 = census._forms_from_digits(F, d, digits)
+        a2, a4, a6 = _forms_from_digits(F, d, digits)
         if weierstrass._disc_form(a2, a4, a6).is_zero():
             want = True
             disc_zero += 1
@@ -191,7 +208,7 @@ def test_run_census_seed0_counts():
 def _scalar_bits(F, d, digits):
     """The census bits from the single-model routes: minimality_of_forms,
     the Kodaira route is_smooth_surface, and is_squarefree."""
-    a2, a4, a6 = census._forms_from_digits(F, d, digits)
+    a2, a4, a6 = _forms_from_digits(F, d, digits)
     minimal = weierstrass.minimality_of_forms(F, d, a2, a4, a6)
     disc = weierstrass._disc_form(a2, a4, a6)
     if disc.is_zero():

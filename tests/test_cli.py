@@ -9,6 +9,11 @@ import pytest
 
 from selmerfq import cli
 
+# a smooth minimal d = 1 model over F_29 (model-gen --seed 0): 29^5 is past
+# the 2^24 table budget of the S_5 point count
+Q29_MODEL = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "model_q29.json")
+
 
 def _run(argv, capsys):
     code = cli.main(argv)
@@ -192,6 +197,7 @@ def test_divisor_count_cli(capsys):
     ["lfunction", "--model", "unused.json", "--mod", "0"],
     ["lfunction", "--model", "unused.json", "--mod", "-3"],
     ["divisor-count", "--q", "5"],
+    ["lfunction", "--model", Q29_MODEL],
 ])
 def test_invalid_arguments_exit_2(argv):
     # a fresh process under a timeout: one of these used to hang

@@ -1,9 +1,13 @@
 """Extension-field point counts, Frobenius traces, and L-polynomials."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from selmerfq import lfunction, weierstrass
+from selmerfq import lfunction, localdata, weierstrass
 from selmerfq.ffpoly import BinaryForm, UniPoly, field_make
 from selmerfq.lfunction import (ExtField, charpoly_mod, frobenius_traces,
                                 l_polynomial, surface_point_count,
@@ -17,6 +21,21 @@ SEED0_MODEL = {"p": 5, "k": 1, "d": 1, "a2": [0, 0, 4], "a4": [4, 2, 0, 3, 0],
 SEED0_L = [1, 5, 25, 125, 0, -3125, -15625, -78125, -390625]
 SEED0_EPS = -1
 SEED0_MOD2 = ([1, 1, 1, 1, 0, 1, 1, 1, 1], 4)
+
+# smooth F_5 models whose sign S_5 cannot fix, as c_3 = c_4 = 0: with
+# c_2 != 0 (S_6 fixes it), with c_2 = 0 and c_1 != 0 (S_7), and with
+# S_1..S_4 all zero (L = 1 + eps q^8 T^8); drawn by the lpoly-q5d1 benchmark
+SIGN_BY_S6 = {"p": 5, "k": 1, "d": 1, "a2": [4, 1, 3], "a4": [1, 3, 4, 2, 3],
+              "a6": [0, 4, 2, 3, 1, 0, 2]}
+SIGN_BY_S7 = {"p": 5, "k": 1, "d": 1, "a2": [2, 1, 0], "a4": [0, 4, 1, 2, 2],
+              "a6": [1, 0, 0, 4, 3, 0, 3]}
+ALL_TRACES_ZERO = {"p": 5, "k": 1, "d": 1, "a2": [2, 0, 2],
+                   "a4": [2, 4, 4, 1, 3], "a6": [0, 1, 4, 0, 2, 3, 3]}
+# a smooth F_11 model (the fifth smooth minimal draw of SplitMix64(0))
+# with c_2 = c_3 = c_4 = 0 and c_1 != 0: a sign from traces alone needs
+# S_7, and 11^7 is past the 2^24 table budget
+Q11_C1_ONLY = {"p": 11, "k": 1, "d": 1, "a2": [5, 10, 8],
+               "a4": [6, 4, 2, 9, 1], "a6": [0, 6, 1, 6, 1, 9, 0]}
 
 
 def _const_model(F, a6_val):
@@ -179,3 +198,105 @@ def test_supersingular_epsilon_forced():
         found = True
         break
     assert found
+
+
+@pytest.mark.parametrize("model,eps", [(SIGN_BY_S6, -1), (SIGN_BY_S7, 1),
+                                       (ALL_TRACES_ZERO, -1)])
+def test_root_number_matches_newton_c8(model, eps):
+    # c_8 = eps q^8 by Newton on S_1..S_8, without the functional equation
+    m = WeierstrassModel.from_json(model)
+    c = lfunction._newton_coeffs(frobenius_traces(m, 8), 8)
+    assert c[8] == eps * 5 ** 8
+    assert localdata.root_number(m) == eps
+    L = l_polynomial(m)
+    assert (L.coeffs, L.epsilon) == (c, eps)
+
+
+def _signs_from_s5(m):
+    """The signs eps that the functional equation and S_5 allow."""
+    q = m.field.q
+    S = frobenius_traces(m, 5)
+    half = lfunction._newton_coeffs(S[:4], 4)
+    out = []
+    for eps in (1, -1):
+        c = half + [eps * q ** (8 - 2 * i) * half[i] for i in (3, 2, 1, 0)]
+        if (half[4] == 0 or eps == 1) \
+                and lfunction._predicted_power_sum(c, S, 5) == S[4]:
+            out.append(eps)
+    return out
+
+
+def test_root_number_matches_s5_sign_q7():
+    # q = 7 = 3 mod 4, so a type II place of odd degree has w_v = -1
+    F = field_make(7)
+    rng = SplitMix64(0)
+    decided = odd_type_ii = 0
+    for _ in range(12):
+        m = random_model(F, 1, rng, minimal=True, smooth=True)
+        signs = _signs_from_s5(m)
+        if len(signs) != 1:
+            continue
+        decided += 1
+        assert localdata.root_number(m) == signs[0]
+        odd_type_ii += any(pd.kodaira == "II" and pd.place.degree() % 2
+                           for pd in localdata.global_summary(m).places)
+    assert decided >= 6
+    assert odd_type_ii
+
+
+def test_q11_model_past_the_s7_budget():
+    L = l_polynomial(WeierstrassModel.from_json(Q11_C1_ONLY))
+    assert L.coeffs == [1, -11, 0, 0, 0, 0, 0, -11 ** 7, 11 ** 8]
+    # L(T/11) = (1 - T)(1 - T^7) = Phi_1^2 Phi_7
+    assert (L.epsilon, L.factorization) == (1, {1: 2, 7: 1})
+
+
+def test_l_polynomial_counts_through_s5_only(monkeypatch):
+    seen = []
+    count = lfunction.surface_point_count
+
+    def spy(m, e):
+        seen.append(e)
+        return count(m, e)
+    monkeypatch.setattr(lfunction, "surface_point_count", spy)
+    l_polynomial(WeierstrassModel.from_json(SIGN_BY_S7))
+    assert seen == [1, 2, 3, 4, 5]
+
+
+def test_cyclotomic_factorization_of_seed0():
+    L = l_polynomial(WeierstrassModel.from_json(SEED0_MODEL))
+    # L(T/5) = 1 + T + T^2 + T^3 - T^5 - T^6 - T^7 - T^8
+    assert L.factorization == {1: 1, 2: 1, 4: 1, 5: 1}
+    report = L.to_json()
+    assert report["cyclotomic_factorization"] == {1: 1, 2: 1, 4: 1, 5: 1}
+    assert report["analytic_rank"] == 1
+    assert report["roots_abs_check"]["max_relative_deviation"] <= 1e-12
+
+
+@pytest.mark.parametrize("i", range(1, 9))
+def test_perturbed_coefficient_rejected(i):
+    c = list(SEED0_L)
+    c[i] += 5 ** i
+    with pytest.raises(ValueError, match="purity"):
+        lfunction.LPolynomial(5, c, SEED0_EPS)
+    c[i] += 1
+    with pytest.raises(ValueError, match="not integral"):
+        lfunction.LPolynomial(5, c, SEED0_EPS)
+
+
+def test_purity_check_survives_python_O():
+    c = list(SEED0_L)
+    c[2] += 25
+    script = ("from selmerfq import lfunction\n"
+              "try:\n"
+              "    lfunction.LPolynomial(5, %r, -1)\n"
+              "except ValueError as exc:\n"
+              "    print(exc)\n"
+              "else:\n"
+              "    raise SystemExit('no error')\n" % c)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "purity failed" in proc.stdout

@@ -136,6 +136,9 @@ def test_f7_example_local_data():
     assert s.tamagawa_product == 3
     assert s.conductor_degree == 6
     assert s.disc_degree_check
+    # the root number is defined here for smooth models (I_1 and II) only
+    with pytest.raises(ValueError, match="I_3"):
+        localdata.root_number(m)
 
 
 def test_fiber_count_oracle_small_places():
