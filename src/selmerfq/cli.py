@@ -125,6 +125,12 @@ def _cmd_tate(args):
 
 def _cmd_lfunction(args):
     m = _load_model(args.model)
+    if m.d != 1:
+        raise ValidationError("full L-polynomials are computed for d = 1 "
+                              "only, got d = %d" % m.d)
+    if not (weierstrass.is_minimal(m) and weierstrass.is_smooth_surface(m)):
+        raise ValidationError("lfunction needs a minimal model with smooth "
+                              "total space (bad fibers I_1 or II)")
     try:
         lfunction.table_size(m.field.q, 5)
     except ValueError as exc:

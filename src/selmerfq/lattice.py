@@ -2,9 +2,12 @@
 reflections, spinor signs, and orbit decomposition of (Z/nZ)^r under the
 reflection group.  The orbit count realizes sigma(n) = sum of divisors.
 
-Exhaustive decomposition works on mixed-radix packed vectors with numpy;
-beyond the budget a sampling mode checks the predicted invariant classes
-by exhibiting explicit reflection words between random same-class pairs.
+Exhaustive decomposition is a BFS over mixed-radix packed vectors with
+numpy: each reflection image is the packed index plus a sparse digit update
+(read the digits on supp Gw, rewrite those on supp w), and each BFS level
+audits the content invariant of its vectors.  Beyond the budget a sampling
+mode checks the predicted invariant classes by exhibiting explicit
+reflection words between random same-class pairs.
 """
 
 from math import gcd
@@ -259,7 +262,12 @@ def _usable(module, gens):
 def orbit_decompose(module, generators, budget=DEFAULT_BUDGET):
     """Exhaustive orbit decomposition of (Z/nZ)^r under the reflections in
     `generators`; raises when n^r exceeds the budget (use sampling_connectivity
-    instead)."""
+    instead).
+
+    Vectors are packed indices sum v_i n^i.  r_w(v) = v - b w with
+    b = B(v, w) q(w)^-1 reads the digits on supp(Gw) and rewrites those on
+    supp(w).  Every vector lies in exactly one BFS level, and each level
+    checks that its vectors carry the representative's content_invariant."""
     n, r = module.n, module.rank
     total = n ** r
     if total > budget:
@@ -268,80 +276,53 @@ def orbit_decompose(module, generators, budget=DEFAULT_BUDGET):
         rep = (0,) * r
         return OrbitReport(1, r, "exhaustive", 1, [(rep, 1, (1, 0))])
 
-    gens = _usable(module, generators)
     gram = module.gram
     pows = np.array([n ** i for i in range(r)], dtype=np.int64)
-    # per-generator reflection data: (w, G w, inverse of q(w))
+    # per generator: supp w, w there, supp Gw mod n, Gw there, q(w)^-1
     refl = []
     gen_qs = []
-    for w in gens:
-        qw = module.q(w)
-        gen_qs.append(module.lattice.q(w) if module.lattice else qw)
-        refl.append((w % n, (gram @ w) % n, pow(qw, -1, n)))
+    for w in _usable(module, generators):
+        gen_qs.append(module.lattice.q(w))
+        gw = gram @ w % n
+        sw, sg = np.flatnonzero(w), np.flatnonzero(gw)
+        refl.append((sw, w[sw], sg, gw[sg], pow(module.q(w), -1, n)))
 
     visited = np.zeros(total, dtype=bool)
-    label = np.full(total, -1, dtype=np.int32)
     orbits = []
-    for start in range(total):
-        if visited[start]:
-            continue
-        oid = len(orbits)
+    start = 0
+    while not visited[start]:
         visited[start] = True
-        label[start] = oid
+        rep = tuple(int(start // p % n) for p in pows)
+        inv = module.content_invariant(rep)
         frontier = np.array([start], dtype=np.int64)
-        size = 1
-        rep = tuple(int((start // p) % n) for p in pows)
+        size = 0
         while frontier.size:
-            coords = (frontier[:, None] // pows[None, :]) % n  # m x r
-            images = []
-            for w, gw, inv in refl:
-                b = (coords @ gw) % n
-                imgs = (coords - ((b * inv) % n)[:, None] * w[None, :]) % n
-                images.append(imgs @ pows)
-            cat = np.concatenate(images)
-            nxt = np.unique(cat[~visited[cat]])
-            visited[nxt] = True
-            label[nxt] = oid
-            size += nxt.size
-            frontier = nxt
-        orbits.append((rep, size, module.content_invariant(rep)))
-
-    # invariant homogeneity: vectorized invariant of every vector
-    inv_t, inv_q = _all_invariants(module, pows)
-    key = inv_t.astype(np.int64) * (n + 1) + inv_q
-    for oid in range(len(orbits)):
-        vals = np.unique(key[label == oid])
-        if vals.size != 1:
-            raise ValueError("orbit %d not invariant-homogeneous" % oid)
-        rep, size, _ = orbits[oid]
-        orbits[oid] = (rep, size, module.content_invariant(rep))
+            size += frontier.size
+            digits = frontier // pows[:, None] % n  # r x m
+            t = np.gcd(np.gcd.reduce(digits), n)
+            prim = digits // t
+            qbar = ((gram @ prim) * prim).sum(axis=0) // 2 % (n // t)
+            if np.any(t != inv[0]) or np.any(qbar != inv[1]):
+                raise ValueError("orbit %d not invariant-homogeneous"
+                                 % len(orbits))
+            # an involution maps distinct vectors to distinct images, so
+            # marking `visited` per generator is the whole dedup
+            nxt = []
+            for sw, ws, sg, gs, qinv in refl:
+                b = gs @ digits[sg] % n * qinv % n
+                img = frontier.copy()
+                for i, wi in zip(sw, ws):
+                    img += ((digits[i] - wi * b) % n - digits[i]) * pows[i]
+                img = img[~visited[img]]
+                visited[img] = True
+                nxt.append(img)
+            frontier = np.concatenate([frontier[:0], *nxt])
+        orbits.append((rep, size, inv))
+        start += int(visited[start:].argmin())
     if sum(s for _, s, _ in orbits) != total:
         raise ValueError("orbit sizes do not sum to n^r = %d" % total)
     return OrbitReport(n, r, "exhaustive", len(orbits), orbits,
                        generator_qs=gen_qs)
-
-
-def _all_invariants(module, pows, chunk=1 << 18):
-    """(t, qbar) arrays over all n^r packed vectors, chunked for memory."""
-    n = module.n
-    total = n ** module.rank
-    t_out = np.empty(total, dtype=np.int64)
-    q_out = np.empty(total, dtype=np.int64)
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        coords = (idx[:, None] // pows[None, :]) % n
-        t = np.gcd.reduce(coords, axis=1)
-        t = np.gcd(t, n)
-        t[t == 0] = n  # the zero vector
-        prim = coords // t[:, None]
-        qv = np.einsum("ij,jk,ik->i", prim, module.gram, prim,
-                       dtype=np.int64) // 2
-        qbar = np.mod(qv, np.maximum(n // t, 1))
-        t_out[lo:hi] = t
-        q_out[lo:hi] = qbar
-    q_out[0] = 0
-    return t_out, q_out
 
 
 def weyl_e8_orbits(n, budget=DEFAULT_BUDGET):
@@ -350,9 +331,7 @@ def weyl_e8_orbits(n, budget=DEFAULT_BUDGET):
     lat = e8_lattice()
     module = QuadraticModule(lat, n)
     gens = [np.eye(8, dtype=np.int64)[i] for i in range(8)]
-    report = orbit_decompose(module, gens, budget=budget)
-    report.mode = "exhaustive"
-    return report
+    return orbit_decompose(module, gens, budget=budget)
 
 
 def sampling_connectivity(module, rng, pairs_per_class=100, tries=256):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from selmerfq import cli
+from selmerfq import cli, lfunction
 
 # a smooth minimal d = 1 model over F_29 (model-gen --seed 0): 29^5 is past
 # the 2^24 table budget of the S_5 point count
@@ -133,14 +133,51 @@ def test_orbits_d1_rejected(capsys):
     assert code == 2
 
 
-def test_computation_error_exits_1(tmp_path, capsys):
-    # a valid non-smooth model makes the lfunction pipeline fail cleanly
-    model = {"p": 5, "k": 1, "d": 1, "a2": [0, 0, 0], "a4": [0, 0, 0, 0, 0],
-             "a6": [0, 0, 0, 1, 0, 0, 0]}  # y^2 = x^3 + t^3: additive fiber
-    path = tmp_path / "bad.json"
+def _first_model(argv, capsys):
+    code, out = _run(argv, capsys)
+    assert code == 0
+    return json.loads(out)["result"]["models"][0]
+
+
+def test_computation_error_exits_1(tmp_path, capsys, monkeypatch):
+    # a check failing inside the computation exits 1 with its message
+    model = _first_model(["model-gen", "--q", "5", "--d", "1", "--minimal",
+                          "--smooth", "--seed", "3"], capsys)
+    path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
-    code, _ = _run(["lfunction", "--model", str(path)], capsys)
+
+    def failing_check(m):
+        raise ValueError("S_5 check failed")
+    monkeypatch.setattr(lfunction, "l_polynomial", failing_check)
+    code = cli.main(["lfunction", "--model", str(path)])
+    captured = capsys.readouterr()
     assert code == 1
+    assert captured.out == ""
+    assert "S_5 check failed" in captured.err
+
+
+def test_lfunction_outside_domain_exits_2(tmp_path, capsys):
+    cases = [
+        # d = 2: a K3 surface, whose L-polynomial is not computed
+        ("d = 1 only", _first_model(["model-gen", "--q", "5", "--d", "2",
+                                     "--minimal", "--smooth"], capsys)),
+        # minimal, with a bad fiber beyond I_1 and II
+        ("smooth total space", _first_model(
+            ["model-gen", "--q", "5", "--d", "1", "--minimal", "--count",
+             "40", "--seed", "3"], capsys)),
+        # y^2 = x^3 + t^3: I_0* fibers at 0 and infinity
+        ("smooth total space",
+         {"p": 5, "k": 1, "d": 1, "a2": [0, 0, 0], "a4": [0, 0, 0, 0, 0],
+          "a6": [0, 0, 0, 1, 0, 0, 0]}),
+    ]
+    for message, model in cases:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        code = cli.main(["lfunction", "--model", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2, message
+        assert captured.out == ""
+        assert message in captured.err
 
 
 @pytest.mark.parametrize("command", ["tate", "lfunction"])
