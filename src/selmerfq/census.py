@@ -40,7 +40,6 @@ from .ffpoly import BinaryForm, UniPoly
 from .rng import SplitMix64
 
 _EXHAUSTIVE_BUDGET = 1 << 28
-_CHUNK = 1 << 20
 # tuples per census array pass: bounds peak memory, amortizes numpy calls
 _CLASSIFY_CHUNK = 512
 
@@ -184,73 +183,40 @@ def run_census(q, d, mode="sample", n=10 ** 4, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive minimality at small q (pure linear algebra, runs even at p = 3)
-
-def _vector_taylor(cols, alpha, k, p):
-    """First k Taylor coefficients at alpha of the polynomial whose
-    coefficient arrays (low degree first) are cols, all mod p.  Repeated
-    synthetic division, vectorized over the tuple axis."""
-    cs = [c.copy() for c in cols]
-    out = []
-    for _ in range(k):
-        # divide by (t - alpha): remainder is the next Taylor coefficient
-        acc = cs[-1]
-        quot = [acc]
-        for c in reversed(cs[:-1]):
-            acc = (acc * alpha + c) % p
-            quot.append(acc)
-        out.append(quot.pop())
-        cs = list(reversed(quot))
-        if not cs:
-            cs = [np.zeros_like(alpha * out[0])]
-    return out
-
+# exhaustive minimality at small q: for d = 1 a tuple is non-minimal at a
+# place v iff a2, a4, a6 lie in the kernels K2_v, K4_v, K6_v of the first
+# 2, 4, 6 Taylor functionals at v, so the locus is a union of q + 1 block
+# products (pure linear algebra, runs even at p = 3)
 
 def exhaustive_minimality(q, d=1):
     """Exact count of minimal tuples over the whole coefficient space.
 
-    Two independent routes whose agreement is checked: a vectorized
-    per-tuple divisibility test at every candidate place (degree <= d
-    plus infinity), and direct enumeration of the non-minimal locus as a
-    union of coordinate subspaces.  Feasible budget: q^{12d+3} <= 2^28.
+    Two independent routes whose agreement is checked: at every place v
+    (the q degree-1 places plus infinity) the outer product of the kernel
+    masks K6_v x K4_v x K2_v, each over its own block of q^7, q^5, q^3
+    digit vectors, ORed over v; and direct enumeration of the non-minimal
+    locus as a union of coordinate subspaces.  Feasible budget:
+    q^{12d+3} <= 2^28.
     """
     if d != 1:
         raise ValueError("exhaustive minimality implemented for d = 1")
-    width = 12 * d + 3
     total = exhaustive_space(q, d)
     t0 = time.time()
     l2, l4, l6 = coeff_lengths(d)
 
-    # route 1: per-tuple divisibility marking, chunked
-    nonmin_indices = []
-    nonmin_count = 0
-    for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        digs = []
-        tmp = idx.copy()
-        for _ in range(width):
-            digs.append(tmp % q)
-            tmp //= q
-        a2c = digs[:l2]
-        a4c = digs[l2:l2 + l4]
-        a6c = digs[l2 + l4:]
-        bad = np.zeros(idx.shape, dtype=bool)
-        for alpha in range(q):
-            a = np.int64(alpha)
-            t2 = _vector_taylor(a2c, a, 2, q)
-            t4 = _vector_taylor(a4c, a, 4, q)
-            t6 = _vector_taylor(a6c, a, 6, q)
-            here = np.ones(idx.shape, dtype=bool)
-            for t in t2 + t4 + t6:
-                here &= t == 0
-            bad |= here
-        # infinity: ord >= (2, 4, 6) means every non-constant coefficient is 0
-        here = np.ones(idx.shape, dtype=bool)
-        for c in a2c[1:] + a4c[1:] + a6c[1:]:
-            here &= c == 0
-        bad |= here
-        nonmin_count += int(bad.sum())
-        nonmin_indices.extend((idx[bad]).tolist())
+    # route 1: a6 is the slowest digit block, so it is the outer axis
+    bad = np.zeros((q ** l6, q ** l4, q ** l2), dtype=bool)
+    for tp in list(range(q)) + ["inf"]:
+        kernels = []
+        for ln, k in ((l6, 6), (l4, 4), (l2, 2)):
+            rows = [_infinity_functional(ln, 0, ln, j) if tp == "inf" else
+                    _taylor_functional(ln, 0, ln, tp, j, q) for j in range(k)]
+            digits = np.arange(q ** ln)[:, None] // q ** np.arange(ln) % q
+            kernels.append(~(digits @ np.array(rows).T % q).any(1))
+        K6, K4, K2 = kernels
+        bad |= K6[:, None, None] & K4[None, :, None] & K2[None, None, :]
+    nonmin_indices = np.flatnonzero(bad)
+    nonmin_count = len(nonmin_indices)
 
     # route 2: the non-minimal locus is the union over places v of the
     # subspaces {a2 = c2 v^2, a4 = c4 v^4, a6 = c6 v^6}
@@ -272,10 +238,10 @@ def exhaustive_minimality(q, d=1):
                         cs = list(poly.coeffs) + [0] * (ln - len(poly.coeffs))
                         parts.extend(int(x) for x in cs[:ln])
                     oracle.add(tuple_to_index(parts, q))
-    if set(nonmin_indices) != oracle:
+    if set(nonmin_indices.tolist()) != oracle:
         raise ValueError("minimality routes disagree: %d non-minimal tuples "
-                         "by divisibility, %d by the subspace union"
-                         % (len(set(nonmin_indices)), len(oracle)))
+                         "by the kernel products, %d by the subspace union"
+                         % (nonmin_count, len(oracle)))
 
     return {
         "q": q, "d": d, "total": total,

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 computation error, 2 validation failure.
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -37,13 +38,6 @@ def _int_at_least(lo):
     return parse
 
 
-def _field_or_die(spec):
-    try:
-        return ffpoly.field_from_spec(spec)
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(str(exc))
-
-
 def _load_model(path):
     with open(path) as fh:
         try:
@@ -53,26 +47,44 @@ def _load_model(path):
                                   % (path, type(exc).__name__, exc))
 
 
-def _budget(args):
-    if args.budget_bits is not None:
-        return 1 << args.budget_bits
-    return lattice.DEFAULT_BUDGET
+def _validated(check, *args):
+    """Run a library domain check; its ValueError is a validation failure."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ValidationError(str(exc))
+
+
+def _budget(args, n, rank=8):
+    """The orbit BFS budget from --budget-bits, which (Z/nZ)^rank must fit;
+    the default rank is that of E8."""
+    budget = lattice.DEFAULT_BUDGET if args.budget_bits is None \
+        else 1 << args.budget_bits
+    _validated(lattice.orbit_space, n, rank, budget)
+    return budget
+
+
+def _check_out(path):
+    """--out must name a file in an existing, writable directory."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise ValidationError("--out %s is a directory" % path)
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ValidationError("--out %s: %s is not a writable directory"
+                              % (path, folder))
 
 
 # --------------------------------------------------------------------------
 # subcommand handlers: each returns a plain result dict
 
 def _cmd_census(args):
-    F = _field_or_die(args.q)
+    F = _validated(ffpoly.field_from_spec, args.q)
     if F.k != 1:
         raise ValidationError("census runs over prime fields")
     if args.mode == "sample" and args.n < 10 ** 4:
         raise ValidationError("sampling needs --n >= 10^4")
     if args.mode == "exhaustive":
-        try:
-            census.exhaustive_space(F.p, args.d)
-        except ValueError as exc:
-            raise ValidationError(str(exc))
+        _validated(census.exhaustive_space, F.p, args.d)
     rep = census.run_census(F.p, args.d, mode=args.mode, n=args.n,
                             seed=args.seed)
     return rep.to_json()
@@ -85,10 +97,7 @@ def _cmd_divisor_count(args):
         raise ValidationError("divisor-count takes a prime --q")
     if q == 2:
         raise ValidationError("characteristic 2 is outside the domain")
-    try:
-        census.exhaustive_space(q, args.d)
-    except ValueError as exc:
-        raise ValidationError(str(exc))
+    _validated(census.exhaustive_space, q, args.d)
     rep = census.singular_divisor_count(q, args.d, seed=args.seed,
                                         direct_samples=args.samples)
     return rep.to_json()
@@ -100,7 +109,8 @@ def _cmd_orbits(args):
     lat, gens = lattice.standard_generators(args.d, SplitMix64(args.seed))
     module = lattice.QuadraticModule(lat, args.n)
     if args.mode == "exhaustive":
-        rep = lattice.orbit_decompose(module, gens, budget=_budget(args))
+        rep = lattice.orbit_decompose(
+            module, gens, budget=_budget(args, args.n, module.rank))
     else:
         rep = lattice.sampling_connectivity(module, SplitMix64(args.seed),
                                             pairs_per_class=args.pairs)
@@ -108,7 +118,8 @@ def _cmd_orbits(args):
 
 
 def _cmd_weyl_e8(args):
-    return lattice.weyl_e8_orbits(args.n, budget=_budget(args)).to_json()
+    rep = lattice.weyl_e8_orbits(args.n, budget=_budget(args, args.n))
+    return rep.to_json()
 
 
 def _cmd_tate(args):
@@ -151,22 +162,25 @@ def _cmd_average_table(args):
     except ValueError:
         raise ValidationError("--n takes comma-separated integers, got %r"
                               % args.n)
-    rows = []
     for n in ns:
         if n < 1:
             raise ValidationError("n must be >= 1")
+        if args.d == 1:
+            _budget(args, n)
+    rows = []
+    for n in ns:
         if args.d >= 2:
             rows.append({"n": n, "d": args.d, "average": _sigma(n),
                          "provenance": "sigma(n) [theorem]"})
         else:
-            rep = lattice.weyl_e8_orbits(n, budget=_budget(args))
+            rep = lattice.weyl_e8_orbits(n, budget=_budget(args, n))
             rows.append({"n": n, "d": args.d, "average": rep.orbit_count,
                          "provenance": "orbit count [computed]"})
     return {"rows": rows}
 
 
 def _cmd_model_gen(args):
-    F = _field_or_die(args.q)
+    F = _validated(ffpoly.field_from_spec, args.q)
     rng = SplitMix64(args.seed)
     models = [weierstrass.random_model(F, args.d, rng, minimal=args.minimal,
                                        smooth=args.smooth).to_json()
@@ -267,6 +281,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     t0 = time.time()
     try:
+        if args.out is not None:
+            _check_out(args.out)
         result = args.func(args)
     except ValidationError as exc:
         print("validation error: %s" % exc, file=sys.stderr)

@@ -259,6 +259,14 @@ def _usable(module, gens):
     return out
 
 
+def orbit_space(n, r, budget):
+    """Size n^r of (Z/nZ)^r; raises past the budget."""
+    total = n ** r
+    if total > budget:
+        raise ValueError("n^r = %d exceeds budget %d" % (total, budget))
+    return total
+
+
 def orbit_decompose(module, generators, budget=DEFAULT_BUDGET):
     """Exhaustive orbit decomposition of (Z/nZ)^r under the reflections in
     `generators`; raises when n^r exceeds the budget (use sampling_connectivity
@@ -269,9 +277,7 @@ def orbit_decompose(module, generators, budget=DEFAULT_BUDGET):
     supp(w).  Every vector lies in exactly one BFS level, and each level
     checks that its vectors carry the representative's content_invariant."""
     n, r = module.n, module.rank
-    total = n ** r
-    if total > budget:
-        raise ValueError("n^r = %d exceeds budget %d" % (total, budget))
+    total = orbit_space(n, r, budget)
     if n == 1:
         rep = (0,) * r
         return OrbitReport(1, r, "exhaustive", 1, [(rep, 1, (1, 0))])

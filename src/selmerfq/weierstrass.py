@@ -119,28 +119,20 @@ def minimality_of_forms(field, d, a2, a4, a6):
     if d == 0:
         return True
 
-    def ords(form, v):
-        return None if form.is_zero() else ord_at(form, v)
-
-    # candidate places come from the lowest-degree nonzero form among the
-    # divisibility constraints; v^6 | a6 forces deg v <= d, etc.
-    if not a6.is_zero():
-        candidates = [f for f, mult in factor(a6.dehomog_t()) if mult >= 6] \
-            if not a6.dehomog_t().is_constant() else []
-        candidates = [Place(f) for f in candidates]
-    elif not a4.is_zero():
-        candidates = [Place(f) for f, mult in factor(a4.dehomog_t()) if mult >= 4] \
-            if not a4.dehomog_t().is_constant() else []
-    elif not a2.is_zero():
-        candidates = [Place(f) for f, mult in factor(a2.dehomog_t()) if mult >= 2] \
-            if not a2.dehomog_t().is_constant() else []
+    pattern = ((a6, 6), (a4, 4), (a2, 2))
+    # candidate places come from the first nonzero form in the pattern:
+    # v^6 | a6 forces deg v <= d, etc.
+    for form, k in pattern:
+        if not form.is_zero():
+            break
     else:
         return False  # all forms vanish; every place witnesses non-minimality
+    ft = form.dehomog_t()
+    candidates = [] if ft.is_constant() else \
+        [Place(f) for f, mult in factor(ft) if mult >= k]
     candidates.append(Place.infinity())
     for v in candidates:
-        o2, o4, o6 = ords(a2, v), ords(a4, v), ords(a6, v)
-        if (o2 is None or o2 >= 2) and (o4 is None or o4 >= 4) \
-                and (o6 is None or o6 >= 6):
+        if all(g.is_zero() or ord_at(g, v) >= e for g, e in pattern):
             return False
     return True
 

@@ -56,6 +56,18 @@ def test_exhaustive_minimality_q3():
     assert rep["minimal"] == 3 ** 15 - 105
 
 
+def test_minimality_routes_cross_check_fires(monkeypatch):
+    # a wrong functional at infinity moves route 1 off the subspace union
+    right = census._infinity_functional
+
+    def shifted(width, offset, length, j):
+        row = right(width, offset, length, j)
+        return row[1:] + row[:1]
+    monkeypatch.setattr(census, "_infinity_functional", shifted)
+    with pytest.raises(ValueError, match="minimality routes disagree"):
+        exhaustive_minimality(3, 1)
+
+
 def test_minimality_budget():
     with pytest.raises(ValueError):
         exhaustive_minimality(5, 1)

@@ -235,6 +235,11 @@ def test_divisor_count_cli(capsys):
     ["lfunction", "--model", "unused.json", "--mod", "-3"],
     ["divisor-count", "--q", "5"],
     ["lfunction", "--model", Q29_MODEL],
+    ["census", "--q", "5", "--d", "0", "--mode", "exhaustive",
+     "--out", "/nonexistent/r.json"],
+    ["weyl-e8", "--n", "3", "--budget-bits", "2"],
+    ["orbits", "--n", "3", "--d", "2", "--budget-bits", "4"],
+    ["average-table", "--n", "100", "--d", "1"],
 ])
 def test_invalid_arguments_exit_2(argv):
     # a fresh process under a timeout: one of these used to hang

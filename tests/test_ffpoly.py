@@ -1,6 +1,9 @@
 """Finite field, polynomial, and place arithmetic."""
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selmerfq import ffpoly
 from selmerfq.ffpoly import (BinaryForm, Place, QuotientField, UniPoly,
@@ -173,3 +176,49 @@ def test_taylor_at_matches_shift():
     for x in range(5):
         xe = F.from_int(x)
         assert g.evaluate(F.sub(xe, a)) == f.evaluate(xe)
+
+
+# sympy's factorization over GF(p) as an independent oracle
+
+_ORACLE = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+@st.composite
+def _poly(draw, p, max_degree):
+    """A polynomial over F_p of degree 1..max_degree."""
+    cs = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=max_degree))
+    return UniPoly(field_make(p), cs + [draw(st.integers(1, p - 1))])
+
+
+@st.composite
+def _product(draw):
+    """g1^e1 ... gk^ek over F_5 or F_7, of degree at most 16, so that
+    repeated and p-th power factors are in reach."""
+    p = draw(st.sampled_from((5, 7)))
+    f = UniPoly(field_make(p), [1])
+    for _ in range(draw(st.integers(1, 3))):
+        g = draw(_poly(p, 4))
+        for _ in range(draw(st.integers(1, p))):
+            if f.degree() + g.degree() <= 16:
+                f = f * g
+    return f
+
+
+def _sympy_poly(f):
+    return sympy.Poly(f.coeffs[::-1], sympy.Symbol("x"), modulus=f.field.p)
+
+
+@_ORACLE
+@given(_product())
+def test_factor_matches_sympy(f):
+    p = f.field.p
+    _, want = _sympy_poly(f).factor_list()
+    want = sorted((tuple(int(c) % p for c in reversed(g.all_coeffs())), m)
+                  for g, m in want)
+    assert sorted((g.coeffs, m) for g, m in factor(f)) == want
+
+
+@_ORACLE
+@given(st.sampled_from((5, 7)).flatmap(lambda p: _poly(p, 8)))
+def test_is_irreducible_matches_sympy(f):
+    assert f.is_irreducible() == _sympy_poly(f).is_irreducible
