@@ -40,8 +40,9 @@ from .ffpoly import BinaryForm, UniPoly
 from .rng import SplitMix64
 
 _EXHAUSTIVE_BUDGET = 1 << 28
-# tuples per census array pass: bounds peak memory, amortizes numpy calls
-_CLASSIFY_CHUNK = 512
+# tuples per array pass, a few MB of int64 rows at d = 1: enough to amortize
+# each numpy call (rows_gcd's Euclid steps); counts do not depend on it
+_CLASSIFY_CHUNK = 4096
 
 
 def coeff_lengths(d):
@@ -131,7 +132,8 @@ def classify(digits, q, d):
 
 def run_census(q, d, mode="sample", n=10 ** 4, seed=0):
     """Statistics over coefficient tuples, classified by `classify` in
-    chunks; p >= 5, where its predicates are exact, and p < 2^31."""
+    chunks; p >= 5, where its predicates are exact, and p < 2^31.  It
+    raises ValueError only on inputs outside these bounds, before any draw."""
     F = ffpoly.field_make(q)  # rejects p in {2, 3}
     if F.k != 1 or q >= 1 << 31:
         raise ValueError("census runs over prime fields with p < 2^31")
@@ -143,8 +145,8 @@ def run_census(q, d, mode="sample", n=10 ** 4, seed=0):
         n_models = exhaustive_space(q, d)
         seed_out = rng = None
     elif mode == "sample":
-        if n < 10 ** 4:
-            raise ValueError("sampling needs N >= 10^4")
+        if not 10 ** 4 <= n <= _EXHAUSTIVE_BUDGET:  # one cap on models per run
+            raise ValueError("sampling needs 10^4 <= N <= 2^28, got %d" % n)
         rng = SplitMix64(seed)
         n_models = n
         seed_out = seed
@@ -159,8 +161,7 @@ def run_census(q, d, mode="sample", n=10 ** 4, seed=0):
             idx = np.arange(lo, lo + rows, dtype=np.int64)
             digits = idx[:, None] // q ** np.arange(width, dtype=np.int64) % q
         else:
-            digits = np.array([rng.below(q) for _ in range(rows * width)],
-                              dtype=np.int64).reshape(rows, width)
+            digits = rng.below_array(q, rows * width).reshape(rows, width)
         for key, bits in classify(digits, q, d).items():
             counts[key] += int(bits.sum())
 
@@ -382,27 +383,27 @@ def incidence_mask(q, d=1):
     width = 12 * d + 3
     mask = np.zeros(exhaustive_space(q, d), dtype=bool)
     radix = q ** np.arange(width, dtype=np.int32)  # indices are below 2^28
-    tpoints = list(range(q)) + ["inf"]
-    for tp in tpoints:
+    for tp in list(range(q)) + ["inf"]:
         for x0 in range(q):
             rows, rhs = _incidence_system(q, d, x0, tp)
             rank, part, basis, pivots = _solve_mod_p(rows, rhs, q)
             if rank != 3:
                 raise ValueError("incidence system at (%d, %s) has rank %d, "
                                  "not 3" % (x0, tp, rank))
-            # one row per solution: column 0 sums the free digits' place
-            # values, columns 1..3 are the pivot digits before reduction
+            # one column per solution, so passes run along contiguous rows: row
+            # 0 sums the free digits' place values, rows 1..3 are pivot digits
             free = [c for c in range(width) if c not in pivots]
             step = np.column_stack(
                 [radix[free], np.array(basis, dtype=np.int32)[:, pivots]])
-            grid = np.zeros((1, 4), dtype=np.int32)
+            grid = np.zeros((4, 1), dtype=np.int32)
             for w in step:
-                grid = (np.arange(q, dtype=np.int32)[:, None, None] * w
-                        + grid).reshape(-1, 4)
-            index, digits = grid[:, 0], grid[:, 1:]
-            digits += np.array(part, dtype=np.int32)[pivots]
-            digits %= q
-            index += digits @ radix[pivots]
+                grid = (w[:, None, None] * np.arange(q, dtype=np.int32)[:, None]
+                        + grid[:, None, :]).reshape(4, -1)
+            index = grid[0]
+            for digits, c in zip(grid[1:], pivots):
+                digits += part[c]
+                digits %= q
+                index += digits * radix[c]
             mask[index] = True
     return mask
 
@@ -474,7 +475,7 @@ def singular_divisor_count(q, d=1, seed=0, direct_samples=4000):
     containment_violations = 0
     for lo in range(0, direct_samples, _CLASSIFY_CHUNK):
         rows = min(_CLASSIFY_CHUNK, direct_samples - lo)
-        idx = np.array([rng.below(total) for _ in range(rows)], dtype=np.int64)
+        idx = rng.below_array(total, rows)
         sing = np.logical_or.reduce(list(
             singular_branches(idx[:, None] // radix % q, q, d).values()))
         marked = mask[idx]

@@ -81,12 +81,8 @@ def _cmd_census(args):
     F = _validated(ffpoly.field_from_spec, args.q)
     if F.k != 1:
         raise ValidationError("census runs over prime fields")
-    if args.mode == "sample" and args.n < 10 ** 4:
-        raise ValidationError("sampling needs --n >= 10^4")
-    if args.mode == "exhaustive":
-        _validated(census.exhaustive_space, F.p, args.d)
-    rep = census.run_census(F.p, args.d, mode=args.mode, n=args.n,
-                            seed=args.seed)
+    rep = _validated(census.run_census, F.p, args.d, args.mode, args.n,
+                     args.seed)
     return rep.to_json()
 
 
@@ -139,14 +135,15 @@ def _cmd_lfunction(args):
     if m.d != 1:
         raise ValidationError("full L-polynomials are computed for d = 1 "
                               "only, got d = %d" % m.d)
-    if not (weierstrass.is_minimal(m) and weierstrass.is_smooth_surface(m)):
+    summary = weierstrass.is_minimal(m) and localdata.global_summary(m)
+    if not (summary and weierstrass.is_smooth_surface(m, summary)):
         raise ValidationError("lfunction needs a minimal model with smooth "
                               "total space (bad fibers I_1 or II)")
     try:
         lfunction.table_size(m.field.q, 5)
     except ValueError as exc:
         raise ValidationError("S_5 needs F_{q^5}: %s" % exc)
-    L = lfunction.l_polynomial(m)
+    L = lfunction.l_polynomial(m, summary)
     out = L.to_json()
     if args.mod is not None:
         coeffs, mult = lfunction.charpoly_mod(L, args.mod)

@@ -150,9 +150,6 @@ class Field:
             return 0
         return 1 if self.pow(a, (self.q - 1) // 2) == self.one else -1
 
-    def is_square(self, a):
-        return a == 0 or self.chi(a) == 1
-
     def sqrt(self, a):
         """A square root of a, or None.  Brute search is fine at our sizes
         for k > 1; prime fields use Tonelli-Shanks-free exponent tricks
@@ -301,9 +298,6 @@ class QuotientField:
         if a == self.zero:
             return 0
         return 1 if self.pow(a, (self.q - 1) // 2) == self.one else -1
-
-    def is_square(self, a):
-        return a == self.zero or self.chi(a) == 1
 
     def from_int(self, n):
         ds = []

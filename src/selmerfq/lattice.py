@@ -283,6 +283,9 @@ def orbit_decompose(module, generators, budget=DEFAULT_BUDGET):
         return OrbitReport(1, r, "exhaustive", 1, [(rep, 1, (1, 0))])
 
     gram = module.gram
+    # q(v) = sum_i (G_ii/2) v_i^2 + sum_{i<j} G_ij v_i v_j, nonzero terms
+    half = np.triu(gram, 1) + np.diag(np.diag(gram) // 2)
+    q_terms = [(i, j, half[i, j]) for i, j in zip(*np.nonzero(half))]
     pows = np.array([n ** i for i in range(r)], dtype=np.int64)
     # per generator: supp w, w there, supp Gw mod n, Gw there, q(w)^-1
     refl = []
@@ -307,7 +310,7 @@ def orbit_decompose(module, generators, budget=DEFAULT_BUDGET):
             digits = frontier // pows[:, None] % n  # r x m
             t = np.gcd(np.gcd.reduce(digits), n)
             prim = digits // t
-            qbar = ((gram @ prim) * prim).sum(axis=0) // 2 % (n // t)
+            qbar = sum(g * prim[i] * prim[j] for i, j, g in q_terms) % (n // t)
             if np.any(t != inv[0]) or np.any(qbar != inv[1]):
                 raise ValueError("orbit %d not invariant-homogeneous"
                                  % len(orbits))
@@ -315,7 +318,7 @@ def orbit_decompose(module, generators, budget=DEFAULT_BUDGET):
             # marking `visited` per generator is the whole dedup
             nxt = []
             for sw, ws, sg, gs, qinv in refl:
-                b = gs @ digits[sg] % n * qinv % n
+                b = sum(g * digits[j] for j, g in zip(sg, gs)) * qinv % n
                 img = frontier.copy()
                 for i, wi in zip(sw, ws):
                     img += ((digits[i] - wi * b) % n - digits[i]) * pows[i]

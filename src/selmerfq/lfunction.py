@@ -185,13 +185,14 @@ def surface_point_count_slow(m, e):
     return total
 
 
-def frobenius_traces(m, m_max):
+def frobenius_traces(m, m_max, summary=None):
     """S_e = #W(F_{q^e}) - (1 + 2q^e + q^{2e}) for e = 1..m_max; the
     subtracted term collects H^0, the two Tate classes (fiber and zero
-    section) in H^2, and H^4."""
+    section) in H^2, and H^4.  Smoothness is read off `summary`, as in
+    weierstrass.is_smooth_surface."""
     if m.d < 1:
         raise ValueError("d >= 1 required")
-    if not weierstrass.is_smooth_surface(m):
+    if not weierstrass.is_smooth_surface(m, summary):
         raise ValueError("smooth model required (integral fibers)")
     q = m.field.q
     out = []
@@ -307,7 +308,7 @@ def _predicted_power_sum(coeffs, power_sums, k):
                                 for i in range(1, k))
 
 
-def l_polynomial(m):
+def l_polynomial(m, summary=None):
     """Integral L-polynomial of a smooth d = 1 model.
 
     c_1..c_4 come from Newton's identities on S_1..S_4.  The sign eps of
@@ -316,15 +317,17 @@ def l_polynomial(m):
     top half.  The one cross-check: Newton's p_5 from c_1..c_5 must equal
     the counted S_5.  LPolynomial then checks purity by exact cyclotomic
     division.  Point counts run over F_{q^e} for e <= 5 only, so q^5 must
-    fit the table budget (q <= 27).
+    fit the table budget (q <= 27).  Smoothness and eps share one
+    `summary` = localdata.global_summary(m), the caller's if given.
     """
     if m.d != 1:
         raise ValueError("full L-polynomials are computed for d = 1 only")
     q = m.field.q
     table_size(q, 5)
-    S = frobenius_traces(m, 5)
+    summary = summary or localdata.global_summary(m)
+    S = frobenius_traces(m, 5, summary)
     c = _newton_coeffs(S[:4], 4)
-    eps = localdata.root_number(m)
+    eps = localdata.root_number(m, summary)
     c += [eps * q ** (8 - 2 * i) * c[i] for i in range(3, -1, -1)]
     p5 = _predicted_power_sum(c, S, 5)
     if p5 != S[4]:

@@ -222,14 +222,15 @@ def global_summary(m):
     return summary
 
 
-def root_number(m):
+def root_number(m, summary=None):
     """Global root number prod_v w_v of a smooth model, p >= 5 (Rohrlich,
     "Variation of the root number in families of elliptic curves", 1993).
     Its bad fibers are I_1, with w_v = -1 if split and +1 if not, and II,
-    with w_v = (-1 | kappa(v)) = ((-1)^((q-1)/2))^deg v."""
+    with w_v = (-1 | kappa(v)) = ((-1)^((q-1)/2))^deg v; w_v read off
+    `summary` (default global_summary(m))."""
     q = m.field.q
     w = 1
-    for pd in global_summary(m).places:
+    for pd in (summary or global_summary(m)).places:
         if pd.kodaira == "I_1":
             w *= -1 if pd.split else 1
         elif pd.kodaira == "II":

@@ -244,13 +244,13 @@ def stabilizer_order(m):
     return count
 
 
-def is_smooth_surface(m):
+def is_smooth_surface(m, summary=None):
     """True iff the total space is smooth, equivalently every bad fiber has
-    Kodaira type I_1 or II."""
+    Kodaira type I_1 or II in `summary` (default global_summary(m))."""
     from . import localdata
     if not is_minimal(m):
         raise ValueError("minimalize first")
-    summary = localdata.global_summary(m)
+    summary = summary or localdata.global_summary(m)
     return all(pd.kodaira in ("I_1", "II") for pd in summary.places)
 
 

@@ -89,6 +89,21 @@ def test_node_fixture_is_directly_singular_i2():
     assert ord_at(weierstrass.discriminant(m), Place(UniPoly.x(F))) == 2
 
 
+def test_incidence_mask_matches_direct_incidence_test():
+    # marked iff some (x0, t-point) has the three incidence rows . digits
+    # = rhs mod 3: no elimination, no solution grid
+    mask = incidence_mask(3, 1)
+    idx = np.random.default_rng(11).integers(0, 3 ** 15, 3000)
+    digits = idx[:, None] // 3 ** np.arange(15) % 3
+    direct = np.zeros(len(idx), dtype=bool)
+    for tp in [0, 1, 2, "inf"]:
+        for x0 in range(3):
+            rows, rhs = census._incidence_system(3, 1, x0, tp)
+            direct |= ((digits @ np.array(rows).T - rhs) % 3 == 0).all(1)
+    assert 0 < direct.sum() < len(idx)
+    assert np.array_equal(mask[idx], direct)
+
+
 def test_squarefree_disc_not_marked():
     # models with squarefree discriminant are never incidence-marked
     mask = incidence_mask(3, 1)
@@ -267,6 +282,22 @@ def test_classify_matches_single_model_routes(q, d, count):
 def test_run_census_sample_size_floor():
     with pytest.raises(ValueError):
         run_census(5, 1, mode="sample", n=100)
+
+
+def test_run_census_sample_size_ceiling():
+    with pytest.raises(ValueError, match="2\\^28"):
+        run_census(5, 1, mode="sample", n=2 * 10 ** 10)
+
+
+def test_counts_do_not_depend_on_the_chunk(monkeypatch):
+    # draws are consumed in one order whatever the chunk size
+    seen = []
+    for chunk in (512, 1000, 4096):
+        monkeypatch.setattr(census, "_CLASSIFY_CHUNK", chunk)
+        rep = run_census(5, 1, mode="sample", n=10 ** 4, seed=3)
+        div = singular_divisor_count(3, 1, seed=5, direct_samples=3000)
+        seen.append((rep.counts, div.direct_detail, div.image_count))
+    assert seen[0] == seen[1] == seen[2]
 
 
 def test_orbit_stabilizer_audit():

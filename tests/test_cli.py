@@ -146,7 +146,7 @@ def test_computation_error_exits_1(tmp_path, capsys, monkeypatch):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
 
-    def failing_check(m):
+    def failing_check(m, summary=None):
         raise ValueError("S_5 check failed")
     monkeypatch.setattr(lfunction, "l_polynomial", failing_check)
     code = cli.main(["lfunction", "--model", str(path)])
@@ -240,6 +240,7 @@ def test_divisor_count_cli(capsys):
     ["weyl-e8", "--n", "3", "--budget-bits", "2"],
     ["orbits", "--n", "3", "--d", "2", "--budget-bits", "4"],
     ["average-table", "--n", "100", "--d", "1"],
+    ["census", "--q", "5", "--d", "1", "--n", "20000000000"],
 ])
 def test_invalid_arguments_exit_2(argv):
     # a fresh process under a timeout: one of these used to hang
