@@ -184,10 +184,37 @@ def run_census(q, d, mode="sample", n=10 ** 4, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive minimality at small q: for d = 1 a tuple is non-minimal at a
-# place v iff a2, a4, a6 lie in the kernels K2_v, K4_v, K6_v of the first
-# 2, 4, 6 Taylor functionals at v, so the locus is a union of q + 1 block
-# products (pure linear algebra, runs even at p = 3)
+# Taylor jets at the q + 1 degree-1 places (pure linear algebra, so it runs
+# even at p = 3).  For d = 1 the non-minimal locus and the incidence mask are
+# unions over places of block products on the a6, a4, a2 digit blocks of
+# q^7, q^5, q^3 vectors: a tuple is non-minimal at v iff a2, a4, a6 lie in
+# the kernels of their first 2, 4, 6 Taylor functionals at v.
+
+def _taylor_functional(length, alpha, j, p):
+    """Row vector of the functional 'j-th Taylor coefficient at alpha' on a
+    coefficient block of `length` entries, via binomials mod p."""
+    row = [0] * length
+    for m in range(j, length):
+        row[m] = (math.comb(m, j) * pow(int(alpha), m - j, p)) % p
+    return row
+
+
+def _infinity_functional(length, j):
+    """Coefficient of s^j in the s-chart: the (length-1-j)-th entry."""
+    row = [0] * length
+    row[length - 1 - j] = 1
+    return row
+
+
+def _jets(length, tp, q, k):
+    """The first k Taylor coefficients at the t-point tp (alpha in F_q, or
+    'inf') of every digit vector of one block, first digit fastest, as a
+    (q^length, k) array mod q."""
+    rows = [_infinity_functional(length, j) if tp == "inf" else
+            _taylor_functional(length, tp, j, q) for j in range(k)]
+    digits = np.arange(q ** length)[:, None] // q ** np.arange(length) % q
+    return digits @ np.array(rows).T % q
+
 
 def exhaustive_minimality(q, d=1):
     """Exact count of minimal tuples over the whole coefficient space.
@@ -208,13 +235,8 @@ def exhaustive_minimality(q, d=1):
     # route 1: a6 is the slowest digit block, so it is the outer axis
     bad = np.zeros((q ** l6, q ** l4, q ** l2), dtype=bool)
     for tp in list(range(q)) + ["inf"]:
-        kernels = []
-        for ln, k in ((l6, 6), (l4, 4), (l2, 2)):
-            rows = [_infinity_functional(ln, 0, ln, j) if tp == "inf" else
-                    _taylor_functional(ln, 0, ln, tp, j, q) for j in range(k)]
-            digits = np.arange(q ** ln)[:, None] // q ** np.arange(ln) % q
-            kernels.append(~(digits @ np.array(rows).T % q).any(1))
-        K6, K4, K2 = kernels
+        K6, K4, K2 = (~_jets(ln, tp, q, k).any(1)
+                      for ln, k in ((l6, 6), (l4, 4), (l2, 2)))
         bad |= K6[:, None, None] & K4[None, :, None] & K2[None, None, :]
     nonmin_indices = np.flatnonzero(bad)
     nonmin_count = len(nonmin_indices)
@@ -255,100 +277,7 @@ def exhaustive_minimality(q, d=1):
 
 
 # ---------------------------------------------------------------------------
-# the singular-surface locus via the incidence correspondence
-
-def _taylor_functional(width, offset, length, alpha, j, p):
-    """Row vector of the functional 'j-th Taylor coefficient at alpha' on
-    the coefficient block [offset, offset+length), via binomials mod p."""
-    row = [0] * width
-    for m in range(j, length):
-        row[offset + m] = (math.comb(m, j) * pow(int(alpha), m - j, p)) % p
-    return row
-
-
-def _infinity_functional(width, offset, length, j):
-    """Coefficient of s^j in the s-chart: the (length-1-j)-th entry."""
-    row = [0] * width
-    row[offset + length - 1 - j] = 1
-    return row
-
-
-def _solve_mod_p(rows, rhs, p):
-    """Gaussian elimination mod p; returns (rank, particular, null_basis,
-    pivot_columns).  Null vector j is 1 at the j-th free column, 0 at the
-    other free columns."""
-    width = len(rows[0])
-    aug = [list(r) + [b % p] for r, b in zip(rows, rhs)]
-    pivots = []
-    rank = 0
-    for col in range(width):
-        piv = None
-        for r in range(rank, len(aug)):
-            if aug[r][col] % p != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = pow(aug[rank][col], p - 2, p)
-        aug[rank] = [(x * inv) % p for x in aug[rank]]
-        for r in range(len(aug)):
-            if r != rank and aug[r][col] % p != 0:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(aug)):
-        if aug[r][width] % p != 0:
-            raise ValueError("inconsistent incidence system")
-    particular = [0] * width
-    for r, col in enumerate(pivots):
-        particular[col] = aug[r][width]
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * width
-        vec[fc] = 1
-        for r, col in enumerate(pivots):
-            vec[col] = (-aug[r][fc]) % p
-        basis.append(vec)
-    return rank, particular, basis, pivots
-
-
-def _incidence_system(q, d, x0, tpoint):
-    """The three Jacobian constraints at base point (x0, tpoint), as rows
-    over the 12d+3 coefficients.  tpoint is alpha in F_q or 'inf'."""
-    width = 12 * d + 3
-    l2, l4, l6 = coeff_lengths(d)
-    offs = (0, l2, l2 + l4)
-    lens = (l2, l4, l6)
-
-    def fnl(block, j):
-        if tpoint == "inf":
-            return _infinity_functional(width, offs[block], lens[block], j)
-        return _taylor_functional(width, offs[block], lens[block], tpoint, j, q)
-
-    def combine(weights, j):
-        row = [0] * width
-        for w, block in zip(weights, range(3)):
-            part = fnl(block, j)
-            for i in range(width):
-                row[i] = (row[i] + w * part[i]) % q
-        return row
-
-    x0 = int(x0) % q
-    # y^2 = x^3 + a2 x^2 + a4 x + a6, at (x = x0, y = 0, local parameter u):
-    #   value:        x0^3 + a2(0) x0^2 + a4(0) x0 + a6(0) = 0
-    #   d/dx:       3 x0^2 + 2 a2(0) x0 + a4(0)            = 0
-    #   d/du:         a2'(0) x0^2 + a4'(0) x0 + a6'(0)     = 0
-    rows = [
-        combine((x0 * x0, x0, 1), 0),
-        combine((2 * x0, 1, 0), 0),
-        combine((x0 * x0, x0, 1), 1),
-    ]
-    rhs = [(-pow(x0, 3, q)) % q, (-3 * x0 * x0) % q, 0]
-    return rows, rhs
-
+# the singular-surface locus: incidence marking and the direct Jacobian test
 
 class SingularDivisorReport:
     def __init__(self, q, d, image_count, image_ratio, direct_mode,
@@ -375,37 +304,33 @@ class SingularDivisorReport:
 
 
 def incidence_mask(q, d=1):
-    """Boolean mark array over the whole coefficient space: True where
-    some rational base point (x0, t-point) satisfies the three Jacobian
-    constraints.  Pure linear algebra, so it runs at p = 3 as well."""
+    """Boolean mark array over the whole coefficient space: True where some
+    rational base point (x0, tau) has f = f_x = f_u = 0 for the fiber cubic
+    f = x^3 + a2 x^2 + a4 x + a6 and u the local parameter at the t-point
+    tau.  With V_k, D_k the value and first Taylor coefficient of a_k at
+    tau, these are x0^3 + V2 x0^2 + V4 x0 + V6, 3 x0^2 + 2 V2 x0 + V4 and
+    D2 x0^2 + D4 x0 + D6.  f_x does not involve a6; where it vanishes,
+    f = f_u = 0 fixes (V6, D6), so each tau ORs in one lookup of a
+    (V6, D6)-indexed table over the a6 block.  Pure linear algebra, so it
+    runs at p = 3 as well."""
     if d != 1:
         raise ValueError("incidence marking implemented for d = 1")
-    width = 12 * d + 3
-    mask = np.zeros(exhaustive_space(q, d), dtype=bool)
-    radix = q ** np.arange(width, dtype=np.int32)  # indices are below 2^28
+    exhaustive_space(q, d)  # raises past the budget
+    l2, l4, l6 = coeff_lengths(d)
+    mask = np.zeros((q ** l6, q ** l4, q ** l2), dtype=bool)
     for tp in list(range(q)) + ["inf"]:
+        (V2, D2), (V4, D4), (V6, D6) = (_jets(ln, tp, q, 2).T
+                                        for ln in (l2, l4, l6))
+        V4, D4 = V4[:, None], D4[:, None]
+        # marks[V6 + q D6, i4, i2]: some x0 with f_x = 0 has that target
+        marks = np.zeros((q * q, q ** l4, q ** l2), dtype=bool)
         for x0 in range(q):
-            rows, rhs = _incidence_system(q, d, x0, tp)
-            rank, part, basis, pivots = _solve_mod_p(rows, rhs, q)
-            if rank != 3:
-                raise ValueError("incidence system at (%d, %s) has rank %d, "
-                                 "not 3" % (x0, tp, rank))
-            # one column per solution, so passes run along contiguous rows: row
-            # 0 sums the free digits' place values, rows 1..3 are pivot digits
-            free = [c for c in range(width) if c not in pivots]
-            step = np.column_stack(
-                [radix[free], np.array(basis, dtype=np.int32)[:, pivots]])
-            grid = np.zeros((4, 1), dtype=np.int32)
-            for w in step:
-                grid = (w[:, None, None] * np.arange(q, dtype=np.int32)[:, None]
-                        + grid[:, None, :]).reshape(4, -1)
-            index = grid[0]
-            for digits, c in zip(grid[1:], pivots):
-                digits += part[c]
-                digits %= q
-                index += digits * radix[c]
-            mask[index] = True
-    return mask
+            i4, i2 = np.nonzero((3 * x0 * x0 + 2 * x0 * V2 + V4) % q == 0)
+            target = -(x0 ** 3 + V2 * x0 * x0 + V4 * x0) % q \
+                + q * (-(D2 * x0 * x0 + D4 * x0) % q)
+            marks[target[i4, i2], i4, i2] = True
+        mask |= marks[V6 + q * D6]
+    return mask.reshape(-1)
 
 
 def _jacobian_rows(A, B, C, p):
@@ -455,12 +380,12 @@ def singular_branches(digits, q, d):
 def singular_divisor_count(q, d=1, seed=0, direct_samples=4000):
     """(image_count, direct_count) for the singular-surface locus.
 
-    image_count is exact (bitset union of the marked codimension-3
-    subspaces).  direct_count is a sampling estimate: `direct_samples`
-    uniform tuples, decided in chunks by the batched Jacobian test
-    `singular_branches`; only an exhaustive direct count over the whole
-    space is out of time budget.  The containment audit (marked =>
-    directly singular) runs on the same sample.
+    image_count is exact: the tuples `incidence_mask` marks, by one table
+    lookup per t-point over the a6 block.  direct_count is a sampling
+    estimate: `direct_samples` uniform tuples, decided in chunks by the
+    batched Jacobian test `singular_branches`; only an exhaustive direct
+    count over the whole space is out of time budget.  The containment
+    audit (marked => directly singular) runs on the same sample.
     """
     t0 = time.time()
     mask = incidence_mask(q, d)

@@ -18,6 +18,10 @@ from . import __version__, census, ffpoly, lattice, lfunction, localdata, \
 from .rng import SplitMix64
 
 SCHEMA_VERSION = 2
+# largest height --d of census, orbits and model-gen: on 2 CPUs a 10^4-model
+# census takes about 30 s at d = 16 and 140 s at d = 32; at d = 10^5 the
+# census and the orbit Gram fail to allocate and model-gen runs for minutes
+MAX_HEIGHT = 16
 
 
 class ValidationError(Exception):
@@ -28,12 +32,16 @@ def _sigma(n):
     return sum(m for m in range(1, n + 1) if n % m == 0)
 
 
-def _int_at_least(lo):
-    """argparse type: an integer >= lo, else exit 2 with a message."""
+def _int_in(lo, hi=None):
+    """argparse type: an integer in [lo, hi] (hi None: no upper bound), else
+    exit 2 with a message."""
     def parse(text):
-        if int(text) < lo:
+        value = int(text)
+        if value < lo:
             raise argparse.ArgumentTypeError("must be >= %d, got %s" % (lo, text))
-        return int(text)
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError("must be <= %d, got %s" % (hi, text))
+        return value
     parse.__name__ = "int"  # argparse names it in "invalid int value"
     return parse
 
@@ -197,14 +205,14 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None, help="report file (default stdout)")
-    common.add_argument("--budget-bits", type=_int_at_least(0), default=None,
+    common.add_argument("--budget-bits", type=_int_in(0), default=None,
                         help="log2 of the enumeration budget")
 
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("census", parents=[common])
     p.add_argument("--q", required=True, help="field spec p or p^k")
-    p.add_argument("--d", type=_int_at_least(0), required=True)
+    p.add_argument("--d", type=_int_in(0, MAX_HEIGHT), required=True)
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="sample")
     p.add_argument("--n", type=int, default=10 ** 4)
     p.set_defaults(func=_cmd_census)
@@ -212,18 +220,18 @@ def build_parser():
     p = sub.add_parser("divisor-count", parents=[common])
     p.add_argument("--q", required=True)
     p.add_argument("--d", type=int, default=1, choices=(1,))
-    p.add_argument("--samples", type=_int_at_least(1), default=4000)
+    p.add_argument("--samples", type=_int_in(1), default=4000)
     p.set_defaults(func=_cmd_divisor_count)
 
     p = sub.add_parser("orbits", parents=[common])
-    p.add_argument("--n", type=_int_at_least(1), required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=_int_in(1), required=True)
+    p.add_argument("--d", type=_int_in(0, MAX_HEIGHT), required=True)
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-    p.add_argument("--pairs", type=_int_at_least(1), default=100)
+    p.add_argument("--pairs", type=_int_in(1), default=100)
     p.set_defaults(func=_cmd_orbits)
 
     p = sub.add_parser("weyl-e8", parents=[common])
-    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--n", type=_int_in(1), required=True)
     p.set_defaults(func=_cmd_weyl_e8)
 
     p = sub.add_parser("tate", parents=[common])
@@ -232,18 +240,18 @@ def build_parser():
 
     p = sub.add_parser("lfunction", parents=[common])
     p.add_argument("--model", required=True)
-    p.add_argument("--mod", type=_int_at_least(2), default=None)
+    p.add_argument("--mod", type=_int_in(2), default=None)
     p.set_defaults(func=_cmd_lfunction)
 
     p = sub.add_parser("average-table", parents=[common])
     p.add_argument("--n", required=True, help="comma-separated n values")
-    p.add_argument("--d", type=_int_at_least(1), required=True)
+    p.add_argument("--d", type=_int_in(1), required=True)
     p.set_defaults(func=_cmd_average_table)
 
     p = sub.add_parser("model-gen", parents=[common])
     p.add_argument("--q", required=True)
-    p.add_argument("--d", type=_int_at_least(0), required=True)
-    p.add_argument("--count", type=_int_at_least(0), default=1)
+    p.add_argument("--d", type=_int_in(0, MAX_HEIGHT), required=True)
+    p.add_argument("--count", type=_int_in(0), default=1)
     p.add_argument("--minimal", action="store_true")
     p.add_argument("--smooth", action="store_true")
     p.set_defaults(func=_cmd_model_gen)

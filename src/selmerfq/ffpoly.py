@@ -183,9 +183,6 @@ class Field:
     def __repr__(self):
         return "F_%d" % self.q if self.k == 1 else "F_%d^%d" % (self.p, self.k)
 
-    def spec(self):
-        return "%d" % self.p if self.k == 1 else "%d^%d" % (self.p, self.k)
-
 
 def _digits(n, p, k):
     out = []
@@ -469,12 +466,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             out = F.add(F.mul(out, x), c)
         return out
-
-    def shift(self, n):
-        """Multiply by t^n."""
-        if self.is_zero():
-            return self
-        return UniPoly(self.field, [self.field.zero] * n + list(self.coeffs))
 
     def taylor_at(self, tau, nterms=None):
         """Coefficients of self(tau + u), by repeated synthetic division
@@ -827,10 +818,6 @@ def ord_at(f, v):
     ft = f.dehomog_t()
     if v.is_infinity:
         return f.degree - ft.degree()
-    if ft.is_zero():
-        # f is a multiple of s^D only; finite places do not divide it... but
-        # ft zero means all coefficients vanish, excluded above.
-        raise AssertionError("unreachable")
     n = 0
     while True:
         quot, rem = ft.divmod(v.poly)

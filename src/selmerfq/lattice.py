@@ -57,9 +57,6 @@ class IntegralLattice:
         y = np.asarray(y, dtype=object)
         return int(x @ self.gram.astype(object) @ y)
 
-    def det(self):
-        return _int_det(self.gram)
-
 
 def _int_det(mat):
     """Exact integer determinant (fraction-free Gaussian elimination)."""

@@ -7,6 +7,8 @@ action on equations and its stabilizers, torsion-section search at levels
 2 and 3, and smoothness of the total space.
 """
 
+import itertools
+
 from . import ffpoly
 from .ffpoly import BinaryForm, Place, UniPoly, factor, ord_at
 
@@ -355,7 +357,7 @@ def torsion_section_search(m, n):
 
     sections = []
     seen = set()
-    for combo in _product(per_node):
+    for combo in itertools.product(*per_node):
         r = _lagrange(F, nodes, combo)
         if r.degree() > 2 * d or r.coeffs in seen:
             continue
@@ -435,15 +437,6 @@ def _poly_sqrt(f, half_degree):
         for _ in range(mult // 2):
             root = root * fac
     return root if root * root == f else None
-
-
-def _product(lists):
-    if not lists:
-        yield []
-        return
-    for head in lists[0]:
-        for tail in _product(lists[1:]):
-            yield [head] + tail
 
 
 def random_model(field, d, rng, minimal=False, smooth=False):

@@ -1,6 +1,7 @@
 """Parameter-space statistics: minimality counts, the singular-surface
 locus, and orbit-stabilizer audits."""
 
+import math
 import os
 import subprocess
 import sys
@@ -60,8 +61,8 @@ def test_minimality_routes_cross_check_fires(monkeypatch):
     # a wrong functional at infinity moves route 1 off the subspace union
     right = census._infinity_functional
 
-    def shifted(width, offset, length, j):
-        row = right(width, offset, length, j)
+    def shifted(length, j):
+        row = right(length, j)
         return row[1:] + row[:1]
     monkeypatch.setattr(census, "_infinity_functional", shifted)
     with pytest.raises(ValueError, match="minimality routes disagree"):
@@ -90,17 +91,31 @@ def test_node_fixture_is_directly_singular_i2():
 
 
 def test_incidence_mask_matches_direct_incidence_test():
-    # marked iff some (x0, t-point) has the three incidence rows . digits
-    # = rhs mod 3: no elimination, no solution grid
+    # marked iff some (x0, t-point) has f = f_x = f_u = 0, with each block's
+    # value and first Taylor coefficient at the t-point read off its digits
     mask = incidence_mask(3, 1)
     idx = np.random.default_rng(11).integers(0, 3 ** 15, 3000)
     digits = idx[:, None] // 3 ** np.arange(15) % 3
-    direct = np.zeros(len(idx), dtype=bool)
+    blocks = digits[:, :3], digits[:, 3:8], digits[:, 8:]
+    hit = {}
     for tp in [0, 1, 2, "inf"]:
+        if tp == "inf":  # the s-chart: top and next-to-top coefficients
+            jets = [(b[:, -1], b[:, -2]) for b in blocks]
+        else:
+            jets = [[sum(math.comb(m, j) * tp ** (m - j) * b[:, m]
+                         for m in range(j, b.shape[1])) for j in (0, 1)]
+                    for b in blocks]
+        (V2, D2), (V4, D4), (V6, D6) = jets
+        hit[tp] = np.zeros(len(idx), dtype=bool)
         for x0 in range(3):
-            rows, rhs = census._incidence_system(3, 1, x0, tp)
-            direct |= ((digits @ np.array(rows).T - rhs) % 3 == 0).all(1)
+            f = x0 ** 3 + V2 * x0 ** 2 + V4 * x0 + V6
+            f_x = 3 * x0 ** 2 + 2 * V2 * x0 + V4
+            f_u = D2 * x0 ** 2 + D4 * x0 + D6
+            hit[tp] |= (f % 3 == 0) & (f_x % 3 == 0) & (f_u % 3 == 0)
+    finite = hit[0] | hit[1] | hit[2]
+    direct = finite | hit["inf"]
     assert 0 < direct.sum() < len(idx)
+    assert (hit["inf"] & ~finite).any() and (finite & ~hit["inf"]).any()
     assert np.array_equal(mask[idx], direct)
 
 

@@ -241,6 +241,9 @@ def test_divisor_count_cli(capsys):
     ["orbits", "--n", "3", "--d", "2", "--budget-bits", "4"],
     ["average-table", "--n", "100", "--d", "1"],
     ["census", "--q", "5", "--d", "1", "--n", "20000000000"],
+    ["census", "--q", "5", "--d", "100000"],
+    ["orbits", "--n", "2", "--d", "100000"],
+    ["model-gen", "--q", "5", "--d", "100000"],
 ])
 def test_invalid_arguments_exit_2(argv):
     # a fresh process under a timeout: one of these used to hang

@@ -222,3 +222,25 @@ def test_factor_matches_sympy(f):
 @given(st.sampled_from((5, 7)).flatmap(lambda p: _poly(p, 8)))
 def test_is_irreducible_matches_sympy(f):
     assert f.is_irreducible() == _sympy_poly(f).is_irreducible
+
+
+# field axioms as properties, on prime, extension and residue fields
+
+_CUBIC_PLACE = Place(UniPoly(field_make(5), [1, 1, 0, 1]))  # t^3 + t + 1
+_FIELDS = [ffpoly.Field(5, 1), ffpoly.Field(5, 2), ffpoly.Field(7, 3),
+           _CUBIC_PLACE.residue_field()[0]]
+
+
+@pytest.mark.parametrize("F", _FIELDS, ids=repr)
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 342), st.integers(0, 342), st.integers(0, 342))
+def test_field_axioms(F, i, j, k):
+    a, b, c = (F.from_int(n % F.q) for n in (i, j, k))
+    assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
+    assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+    if a != F.zero:
+        assert F.mul(a, F.inv(a)) == F.one
+    assert F.chi(F.mul(a, b)) == F.chi(a) * F.chi(b)
+    p = F.characteristic
+    assert F.pow(F.add(a, b), p) == F.add(F.pow(a, p), F.pow(b, p))
