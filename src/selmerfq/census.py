@@ -10,7 +10,9 @@ d = 0, or gcd(D^(0..1) a2, D^(0..3) a4, D^(0..5) a6) is a nonzero constant
 and the top 2, 4, 6 coefficients do not all vanish; squarefree_disc iff
 g1 = gcd(Delta, D1 Delta) is constant and ord_inf Delta <= 1; smooth (bad
 fibers I_1 or II) iff minimal, gcd(g1, D2 Delta) is constant, g1 | c4, and
-ord_inf Delta <= 1, or = 2 with c4 vanishing at infinity.
+ord_inf Delta <= 1, or = 2 with c4 vanishing at infinity.  The model
+sampler `random_models` keeps the rows these bits accept, in draw order,
+and so returns what a loop of weierstrass.random_model returns.
 
 The direct singularity test `singular_branches` runs on the same kernel and
 is exact for every odd p.  With A, B, C = a2, a4, a6 and ' = d/dt, put
@@ -181,6 +183,45 @@ def run_census(q, d, mode="sample", n=10 ** 4, seed=0):
         stacky = counts["minimal"] / n_models * total_space / group_order
     return CensusReport(q, d, mode, seed_out, counts, ratios, stacky,
                         time.time() - t0, n=n_models)
+
+
+def random_models(F, d, rng, count, minimal=False, smooth=False):
+    """The models of `count` calls of weierstrass.random_model(F, d, rng,
+    minimal, smooth), leaving rng in the same state; smooth implies minimal.
+    Over prime fields with p < 2^31 the draws are decided by `classify` in
+    chunks, and rng is then replayed up to the last accepted row; over
+    F_{p^k} with k > 1, or p >= 2^31, each model comes from random_model."""
+    if d < 0:
+        raise ValueError("height d must be >= 0, got %r" % (d,))
+    minimal = minimal or smooth
+    if F.k != 1 or F.q >= 1 << 31:
+        return [weierstrass.random_model(F, d, rng, minimal, smooth)
+                for _ in range(count)]
+    q, width = F.q, 12 * d + 3
+    l2, l4, _ = coeff_lengths(d)
+    start = rng.state
+    models, drawn, used = [], 0, 0  # used: rows up to the last accepted one
+    while len(models) < count:
+        # 3/4 or more of the rows pass (q = 5..13, d <= 2, measured), so
+        # twice the shortfall is most often one pass
+        rows = min(_CLASSIFY_CHUNK, 2 * (count - len(models)) + 8)
+        digits = rng.below_array(q, rows * width).reshape(rows, width)
+        bits = classify(digits, q, d)
+        ok = ~bits["disc_zero"]
+        if minimal:
+            ok &= bits["minimal"]
+        if smooth:
+            ok &= bits["smooth"]
+        for i in np.flatnonzero(ok)[:count - len(models)]:
+            row = digits[i].tolist()
+            models.append(weierstrass.WeierstrassModel(F, d, *(
+                BinaryForm(F, len(c) - 1, c)
+                for c in (row[:l2], row[l2:l2 + l4], row[l2 + l4:]))))
+            used = drawn + int(i) + 1
+        drawn += rows
+    rng.state = start
+    rng.below_array(q, used * width)
+    return models
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +479,7 @@ def orbit_stabilizer_audit(q, d, count, seed=0):
     elems = list(F.elements())
     nonzero = [x for x in elems if x != F.zero]
     results = []
-    for _ in range(count):
-        m = weierstrass.random_model(F, d, rng, minimal=True)
+    for m in random_models(F, d, rng, count, minimal=True):
         hits = {}
         for r_coeffs in itertools.product(elems, repeat=2 * d + 1):
             r = BinaryForm(F, 2 * d, list(r_coeffs))

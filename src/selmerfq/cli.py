@@ -22,6 +22,9 @@ SCHEMA_VERSION = 2
 # census takes about 30 s at d = 16 and 140 s at d = 32; at d = 10^5 the
 # census and the orbit Gram fail to allocate and model-gen runs for minutes
 MAX_HEIGHT = 16
+# largest model-gen --count: on 2 CPUs, 10^4 smooth minimal models take about
+# 2 s at q = 5, d = 1 and 4 min at d = 16; 10^11 would take 8 months at d = 1
+MAX_MODELS = 10 ** 4
 
 
 class ValidationError(Exception):
@@ -108,8 +111,6 @@ def _cmd_divisor_count(args):
 
 
 def _cmd_orbits(args):
-    if args.d < 2:
-        raise ValidationError("orbits needs --d >= 2; use weyl-e8 for d = 1")
     lat, gens = lattice.standard_generators(args.d, SplitMix64(args.seed))
     module = lattice.QuadraticModule(lat, args.n)
     if args.mode == "exhaustive":
@@ -186,11 +187,9 @@ def _cmd_average_table(args):
 
 def _cmd_model_gen(args):
     F = _validated(ffpoly.field_from_spec, args.q)
-    rng = SplitMix64(args.seed)
-    models = [weierstrass.random_model(F, args.d, rng, minimal=args.minimal,
-                                       smooth=args.smooth).to_json()
-              for _ in range(args.count)]
-    return {"models": models}
+    models = census.random_models(F, args.d, SplitMix64(args.seed), args.count,
+                                  minimal=args.minimal, smooth=args.smooth)
+    return {"models": [m.to_json() for m in models]}
 
 
 # --------------------------------------------------------------------------
@@ -225,7 +224,8 @@ def build_parser():
 
     p = sub.add_parser("orbits", parents=[common])
     p.add_argument("--n", type=_int_in(1), required=True)
-    p.add_argument("--d", type=_int_in(0, MAX_HEIGHT), required=True)
+    p.add_argument("--d", type=_int_in(2, MAX_HEIGHT), required=True,
+                   help="height >= 2; weyl-e8 covers d = 1")
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
     p.add_argument("--pairs", type=_int_in(1), default=100)
     p.set_defaults(func=_cmd_orbits)
@@ -251,7 +251,7 @@ def build_parser():
     p = sub.add_parser("model-gen", parents=[common])
     p.add_argument("--q", required=True)
     p.add_argument("--d", type=_int_in(0, MAX_HEIGHT), required=True)
-    p.add_argument("--count", type=_int_in(0), default=1)
+    p.add_argument("--count", type=_int_in(0, MAX_MODELS), default=1)
     p.add_argument("--minimal", action="store_true")
     p.add_argument("--smooth", action="store_true")
     p.set_defaults(func=_cmd_model_gen)
@@ -283,7 +283,10 @@ def _emit(report, out, command):
 
 def main(argv=None):
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:  # 2 on a bad option, 0 after --help, --version
+        return exc.code
     t0 = time.time()
     try:
         if args.out is not None:

@@ -827,16 +827,6 @@ def ord_at(f, v):
         n += 1
 
 
-def places_of_degree_one(field):
-    """The q+1 degree-one places of P^1 over the field."""
-    out = []
-    x = UniPoly.x(field)
-    for c in field.elements():
-        out.append(Place(x - UniPoly.const(field, c)))
-    out.append(Place.infinity())
-    return out
-
-
 # ---------------------------------------------------------------------------
 # batched F_p[t]: one polynomial per row of an int64 array, low degree first,
 # entries in [0, p) with p < 2^31 so that products fit in int64

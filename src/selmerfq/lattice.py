@@ -96,22 +96,8 @@ def selmer_lattice(d):
     return IntegralLattice(g)
 
 
-def e8_lattice(negate=False):
-    g = e8_gram()
-    return IntegralLattice(-g if negate else g)
-
-
-def spinor_sign(lat, word):
-    """Sign character of a reflection word for epsilon = -1: a factor
-    contributes -1 when -q(v) < 0, i.e. q(v) > 0 over Z."""
-    sign = 1
-    for v in word:
-        qv = lat.q(v)
-        if qv == 0:
-            raise ValueError("isotropic reflection vector")
-        if qv > 0:
-            sign = -sign
-    return sign
+def e8_lattice():
+    return IntegralLattice(e8_gram())
 
 
 class QuadraticModule:

@@ -315,6 +315,47 @@ def test_counts_do_not_depend_on_the_chunk(monkeypatch):
     assert seen[0] == seen[1] == seen[2]
 
 
+@pytest.mark.parametrize("flags", [{}, {"minimal": True},
+                                   {"minimal": True, "smooth": True}])
+@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("q", [5, 7, 11])
+def test_random_models_match_random_model(q, d, flags, monkeypatch):
+    # random_model is the oracle: the same models in draw order and the
+    # same final rng state, for every count and chunk size
+    F = field_make(q)
+    for seed in (0, 1000003):
+        rng = SplitMix64(seed)
+        want, states = [], [rng.state]
+        for _ in range(70):
+            want.append(weierstrass.random_model(F, d, rng, **flags))
+            states.append(rng.state)
+        for chunk in (16, 4096):
+            monkeypatch.setattr(census, "_CLASSIFY_CHUNK", chunk)
+            for count in (0, 1, 70):
+                rng = SplitMix64(seed)
+                assert census.random_models(F, d, rng, count, **flags) \
+                    == want[:count]
+                assert rng.state == states[count]
+
+
+def test_random_models_prime_power_field():
+    # classify works mod p, so F_25 takes the random_model path
+    F = Field(5, 2)
+    rng, oracle = SplitMix64(4), SplitMix64(4)
+    models = census.random_models(F, 1, rng, 3, minimal=True)
+    assert models == [weierstrass.random_model(F, 1, oracle, minimal=True)
+                      for _ in range(3)]
+    assert rng.state == oracle.state
+
+
+def test_random_models_smooth_implies_minimal():
+    F = field_make(5)
+    rng, both = SplitMix64(2), SplitMix64(2)
+    assert census.random_models(F, 1, rng, 20, smooth=True) == \
+        census.random_models(F, 1, both, 20, minimal=True, smooth=True)
+    assert rng.state == both.state
+
+
 def test_orbit_stabilizer_audit():
     results = orbit_stabilizer_audit(5, 1, 5, seed=60)
     assert all(r["pass"] for r in results)

@@ -244,6 +244,7 @@ def test_divisor_count_cli(capsys):
     ["census", "--q", "5", "--d", "100000"],
     ["orbits", "--n", "2", "--d", "100000"],
     ["model-gen", "--q", "5", "--d", "100000"],
+    ["model-gen", "--q", "5", "--d", "1", "--count", "100000000000"],
 ])
 def test_invalid_arguments_exit_2(argv):
     # a fresh process under a timeout: one of these used to hang

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from selmerfq import ffpoly
 from selmerfq.ffpoly import (BinaryForm, Place, QuotientField, UniPoly,
-                             factor, field_make, is_squarefree, ord_at,
-                             places_of_degree_one)
+                             factor, field_make, is_squarefree, ord_at)
 from selmerfq.rng import SplitMix64
 
 
@@ -135,13 +134,6 @@ def test_place_residue_fields():
     assert isinstance(K2, QuotientField) and K2.q == 25
     # tau2 satisfies the place polynomial
     assert K2.add(K2.mul(tau2, tau2), K2.embed(F.from_int(2))) == K2.zero
-
-
-def test_places_of_degree_one():
-    F = field_make(5)
-    pls = places_of_degree_one(F)
-    assert len(pls) == 6  # 5 finite + infinity
-    assert sum(1 for v in pls if v.is_infinity) == 1
 
 
 def test_ord_at_finite_and_infinity():

@@ -15,8 +15,7 @@ from selmerfq.lattice import (IntegralLattice, QuadraticModule, e8_gram,
                               e8_lattice, hyperbolic_gram,
                               e8_root_count, orbit_decompose,
                               sampling_connectivity, selmer_lattice,
-                              spinor_sign, standard_generators,
-                              weyl_e8_orbits)
+                              standard_generators, weyl_e8_orbits)
 from selmerfq.rng import SplitMix64
 
 
@@ -79,14 +78,6 @@ def test_predicted_class_counts():
     for n in range(1, 13):
         mod = QuadraticModule(lat, n)
         assert len(mod.predicted_classes()) == _sigma(n)
-
-
-def test_spinor_sign():
-    lat = e8_lattice(negate=True)  # all q-values negative on basis roots
-    word = [np.eye(8, dtype=np.int64)[i] for i in range(3)]
-    assert spinor_sign(lat, word) == 1  # q < 0 contributes no sign flips
-    lat2 = e8_lattice()
-    assert spinor_sign(lat2, word) == -1  # three positive-q reflections
 
 
 def test_weyl_e8_orbit_counts_small_n():
