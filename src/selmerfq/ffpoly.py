@@ -1,11 +1,14 @@
-"""Exact arithmetic over F_{p^k}, univariate polynomials, and binary forms.
+"""Exact arithmetic over finite fields, univariate polynomials, and binary
+forms.
 
-Field elements are plain python ints encoding base-p digit vectors
-(digit i = coefficient of x^i in the polynomial representation), so a
-prime-field element is just its residue.  Residue fields of places are
-built as quotient rings over an arbitrary base field (`QuotientField`),
-whose elements are coefficient tuples; this sidesteps any embedding
-bookkeeping between abstractly-isomorphic extensions.
+Every field element is a plain python int in [0, q).  F_p holds residues.
+An extension F[x]/(f) of a field F, f monic irreducible of degree n, codes
+c_0 + c_1 x + ... + c_(n-1) x^(n-1) as sum c_i |F|^i: the base-|F| digits
+of an element are its coefficients, each an element of F.  A constant is
+its own low digit, so an element of F has the same code in every extension
+of F, and the image of an integer n is n mod p in every field.  F_{p^k} is
+F_p extended by the least monic irreducible of degree k; the residue field
+of a place is the base field extended by the place polynomial.
 
 All values are immutable after construction.
 """
@@ -31,100 +34,106 @@ def _is_prime(n):
 
 
 class Field:
-    """The finite field F_{p^k} with a deterministic modulus choice.
+    """A finite field: F_p, or an extension base[x]/(modulus).
 
-    For k > 1 the modulus is the least monic irreducible of degree k,
-    ordering polynomials by their integer code sum(c_i * p^i).
+    Field(p, k) for k > 1 is F_p extended by the least monic irreducible of
+    degree k, ordering polynomials by their code sum(c_i * p^i).
     """
+
+    zero = 0
+    one = 1
 
     def __init__(self, p, k=1):
         if not _is_prime(p):
             raise ValueError("p must be prime, got %r" % (p,))
         if not 1 <= k <= 16:
             raise ValueError("extension degree must be in [1, 16]")
-        self.p = p
-        self.k = k
-        self.q = p ** k
-        self.characteristic = p
-        self.zero = 0
-        self.one = 1
-        if k == 1:
-            self.modulus_digits = None
-            self._red = None
-        else:
-            self.modulus_digits = self._least_irreducible(p, k)
-            self._red = self._reduction_rows()
+        self.p = self.characteristic = self.q = p
+        self.k = 1
+        self.base = self.modulus = None
+        self._name = "F_%d" % p
+        if k > 1:
+            self._adjoin(self._least_irreducible(p, k))
+            self._name = "F_%d^%d" % (p, k)
+
+    @classmethod
+    def extension(cls, modulus):
+        """F[x]/(modulus) for an irreducible UniPoly modulus over a Field F;
+        x has the code F.q."""
+        if not isinstance(modulus, UniPoly) or modulus.degree() < 1:
+            raise ValueError("modulus must be a nonconstant UniPoly")
+        K = cls.__new__(cls)
+        K._adjoin(modulus)
+        K._name = "%r[t]/(%r)" % (modulus.field, K.modulus)
+        return K
+
+    def _adjoin(self, modulus):
+        F = self.base = modulus.field
+        self.modulus = modulus.monic()
+        self._n = self.modulus.degree()
+        # x^n mod modulus, low degree first
+        self._tail = [F.neg(c) for c in self.modulus.coeffs[:-1]]
+        self.p = self.characteristic = F.p
+        self.k = F.k * self._n
+        self.q = F.q ** self._n
 
     @staticmethod
     def _least_irreducible(p, k):
-        base = Field(p, 1)
+        base = Field(p)
         for code in range(p ** k):
-            digits = _digits(code, p, k) + [1]
-            f = UniPoly(base, digits)
+            f = UniPoly(base, [code // p ** i % p for i in range(k)] + [1])
             if f.is_irreducible():
-                return tuple(digits)
+                return f
         raise AssertionError("no irreducible of degree %d over F_%d" % (k, p))
 
-    def _reduction_rows(self):
-        # x^(k+i) mod modulus, for i = 0..k-2, as digit lists
-        p, k = self.p, self.k
-        rows = []
-        cur = [(-c) % p for c in self.modulus_digits[:k]]  # x^k
-        rows.append(tuple(cur))
-        for _ in range(k - 2):
-            cur = [0] + cur
-            top = cur.pop()
-            if top:
-                cur = [(c + top * r) % p for c, r in zip(cur, rows[0])]
-            rows.append(tuple(cur))
-        return rows
+    def _split(self, a):
+        """The base-field digits of a, low degree first."""
+        out = []
+        for _ in range(self._n):
+            a, c = divmod(a, self.base.q)
+            out.append(c)
+        return out
+
+    def _join(self, digits):
+        out = 0
+        for c in reversed(digits):
+            out = out * self.base.q + c
+        return out
 
     # -- element ops (elements are ints in [0, q)) --
 
     def add(self, a, b):
-        p = self.p
-        if self.k == 1:
-            return (a + b) % p
-        out, mult = 0, 1
-        for _ in range(self.k):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        F = self.base
+        if F is None:
+            return (a + b) % self.p
+        return self._join([F.add(x, y)
+                           for x, y in zip(self._split(a), self._split(b))])
 
     def neg(self, a):
-        p = self.p
-        if self.k == 1:
-            return (-a) % p
-        out, mult = 0, 1
-        for _ in range(self.k):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        F = self.base
+        if F is None:
+            return (-a) % self.p
+        return self._join([F.neg(x) for x in self._split(a)])
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        p, k = self.p, self.k
-        if k == 1:
-            return (a * b) % p
-        da = _digits(a, p, k)
-        db = _digits(b, p, k)
-        prod = [0] * (2 * k - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    prod[i + j] += ca * cb
-        out = [c % p for c in prod[:k]]
-        for i in range(k, 2 * k - 1):
-            c = prod[i] % p
-            if c:
-                row = self._red[i - k]
-                out = [(o + c * r) % p for o, r in zip(out, row)]
-        return _undigits(out, p)
+        F = self.base
+        if F is None:
+            return (a * b) % self.p
+        n, tail = self._n, self._tail
+        db = self._split(b)
+        prod = [0] * (2 * n - 1)
+        for i, x in enumerate(self._split(a)):
+            if x:
+                for j, y in enumerate(db):
+                    prod[i + j] = F.add(prod[i + j], F.mul(x, y))
+        for i in range(2 * n - 2, n - 1, -1):  # top degree first
+            if prod[i]:
+                for j, c in enumerate(tail):
+                    prod[i - n + j] = F.add(prod[i - n + j], F.mul(prod[i], c))
+        return self._join(prod[:n])
 
     def pow(self, a, e):
         if e < 0:
@@ -140,7 +149,7 @@ class Field:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self.k == 1:
+        if self.base is None:
             return pow(a, self.p - 2, self.p)
         return self.pow(a, self.q - 2)
 
@@ -166,7 +175,8 @@ class Field:
         return None
 
     def from_int(self, n):
-        return n % self.q
+        """The image of the integer n."""
+        return n % self.p
 
     def random(self, rng):
         return rng.below(self.q)
@@ -175,28 +185,14 @@ class Field:
         return range(self.q)
 
     def __eq__(self, other):
-        return isinstance(other, Field) and (self.p, self.k) == (other.p, other.k)
+        return isinstance(other, Field) and (self.p, self.base, self.modulus) \
+            == (other.p, other.base, other.modulus)
 
     def __hash__(self):
-        return hash((Field, self.p, self.k))
+        return hash((Field, self.p, self.base, self.modulus))
 
     def __repr__(self):
-        return "F_%d" % self.q if self.k == 1 else "F_%d^%d" % (self.p, self.k)
-
-
-def _digits(n, p, k):
-    out = []
-    for _ in range(k):
-        out.append(n % p)
-        n //= p
-    return out
-
-
-def _undigits(ds, p):
-    out = 0
-    for c in reversed(ds):
-        out = out * p + c
-    return out
+        return self._name
 
 
 def field_make(p, k=1):
@@ -215,112 +211,6 @@ def field_from_spec(spec):
         ps, ks = spec.split("^", 1)
         return field_make(int(ps), int(ks))
     return field_make(int(spec))
-
-
-class QuotientField:
-    """F[t]/(modulus) for F a Field (or QuotientField), modulus irreducible.
-
-    Elements are tuples of base-field elements of length deg(modulus),
-    low degree first.  Used as the residue field kappa(v) of a place.
-    """
-
-    def __init__(self, modulus):
-        if not isinstance(modulus, UniPoly) or modulus.degree() < 1:
-            raise ValueError("modulus must be a nonconstant UniPoly")
-        self.base = modulus.field
-        self.modulus = modulus.monic()
-        self.k = self.modulus.degree()
-        self.q = self.base.q ** self.k
-        self.characteristic = self.base.characteristic
-        self.zero = (self.base.zero,) * self.k
-        self.one = tuple([self.base.one] + [self.base.zero] * (self.k - 1))
-        # residue class of t, the canonical root of the modulus
-        if self.k == 1:
-            self.gen = (self.base.neg(self.modulus.coeffs[0]),)
-        else:
-            self.gen = tuple(
-                [self.base.zero, self.base.one] + [self.base.zero] * (self.k - 2)
-            )
-
-    def embed(self, a):
-        """Embed a base-field element as a constant."""
-        return tuple([a] + [self.base.zero] * (self.k - 1))
-
-    def add(self, a, b):
-        F = self.base
-        return tuple(F.add(x, y) for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        F = self.base
-        return tuple(F.sub(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        F = self.base
-        return tuple(F.neg(x) for x in a)
-
-    def mul(self, a, b):
-        F, k = self.base, self.k
-        prod = [F.zero] * (2 * k - 1)
-        for i, ca in enumerate(a):
-            if ca != F.zero:
-                for j, cb in enumerate(b):
-                    prod[i + j] = F.add(prod[i + j], F.mul(ca, cb))
-        # reduce by the monic modulus
-        mod = self.modulus.coeffs
-        for i in range(2 * k - 2, k - 1, -1):
-            c = prod[i]
-            if c != F.zero:
-                prod[i] = F.zero
-                for j in range(k):
-                    prod[i - k + j] = F.sub(prod[i - k + j], F.mul(c, mod[j]))
-        return tuple(prod[:k])
-
-    def pow(self, a, e):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        out, base = self.one, a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
-    def inv(self, a):
-        if a == self.zero:
-            raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.q - 2)
-
-    def chi(self, a):
-        if a == self.zero:
-            return 0
-        return 1 if self.pow(a, (self.q - 1) // 2) == self.one else -1
-
-    def from_int(self, n):
-        ds = []
-        for _ in range(self.k):
-            ds.append(self.base.from_int(n % self.base.q))
-            n //= self.base.q
-        return tuple(ds)
-
-    def random(self, rng):
-        return self.from_int(rng.below(self.q))
-
-    def elements(self):
-        return (self.from_int(n) for n in range(self.q))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuotientField)
-            and self.base == other.base
-            and self.modulus.coeffs == other.modulus.coeffs
-        )
-
-    def __hash__(self):
-        return hash((QuotientField, self.base, self.modulus.coeffs))
-
-    def __repr__(self):
-        return "%r[t]/(%r)" % (self.base, self.modulus)
 
 
 class UniPoly:
@@ -454,10 +344,9 @@ class UniPoly:
 
     def derivative(self):
         F = self.field
-        p = F.characteristic
         out = []
         for i, c in enumerate(self.coeffs[1:], start=1):
-            out.append(F.mul(F.from_int(i % p), c))
+            out.append(F.mul(F.from_int(i), c))
         return UniPoly(F, out)
 
     def evaluate(self, x):
@@ -489,10 +378,6 @@ class UniPoly:
             while cs and cs[-1] == F.zero:
                 cs.pop()
         return out
-
-    def map_field(self, newfield, conv):
-        """Transport coefficients into another field via conv."""
-        return UniPoly(newfield, [conv(c) for c in self.coeffs])
 
     # -- modular exponentiation helpers --
 
@@ -692,8 +577,7 @@ class Place:
             F = self.poly.field
             tau = F.neg(self.poly.coeffs[0])
             return F, tau
-        K = QuotientField(self.poly)
-        return K, K.gen
+        return Field.extension(self.poly), self.poly.field.q
 
     def __eq__(self, other):
         if not isinstance(other, Place):

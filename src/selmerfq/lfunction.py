@@ -170,7 +170,9 @@ def surface_point_count(m, e):
 def surface_point_count_slow(m, e):
     """Pure-Python oracle for small q^e: identical totals, no tables.
     Prime-field coefficients are the same integers in F_{p^e}."""
-    F = ffpoly.Field(m.field.p, e * m.field.k)
+    if m.field.k != 1:
+        raise ValueError("extension counting assumes a prime base field")
+    F = ffpoly.Field(m.field.p, e)
     forms = [ffpoly.BinaryForm(F, f.degree, f.coeffs)
              for f in (m.a2, m.a4, m.a6)]
     total = 0

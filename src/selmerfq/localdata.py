@@ -10,7 +10,7 @@ character and root-count computations in the residue field kappa(v).
 Component counts come from Ogg's relation ord_disc = f_v + m_v - 1.
 """
 
-from . import ffpoly, weierstrass
+from . import weierstrass
 from .ffpoly import UniPoly, ord_at
 from .weierstrass import bad_places
 
@@ -151,9 +151,7 @@ def _residue_of_form(form, v):
     if v.is_infinity:
         return form.dehomog_s().evaluate(form.field.zero)
     K, tau = v.residue_field()
-    if isinstance(K, ffpoly.QuotientField):
-        return form.dehomog_t().map_field(K, K.embed).evaluate(tau)
-    return form.dehomog_t().evaluate(tau)
+    return UniPoly(K, form.coeffs).evaluate(tau)
 
 
 def _translate_x(K, A2, A4, A6, r):

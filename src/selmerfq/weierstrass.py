@@ -57,12 +57,17 @@ class WeierstrassModel:
 
     @classmethod
     def from_json(cls, obj):
+        """Inverse of to_json; each coefficient must be an element code,
+        an int in [0, q)."""
         F = ffpoly.field_make(obj["p"], obj.get("k", 1))
         d = obj["d"]
-        a2 = BinaryForm(F, 2 * d, [F.from_int(c) for c in obj["a2"]])
-        a4 = BinaryForm(F, 4 * d, [F.from_int(c) for c in obj["a4"]])
-        a6 = BinaryForm(F, 6 * d, [F.from_int(c) for c in obj["a6"]])
-        return cls(F, d, a2, a4, a6)
+        forms = []
+        for name, degree in (("a2", 2 * d), ("a4", 4 * d), ("a6", 6 * d)):
+            if not all(type(c) is int and 0 <= c < F.q for c in obj[name]):
+                raise ValueError("%s must hold element codes in [0, %d), got %r"
+                                 % (name, F.q, obj[name]))
+            forms.append(BinaryForm(F, degree, obj[name]))
+        return cls(F, d, *forms)
 
 
 def _disc_form(a2, a4, a6):
@@ -293,14 +298,8 @@ def _local_coeff_polys(m, v, nterms=None):
             out.append(cs[:nterms])
         return K, out[0], out[1], out[2]
     K, tau = v.residue_field()
-    if isinstance(K, ffpoly.QuotientField):
-        conv = K.embed
-    else:
-        conv = lambda c: c
-    out = []
-    for form in (m.a2, m.a4, m.a6):
-        fk = form.dehomog_t().map_field(K, conv)
-        out.append(fk.taylor_at(tau, nterms))
+    out = [UniPoly(K, form.coeffs).taylor_at(tau, nterms)
+           for form in (m.a2, m.a4, m.a6)]
     return K, out[0], out[1], out[2]
 
 
@@ -338,7 +337,7 @@ def torsion_section_search(m, n):
     npts = 2 * d + 1
     if F.q < npts:
         raise ValueError("base field too small for interpolation nodes")
-    nodes = [F.from_int(i) for i in range(npts)]
+    nodes = range(npts)  # the first 2d + 1 element codes, all distinct
     A2t, A4t, A6t = (m.a2.dehomog_t(), m.a4.dehomog_t(), m.a6.dehomog_t())
 
     if n == 2:

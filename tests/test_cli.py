@@ -216,6 +216,30 @@ def test_divisor_count_cli(capsys):
     assert 3 ** 13 < res["image_count"] < 3 ** 15
 
 
+@pytest.mark.parametrize("command", ["tate", "lfunction"])
+@pytest.mark.parametrize("a2", [[0.5, 0, 4], [7, 0, 4]], ids=["float", "big"])
+def test_model_coefficients_must_be_codes(tmp_path, capsys, command, a2):
+    # a coefficient is an element code, an int in [0, q): 7 is not one in F_5
+    model = {"p": 5, "k": 1, "d": 1, "a2": a2, "a4": [4, 2, 0, 3, 0],
+             "a6": [4, 0, 1, 1, 3, 1, 2]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    code = cli.main([command, "--model", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "element codes in [0, 5)" in captured.err
+
+
+def test_model_gen_minimal_smooth_over_f25(capsys):
+    # Tate's algorithm once read the integer constants of its formulas as
+    # element codes, and fell through at a minimal place over F_25
+    code, out = _run(["model-gen", "--q", "5^2", "--d", "1", "--count", "4",
+                      "--minimal", "--smooth", "--seed", "1000003"], capsys)
+    assert code == 0
+    assert len(json.loads(out)["result"]["models"]) == 4
+
+
 @pytest.mark.parametrize("argv", [
     ["weyl-e8", "--n", "0"],
     ["orbits", "--n", "0", "--d", "2"],

@@ -109,6 +109,14 @@ def test_table_budget_rejected():
         surface_point_count(m, 12)
 
 
+def test_counts_need_a_prime_base_field():
+    # F_25 codes are not F_{5^(2e)} codes: Field(5, 2e) has its own modulus
+    m = _const_model(field_make(5, 2), 1)
+    for count in (surface_point_count, surface_point_count_slow):
+        with pytest.raises(ValueError, match="prime base field"):
+            count(m, 2)
+
+
 def test_traces_require_smooth():
     F = field_make(5)
     rng = SplitMix64(42)

@@ -52,17 +52,18 @@ def test_discriminant_degree_and_formula():
 
 
 def test_c4_c6_disc_identity():
-    # 1728 disc = c4^3 - c6^2 for the short form derived from (0, a2, a4, a6)
-    F = field_make(7)
-    rng = SplitMix64(10)
-    for _ in range(20):
-        m = random_model(F, 1, rng)
-        c4 = c4_form(m).dehomog_t()
-        c6 = c6_form(m).dehomog_t()
-        disc = discriminant(m).dehomog_t()
-        lhs = disc.scale(F.from_int(1728))
-        rhs = c4 * c4 * c4 - c6 * c6
-        assert lhs == rhs
+    # 1728 disc = c4^3 - c6^2 for the short form derived from (0, a2, a4, a6);
+    # over F_{p^k} the integer constants must be their images, not codes
+    for F in (field_make(7), field_make(5, 2), field_make(7, 3)):
+        rng = SplitMix64(10)
+        for _ in range(20):
+            m = random_model(F, 1, rng)
+            c4 = c4_form(m).dehomog_t()
+            c6 = c6_form(m).dehomog_t()
+            disc = discriminant(m).dehomog_t()
+            lhs = disc.scale(F.from_int(1728))
+            rhs = c4 * c4 * c4 - c6 * c6
+            assert lhs == rhs, F
 
 
 def test_json_roundtrip():
@@ -183,10 +184,11 @@ def test_no_torsion_on_random_smooth_models():
 
 
 def test_two_torsion_found_when_planted():
-    # y^2 = x(x^2 + a2 x + a4) has the 2-torsion section (0, 0)
-    F = field_make(5)
-    t = UniPoly.x(F)
-    one = UniPoly.const(F, F.one)
-    m = _model(F, 1, t * t + one, t * t * t + t + one, UniPoly.zero(F))
-    secs = torsion_section_search(m, 2)
-    assert any(x.is_zero() and y.is_zero() for x, y in secs)
+    # y^2 = x(x^2 + a2 x + a4) has the 2-torsion section (0, 0); over F_25
+    # at d = 3 the 2d + 1 = 7 interpolation nodes outnumber F_5
+    for F, d in ((field_make(5), 1), (field_make(5, 2), 3)):
+        t = UniPoly.x(F)
+        one = UniPoly.const(F, F.one)
+        m = _model(F, d, t * t + one, t * t * t + t + one, UniPoly.zero(F))
+        secs = torsion_section_search(m, 2)
+        assert any(x.is_zero() and y.is_zero() for x, y in secs), F
