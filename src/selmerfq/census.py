@@ -37,7 +37,7 @@ import time
 
 import numpy as np
 
-from . import ffpoly, weierstrass
+from . import DomainError, ffpoly, weierstrass
 from .ffpoly import BinaryForm, UniPoly
 from .rng import SplitMix64
 
@@ -55,7 +55,7 @@ def exhaustive_space(q, d):
     """Size q^(12d+3) of the coefficient space; raises past the budget."""
     total = q ** (12 * d + 3)
     if total > _EXHAUSTIVE_BUDGET:
-        raise ValueError("budget exceeded: q^(12d+3) = %d > 2^28" % total)
+        raise DomainError("budget exceeded: q^(12d+3) = %d > 2^28" % total)
     return total
 
 
@@ -135,10 +135,10 @@ def classify(digits, q, d):
 def run_census(q, d, mode="sample", n=10 ** 4, seed=0):
     """Statistics over coefficient tuples, classified by `classify` in
     chunks; p >= 5, where its predicates are exact, and p < 2^31.  It
-    raises ValueError only on inputs outside these bounds, before any draw."""
-    F = ffpoly.field_make(q)  # rejects p in {2, 3}
-    if F.k != 1 or q >= 1 << 31:
-        raise ValueError("census runs over prime fields with p < 2^31")
+    raises DomainError only on inputs outside these bounds, before any draw."""
+    ffpoly.field_make(q)  # rejects p in {2, 3} and composite q
+    if q >= 1 << 31:
+        raise DomainError("census runs over prime fields with p < 2^31")
     width = 12 * d + 3
     total_space = q ** width
     t0 = time.time()
@@ -148,12 +148,12 @@ def run_census(q, d, mode="sample", n=10 ** 4, seed=0):
         seed_out = rng = None
     elif mode == "sample":
         if not 10 ** 4 <= n <= _EXHAUSTIVE_BUDGET:  # one cap on models per run
-            raise ValueError("sampling needs 10^4 <= N <= 2^28, got %d" % n)
+            raise DomainError("sampling needs 10^4 <= N <= 2^28, got %d" % n)
         rng = SplitMix64(seed)
         n_models = n
         seed_out = seed
     else:
-        raise ValueError("mode must be 'exhaustive' or 'sample'")
+        raise DomainError("mode must be 'exhaustive' or 'sample'")
 
     counts = {"total": n_models, "minimal": 0, "smooth": 0,
               "squarefree_disc": 0, "disc_zero": 0}
@@ -192,7 +192,7 @@ def random_models(F, d, rng, count, minimal=False, smooth=False):
     chunks, and rng is then replayed up to the last accepted row; over
     F_{p^k} with k > 1, or p >= 2^31, each model comes from random_model."""
     if d < 0:
-        raise ValueError("height d must be >= 0, got %r" % (d,))
+        raise DomainError("height d must be >= 0, got %r" % (d,))
     minimal = minimal or smooth
     if F.k != 1 or F.q >= 1 << 31:
         return [weierstrass.random_model(F, d, rng, minimal, smooth)
@@ -268,7 +268,7 @@ def exhaustive_minimality(q, d=1):
     q^{12d+3} <= 2^28.
     """
     if d != 1:
-        raise ValueError("exhaustive minimality implemented for d = 1")
+        raise DomainError("exhaustive minimality implemented for d = 1")
     total = exhaustive_space(q, d)
     t0 = time.time()
     l2, l4, l6 = coeff_lengths(d)
@@ -355,7 +355,7 @@ def incidence_mask(q, d=1):
     (V6, D6)-indexed table over the a6 block.  Pure linear algebra, so it
     runs at p = 3 as well."""
     if d != 1:
-        raise ValueError("incidence marking implemented for d = 1")
+        raise DomainError("incidence marking implemented for d = 1")
     exhaustive_space(q, d)  # raises past the budget
     l2, l4, l6 = coeff_lengths(d)
     mask = np.zeros((q ** l6, q ** l4, q ** l2), dtype=bool)

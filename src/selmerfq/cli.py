@@ -4,7 +4,9 @@ Every subcommand emits a JSON report embedding the tool version, the full
 configuration, the seed, and the wall clock; reruns with identical
 configuration are bit-identical apart from the timing fields.
 
-Exit codes: 0 success, 1 computation error, 2 validation failure.
+Exit codes: 0 success; 2 on a bad option or a DomainError, the ValueError
+raised where an input is found outside the domain of the computation; 1 on
+any other failure, a failed cross-check included.
 """
 
 import argparse
@@ -13,8 +15,8 @@ import os
 import sys
 import time
 
-from . import __version__, census, ffpoly, lattice, lfunction, localdata, \
-    weierstrass
+from . import DomainError, __version__, census, ffpoly, lattice, lfunction, \
+    localdata, weierstrass
 from .rng import SplitMix64
 
 SCHEMA_VERSION = 2
@@ -25,10 +27,6 @@ MAX_HEIGHT = 16
 # largest model-gen --count: on 2 CPUs, 10^4 smooth minimal models take about
 # 2 s at q = 5, d = 1 and 4 min at d = 16; 10^11 would take 8 months at d = 1
 MAX_MODELS = 10 ** 4
-
-
-class ValidationError(Exception):
-    pass
 
 
 def _sigma(n):
@@ -54,16 +52,8 @@ def _load_model(path):
         try:
             return weierstrass.WeierstrassModel.from_json(json.load(fh))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError("%s is not a model file (%s: %s)"
-                                  % (path, type(exc).__name__, exc))
-
-
-def _validated(check, *args):
-    """Run a library domain check; its ValueError is a validation failure."""
-    try:
-        return check(*args)
-    except ValueError as exc:
-        raise ValidationError(str(exc))
+            raise DomainError("%s is not a model file (%s: %s)"
+                              % (path, type(exc).__name__, exc))
 
 
 def _budget(args, n, rank=8):
@@ -71,7 +61,7 @@ def _budget(args, n, rank=8):
     the default rank is that of E8."""
     budget = lattice.DEFAULT_BUDGET if args.budget_bits is None \
         else 1 << args.budget_bits
-    _validated(lattice.orbit_space, n, rank, budget)
+    lattice.orbit_space(n, rank, budget)
     return budget
 
 
@@ -79,21 +69,20 @@ def _check_out(path):
     """--out must name a file in an existing, writable directory."""
     folder = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
-        raise ValidationError("--out %s is a directory" % path)
+        raise DomainError("--out %s is a directory" % path)
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
-        raise ValidationError("--out %s: %s is not a writable directory"
-                              % (path, folder))
+        raise DomainError("--out %s: %s is not a writable directory"
+                          % (path, folder))
 
 
 # --------------------------------------------------------------------------
 # subcommand handlers: each returns a plain result dict
 
 def _cmd_census(args):
-    F = _validated(ffpoly.field_from_spec, args.q)
+    F = ffpoly.field_from_spec(args.q)
     if F.k != 1:
-        raise ValidationError("census runs over prime fields")
-    rep = _validated(census.run_census, F.p, args.d, args.mode, args.n,
-                     args.seed)
+        raise DomainError("census runs over prime fields")
+    rep = census.run_census(F.p, args.d, args.mode, args.n, args.seed)
     return rep.to_json()
 
 
@@ -101,10 +90,9 @@ def _cmd_divisor_count(args):
     try:
         q = ffpoly.Field(int(args.q)).p
     except ValueError:
-        raise ValidationError("divisor-count takes a prime --q")
+        raise DomainError("divisor-count takes a prime --q")
     if q == 2:
-        raise ValidationError("characteristic 2 is outside the domain")
-    _validated(census.exhaustive_space, q, args.d)
+        raise DomainError("characteristic 2 is outside the domain")
     rep = census.singular_divisor_count(q, args.d, seed=args.seed,
                                         direct_samples=args.samples)
     return rep.to_json()
@@ -140,19 +128,7 @@ def _cmd_tate(args):
 
 
 def _cmd_lfunction(args):
-    m = _load_model(args.model)
-    if m.d != 1:
-        raise ValidationError("full L-polynomials are computed for d = 1 "
-                              "only, got d = %d" % m.d)
-    summary = weierstrass.is_minimal(m) and localdata.global_summary(m)
-    if not (summary and weierstrass.is_smooth_surface(m, summary)):
-        raise ValidationError("lfunction needs a minimal model with smooth "
-                              "total space (bad fibers I_1 or II)")
-    try:
-        lfunction.table_size(m.field.q, 5)
-    except ValueError as exc:
-        raise ValidationError("S_5 needs F_{q^5}: %s" % exc)
-    L = lfunction.l_polynomial(m, summary)
+    L = lfunction.l_polynomial(_load_model(args.model))
     out = L.to_json()
     if args.mod is not None:
         coeffs, mult = lfunction.charpoly_mod(L, args.mod)
@@ -166,11 +142,11 @@ def _cmd_average_table(args):
     try:
         ns = [int(x) for x in args.n.split(",")]
     except ValueError:
-        raise ValidationError("--n takes comma-separated integers, got %r"
-                              % args.n)
+        raise DomainError("--n takes comma-separated integers, got %r"
+                          % args.n)
     for n in ns:
         if n < 1:
-            raise ValidationError("n must be >= 1")
+            raise DomainError("n must be >= 1")
         if args.d == 1:
             _budget(args, n)
     rows = []
@@ -186,7 +162,7 @@ def _cmd_average_table(args):
 
 
 def _cmd_model_gen(args):
-    F = _validated(ffpoly.field_from_spec, args.q)
+    F = ffpoly.field_from_spec(args.q)
     models = census.random_models(F, args.d, SplitMix64(args.seed), args.count,
                                   minimal=args.minimal, smooth=args.smooth)
     return {"models": [m.to_json() for m in models]}
@@ -292,8 +268,8 @@ def main(argv=None):
         if args.out is not None:
             _check_out(args.out)
         result = args.func(args)
-    except ValidationError as exc:
-        print("validation error: %s" % exc, file=sys.stderr)
+    except DomainError as exc:
+        print("domain error: %s" % exc, file=sys.stderr)
         return 2
     except (ValueError, ZeroDivisionError, OSError, AssertionError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from . import DomainError
 from .rng import SplitMix64
 
 
@@ -45,9 +46,9 @@ class Field:
 
     def __init__(self, p, k=1):
         if not _is_prime(p):
-            raise ValueError("p must be prime, got %r" % (p,))
+            raise DomainError("p must be prime, got %r" % (p,))
         if not 1 <= k <= 16:
-            raise ValueError("extension degree must be in [1, 16]")
+            raise DomainError("extension degree must be in [1, 16]")
         self.p = self.characteristic = self.q = p
         self.k = 1
         self.base = self.modulus = None
@@ -199,18 +200,17 @@ def field_make(p, k=1):
     """Public field constructor.  Characteristics 2 and 3 are rejected:
     the local classification tables downstream assume p >= 5."""
     if p in (2, 3):
-        raise ValueError("characteristic %d not supported (need p >= 5)" % p)
-    if not _is_prime(p):
-        raise ValueError("p = %r is not prime" % (p,))
+        raise DomainError("characteristic %d not supported (need p >= 5)" % p)
     return Field(p, k)
 
 
 def field_from_spec(spec):
     """Parse a "p" or "p^k" field spec string."""
-    if "^" in spec:
-        ps, ks = spec.split("^", 1)
-        return field_make(int(ps), int(ks))
-    return field_make(int(spec))
+    try:
+        parts = [int(x) for x in spec.split("^", 1)]
+    except ValueError:
+        raise DomainError("field spec must be p or p^k, got %r" % (spec,))
+    return field_make(*parts)
 
 
 class UniPoly:
@@ -342,12 +342,12 @@ class UniPoly:
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a
 
-    def derivative(self):
+    def hasse(self, j):
+        """Hasse derivative D^(j): t^m -> C(m, j) t^(m-j), D^(1) = d/dt; in any
+        characteristic, (t - a)^k | f iff D^(0..k-1) f all vanish at a."""
         F = self.field
-        out = []
-        for i, c in enumerate(self.coeffs[1:], start=1):
-            out.append(F.mul(F.from_int(i), c))
-        return UniPoly(F, out)
+        return UniPoly(F, [F.mul(F.from_int(math.comb(m, j)), c)
+                           for m, c in enumerate(self.coeffs[j:], start=j)])
 
     def evaluate(self, x):
         F = self.field
@@ -452,7 +452,7 @@ def is_squarefree(f):
     means f is a p-th power, which the gcd criterion also catches."""
     if f.is_zero():
         raise ValueError("squarefreeness undefined for the zero polynomial")
-    return f.gcd(f.derivative()).is_constant()
+    return f.gcd(f.hasse(1)).is_constant()
 
 
 def factor(f, seed=0x5EED):
@@ -478,7 +478,7 @@ def factor(f, seed=0x5EED):
         while True:
             if g.is_constant():
                 return
-            d = g.derivative()
+            d = g.hasse(1)
             if d.is_zero():
                 # g = h(x^p); p-th root the coefficients
                 root_coeffs = []
@@ -540,9 +540,6 @@ def factor(f, seed=0x5EED):
     result = [(UniPoly(F, list(k)), m) for k, m in out.items()]
     result.sort(key=lambda fm: (fm[0].degree(), fm[0].coeffs))
     return result
-
-
-INFINITY = "infinity"
 
 
 class Place:

@@ -14,6 +14,7 @@ from math import gcd
 
 import numpy as np
 
+from . import DomainError
 from .rng import SplitMix64
 
 DEFAULT_BUDGET = 1 << 26
@@ -84,7 +85,7 @@ def selmer_lattice(d):
     """U^(2d-2) + (-E8)^d, rank 12d-4, for d >= 2; d = 1 is the E8 route
     (weyl_e8_orbits)."""
     if d < 2:
-        raise ValueError("d >= 2 required; for d = 1 use weyl_e8_orbits")
+        raise DomainError("d >= 2 required; for d = 1 use weyl_e8_orbits")
     blocks = [hyperbolic_gram()] * (2 * d - 2) + [-e8_gram()] * d
     r = 12 * d - 4
     g = np.zeros((r, r), dtype=np.int64)
@@ -105,7 +106,7 @@ class QuadraticModule:
 
     def __init__(self, lat, n):
         if n < 1:
-            raise ValueError("modulus must be >= 1")
+            raise DomainError("modulus must be >= 1")
         self.lattice = lat
         self.gram = lat.gram
         self.rank = lat.rank
@@ -246,7 +247,7 @@ def orbit_space(n, r, budget):
     """Size n^r of (Z/nZ)^r; raises past the budget."""
     total = n ** r
     if total > budget:
-        raise ValueError("n^r = %d exceeds budget %d" % (total, budget))
+        raise DomainError("n^r = %d exceeds budget %d" % (total, budget))
     return total
 
 

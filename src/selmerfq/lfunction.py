@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from . import ffpoly, localdata, weierstrass
+from . import DomainError, ffpoly, localdata, weierstrass
 
 _TABLE_BUDGET = 1 << 24
 
@@ -31,7 +31,7 @@ def table_size(q, e):
     """q^e, the entries of an F_{q^e} table; raises past the 2^24 budget."""
     Q = q ** e
     if Q > _TABLE_BUDGET:
-        raise ValueError("q^e = %d exceeds table budget 2^24" % Q)
+        raise DomainError("q^e = %d exceeds table budget 2^24" % Q)
     return Q
 
 
@@ -111,7 +111,7 @@ def surface_point_count(m, e):
     one FFT cross-correlation of chi with the value counts of v^3 + eps v.
     """
     if m.field.k != 1:
-        raise ValueError("extension counting assumes a prime base field")
+        raise DomainError("extension counting assumes a prime base field")
     E = ExtField(m.field.p, e)
     Q = E.Q
     elts = np.arange(Q, dtype=np.int64)
@@ -171,7 +171,7 @@ def surface_point_count_slow(m, e):
     """Pure-Python oracle for small q^e: identical totals, no tables.
     Prime-field coefficients are the same integers in F_{p^e}."""
     if m.field.k != 1:
-        raise ValueError("extension counting assumes a prime base field")
+        raise DomainError("extension counting assumes a prime base field")
     F = ffpoly.Field(m.field.p, e)
     forms = [ffpoly.BinaryForm(F, f.degree, f.coeffs)
              for f in (m.a2, m.a4, m.a6)]
@@ -193,9 +193,9 @@ def frobenius_traces(m, m_max, summary=None):
     section) in H^2, and H^4.  Smoothness is read off `summary`, as in
     weierstrass.is_smooth_surface."""
     if m.d < 1:
-        raise ValueError("d >= 1 required")
+        raise DomainError("d >= 1 required")
     if not weierstrass.is_smooth_surface(m, summary):
-        raise ValueError("smooth model required (integral fibers)")
+        raise DomainError("smooth total space required: bad fibers I_1 or II")
     q = m.field.q
     out = []
     for e in range(1, m_max + 1):
@@ -310,7 +310,7 @@ def _predicted_power_sum(coeffs, power_sums, k):
                                 for i in range(1, k))
 
 
-def l_polynomial(m, summary=None):
+def l_polynomial(m):
     """Integral L-polynomial of a smooth d = 1 model.
 
     c_1..c_4 come from Newton's identities on S_1..S_4.  The sign eps of
@@ -320,13 +320,13 @@ def l_polynomial(m, summary=None):
     the counted S_5.  LPolynomial then checks purity by exact cyclotomic
     division.  Point counts run over F_{q^e} for e <= 5 only, so q^5 must
     fit the table budget (q <= 27).  Smoothness and eps share one
-    `summary` = localdata.global_summary(m), the caller's if given.
+    `summary` = localdata.global_summary(m).
     """
     if m.d != 1:
-        raise ValueError("full L-polynomials are computed for d = 1 only")
+        raise DomainError("full L-polynomials are computed for d = 1 only")
     q = m.field.q
     table_size(q, 5)
-    summary = summary or localdata.global_summary(m)
+    summary = localdata.global_summary(m)
     S = frobenius_traces(m, 5, summary)
     c = _newton_coeffs(S[:4], 4)
     eps = localdata.root_number(m, summary)
@@ -346,7 +346,7 @@ def charpoly_mod(L, n):
     polynomial does not determine the module structure of ker(Frob - 1).
     """
     if math.gcd(L.q, n) != 1:
-        raise ValueError("gcd(q, n) = 1 required")
+        raise DomainError("gcd(q, n) = 1 required")
     coeffs = [c % n for c in L.coeffs]
     mult = 0
     work = coeffs

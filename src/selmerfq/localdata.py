@@ -10,7 +10,7 @@ character and root-count computations in the residue field kappa(v).
 Component counts come from Ogg's relation ord_disc = f_v + m_v - 1.
 """
 
-from . import weierstrass
+from . import DomainError, weierstrass
 from .ffpoly import UniPoly, ord_at
 from .weierstrass import bad_places
 
@@ -68,24 +68,16 @@ class GlobalLocalSummary:
         self.disc_degree_check = (total == 12 * model.d)
 
 
-def _check_preconditions(m, v):
-    if m.field.characteristic < 5:
-        raise ValueError("local classification needs p >= 5")
-    o2 = None if m.a2.is_zero() else ord_at(m.a2, v)
-    o4 = None if m.a4.is_zero() else ord_at(m.a4, v)
-    o6 = None if m.a6.is_zero() else ord_at(m.a6, v)
-    if (o2 is None or o2 >= 2) and (o4 is None or o4 >= 4) \
-            and (o6 is None or o6 >= 6):
-        raise ValueError("minimalize first")
-
-
 def _coeff(poly, i):
     return poly.coeffs[i] if i <= poly.degree() else poly.field.zero
 
 
 def local_data_at(m, v):
-    """PlaceData at v for a model minimal at v, p >= 5."""
-    _check_preconditions(m, v)
+    """PlaceData at v for a model minimal at v, p >= 5.  Non-minimality at
+    v (ord_v a2, a4, a6 >= 2, 4, 6) gives ord_v Delta >= 12, ord_v c4 >= 4,
+    which no type below matches: the final "minimalize first" fires."""
+    if m.field.characteristic < 5:
+        raise DomainError("local classification needs p >= 5")
     disc = weierstrass.discriminant(m)
     delta = ord_at(disc, v)
     if delta == 0:
@@ -138,7 +130,7 @@ def local_data_at(m, v):
         return PlaceData(v, "III*", 9, 2, 8, 2)
     if delta == 10:
         return PlaceData(v, "II*", 10, 2, 9, 1)
-    raise ValueError("minimalize first")
+    raise DomainError("minimalize first")
 
 
 def _expand_all(m, v, nterms):
@@ -174,7 +166,7 @@ def _istar_tamagawa(K, A2, A4, A6, n):
     double root, then walk the even/odd quadratic tests.
     """
     P = UniPoly(K, [_coeff(A6, 3), _coeff(A4, 2), _coeff(A2, 1), K.one])
-    g = P.gcd(P.derivative())
+    g = P.gcd(P.hasse(1))
     if g.degree() != 1:
         raise ValueError("I_n* place without a residual double root: "
                          "deg gcd(P, P') = %d" % g.degree())
@@ -234,7 +226,7 @@ def root_number(m, summary=None):
         elif pd.kodaira == "II":
             w *= (-1) ** ((q - 1) // 2 * pd.place.degree())
         else:
-            raise ValueError("root number needs I_1 or II fibers, found %s"
+            raise DomainError("root number needs I_1 or II fibers, found %s"
                              % pd.kodaira)
     return w
 

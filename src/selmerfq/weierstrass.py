@@ -9,7 +9,7 @@ action on equations and its stabilizers, torsion-section search at levels
 
 import itertools
 
-from . import ffpoly
+from . import DomainError, ffpoly
 from .ffpoly import BinaryForm, Place, UniPoly, factor, ord_at
 
 
@@ -21,7 +21,7 @@ class WeierstrassModel:
 
     def __init__(self, field, d, a2, a4, a6):
         if (a2.degree, a4.degree, a6.degree) != (2 * d, 4 * d, 6 * d):
-            raise ValueError("coefficient form degrees must be (2d, 4d, 6d)")
+            raise DomainError("coefficient form degrees must be (2d, 4d, 6d)")
         self.field = field
         self.d = d
         self.a2 = a2
@@ -29,7 +29,7 @@ class WeierstrassModel:
         self.a6 = a6
         self._disc = _disc_form(a2, a4, a6)
         if self._disc.is_zero():
-            raise ValueError("singular generic fiber (discriminant is zero)")
+            raise DomainError("singular generic fiber (discriminant is zero)")
 
     def __eq__(self, other):
         return (
@@ -64,8 +64,8 @@ class WeierstrassModel:
         forms = []
         for name, degree in (("a2", 2 * d), ("a4", 4 * d), ("a6", 6 * d)):
             if not all(type(c) is int and 0 <= c < F.q for c in obj[name]):
-                raise ValueError("%s must hold element codes in [0, %d), got %r"
-                                 % (name, F.q, obj[name]))
+                raise DomainError("%s must hold element codes in [0, %d), "
+                                  "got %r" % (name, F.q, obj[name]))
             forms.append(BinaryForm(F, degree, obj[name]))
         return cls(F, d, *forms)
 
@@ -85,10 +85,7 @@ def _disc_form(a2, a4, a6):
 
 
 def discriminant(m):
-    """The degree-12d discriminant form; raises on a singular generic fiber
-    (which the model constructor already forbids)."""
-    if m._disc.is_zero():
-        raise ValueError("singular generic fiber")
+    """The degree-12d discriminant form, nonzero by construction."""
     return m._disc
 
 
@@ -119,29 +116,25 @@ def c6_form(m):
 
 
 def minimality_of_forms(field, d, a2, a4, a6):
-    """Minimality predicate on raw coefficient forms: no place v with
-    ord_v(a2) >= 2, ord_v(a4) >= 4, ord_v(a6) >= 6 (vanishing forms count
-    as infinitely divisible).  Works without assuming a nonzero
-    discriminant, which the census enumeration needs."""
+    """Minimality predicate on raw coefficient forms, nonzero discriminant
+    not assumed: no place v with ord_v(a2) >= 2, ord_v(a4) >= 4,
+    ord_v(a6) >= 6 (vanishing forms count as infinitely divisible).  As in
+    census.classify, v^k | f iff v divides D^(0..k-1) f: no finite v
+    qualifies iff gcd(D^(0..1) a2, D^(0..3) a4, D^(0..5) a6) is a nonzero
+    constant, and infinity does not iff a top 2, 4, 6 coefficient is not 0."""
     if d == 0:
         return True
-
-    pattern = ((a6, 6), (a4, 4), (a2, 2))
-    # candidate places come from the first nonzero form in the pattern:
-    # v^6 | a6 forces deg v <= d, etc.
-    for form, k in pattern:
-        if not form.is_zero():
-            break
-    else:
-        return False  # all forms vanish; every place witnesses non-minimality
-    ft = form.dehomog_t()
-    candidates = [] if ft.is_constant() else \
-        [Place(f) for f, mult in factor(ft) if mult >= k]
-    candidates.append(Place.infinity())
-    for v in candidates:
-        if all(g.is_zero() or ord_at(g, v) >= e for g, e in pattern):
-            return False
-    return True
+    pattern = ((a2, 2), (a4, 4), (a6, 6))
+    if not any(c != field.zero for f, k in pattern for c in f.coeffs[-k:]):
+        return False
+    g = UniPoly.zero(field)
+    for f, k in pattern:
+        ft = f.dehomog_t()
+        for j in range(k):
+            g = g.gcd(ft.hasse(j))
+            if g.degree() == 0:
+                return True
+    return False
 
 
 def is_minimal(m):
@@ -182,7 +175,7 @@ class GroupElement:
 
     def __init__(self, r, lam):
         if lam == r.field.zero:
-            raise ValueError("lambda must be nonzero")
+            raise DomainError("lambda must be nonzero")
         self.r = r
         self.lam = lam
 
@@ -255,8 +248,6 @@ def is_smooth_surface(m, summary=None):
     """True iff the total space is smooth, equivalently every bad fiber has
     Kodaira type I_1 or II in `summary` (default global_summary(m))."""
     from . import localdata
-    if not is_minimal(m):
-        raise ValueError("minimalize first")
     summary = summary or localdata.global_summary(m)
     return all(pd.kodaira in ("I_1", "II") for pd in summary.places)
 
@@ -309,7 +300,7 @@ def _fiber_multiple_root(m, v):
     K, A2u, A4u, A6u = _local_coeff_polys(m, v, nterms=1)
     a2c, a4c, a6c = A2u[0], A4u[0], A6u[0]
     cubic = UniPoly(K, [a6c, a4c, a2c, K.one])
-    g = cubic.gcd(cubic.derivative())
+    g = cubic.gcd(cubic.hasse(1))
     if g.is_constant():
         return None
     if g.degree() == 1:
@@ -331,12 +322,12 @@ def torsion_section_search(m, n):
     Candidates come from interpolation through 2d+1 base-field nodes.
     """
     if n not in (2, 3):
-        raise ValueError("torsion search supports n in {2, 3}")
+        raise DomainError("torsion search supports n in {2, 3}")
     F = m.field
     d = m.d
     npts = 2 * d + 1
     if F.q < npts:
-        raise ValueError("base field too small for interpolation nodes")
+        raise DomainError("base field too small for interpolation nodes")
     nodes = range(npts)  # the first 2d + 1 element codes, all distinct
     A2t, A4t, A6t = (m.a2.dehomog_t(), m.a4.dehomog_t(), m.a6.dehomog_t())
 
@@ -354,10 +345,11 @@ def torsion_section_search(m, n):
             return []
         per_node.append(roots)
 
+    basis = _lagrange_basis(F, nodes)
     sections = []
     seen = set()
     for combo in itertools.product(*per_node):
-        r = _lagrange(F, nodes, combo)
+        r = sum((L.scale(y) for L, y in zip(basis, combo)), UniPoly.zero(F))
         if r.degree() > 2 * d or r.coeffs in seen:
             continue
         # exact check: substitute r into the target polynomial
@@ -406,17 +398,18 @@ def _subst_x(coeffs_in_x, r):
     return out
 
 
-def _lagrange(F, nodes, values):
-    out = UniPoly.zero(F)
-    for i, (xi, yi) in enumerate(zip(nodes, values)):
-        num = UniPoly.const(F, yi)
+def _lagrange_basis(F, nodes):
+    """The L_i with L_i(nodes[j]) = [i == j]; sum y_i L_i interpolates y."""
+    basis = []
+    for xi in nodes:
+        num = UniPoly.const(F, F.one)
         den = F.one
-        for j, xj in enumerate(nodes):
-            if j != i:
+        for xj in nodes:
+            if xj != xi:
                 num = num * UniPoly(F, [F.neg(xj), F.one])
                 den = F.mul(den, F.sub(xi, xj))
-        out = out + num.scale(F.inv(den))
-    return out
+        basis.append(num.scale(F.inv(den)))
+    return basis
 
 
 def _poly_sqrt(f, half_degree):
@@ -442,7 +435,7 @@ def random_model(field, d, rng, minimal=False, smooth=False):
     """Seeded random model of height d; optionally resample until minimal
     and/or smooth.  rng is a SplitMix64."""
     if d < 0:
-        raise ValueError("height d must be >= 0, got %r" % (d,))
+        raise DomainError("height d must be >= 0, got %r" % (d,))
     while True:
         a2 = BinaryForm(field, 2 * d, [field.random(rng) for _ in range(2 * d + 1)])
         a4 = BinaryForm(field, 4 * d, [field.random(rng) for _ in range(4 * d + 1)])

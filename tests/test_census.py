@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -346,6 +347,16 @@ def test_random_models_prime_power_field():
     assert models == [weierstrass.random_model(F, 1, oracle, minimal=True)
                       for _ in range(3)]
     assert rng.state == oracle.state
+
+
+def test_random_models_extension_field_large_height():
+    # minimality by Hasse-derivative gcds, without factoring: one minimal
+    # model over F_25 at d = 16 took about 40 s when each draw was factored
+    t0 = time.perf_counter()
+    (m,) = census.random_models(Field(5, 2), 16, SplitMix64(0), 1,
+                                minimal=True)
+    assert time.perf_counter() - t0 < 10
+    assert weierstrass.is_minimal(m) and m.d == 16
 
 
 def test_random_models_smooth_implies_minimal():

@@ -157,27 +157,48 @@ def test_computation_error_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_lfunction_outside_domain_exits_2(tmp_path, capsys):
+    smooth_q5 = _first_model(["model-gen", "--q", "5", "--d", "1", "--minimal",
+                              "--smooth", "--seed", "3"], capsys)
     cases = [
         # d = 2: a K3 surface, whose L-polynomial is not computed
         ("d = 1 only", _first_model(["model-gen", "--q", "5", "--d", "2",
-                                     "--minimal", "--smooth"], capsys)),
+                                     "--minimal", "--smooth"], capsys), []),
         # minimal, with a bad fiber beyond I_1 and II
         ("smooth total space", _first_model(
             ["model-gen", "--q", "5", "--d", "1", "--minimal", "--count",
-             "40", "--seed", "3"], capsys)),
+             "40", "--seed", "3"], capsys), []),
         # y^2 = x^3 + t^3: I_0* fibers at 0 and infinity
         ("smooth total space",
          {"p": 5, "k": 1, "d": 1, "a2": [0, 0, 0], "a4": [0, 0, 0, 0, 0],
-          "a6": [0, 0, 0, 1, 0, 0, 0]}),
+          "a6": [0, 0, 0, 1, 0, 0, 0]}, []),
+        # smooth, but the point counts need a prime base field
+        ("prime base field", _first_model(
+            ["model-gen", "--q", "5^2", "--d", "1", "--minimal", "--smooth"],
+            capsys), []),
+        # L mod n needs n prime to q
+        ("gcd(q, n) = 1", smooth_q5, ["--mod", "5"]),
     ]
-    for message, model in cases:
+    for message, model, extra in cases:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model))
-        code = cli.main(["lfunction", "--model", str(path)])
+        code = cli.main(["lfunction", "--model", str(path)] + extra)
         captured = capsys.readouterr()
         assert code == 2, message
         assert captured.out == ""
         assert message in captured.err
+
+
+def test_tate_non_minimal_exits_2(tmp_path, capsys):
+    # (t^2, t^4, t^6) is not minimal at t = 0
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"p": 5, "k": 1, "d": 1, "a2": [0, 0, 1],
+                                "a4": [0, 0, 0, 0, 1],
+                                "a6": [0, 0, 0, 0, 0, 0, 1]}))
+    code = cli.main(["tate", "--model", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "minimalize first" in captured.err
 
 
 @pytest.mark.parametrize("command", ["tate", "lfunction"])

@@ -9,9 +9,9 @@ from selmerfq.rng import SplitMix64
 from selmerfq.weierstrass import (GroupElement, WeierstrassModel, act,
                                   c4_form, c6_form, compose, discriminant,
                                   f7_example_model, is_minimal,
-                                  minimality_bruteforce, random_model,
-                                  singular_surface_points, stabilizer_order,
-                                  torsion_section_search)
+                                  minimality_bruteforce, minimality_of_forms,
+                                  random_model, singular_surface_points,
+                                  stabilizer_order, torsion_section_search)
 
 
 def _model(F, d, a2, a4, a6):
@@ -129,20 +129,29 @@ def test_extra_symmetry_stabilizer():
     assert stabilizer_order(m) == 4
 
 
-def test_minimality_matches_bruteforce():
-    F = field_make(5)
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("F", [field_make(5), field_make(5, 2)], ids=repr)
+def test_minimality_matches_bruteforce(F, d):
+    # sparse forms in powers of t - a for a random a: most coefficients are
+    # zero, so some draws are non-minimal at t = a or at infinity
     rng = SplitMix64(16)
     seen_nonminimal = 0
-    for _ in range(40):
-        m = random_model(F, 1, rng)
-        bf = minimality_bruteforce(F, 1, m.a2, m.a4, m.a6)
-        assert is_minimal(m) == bf
+    for _ in range(80):
+        shift = UniPoly(F, [F.neg(F.random(rng)), F.one])
+        forms = []
+        for degree in (2 * d, 4 * d, 6 * d):
+            f = UniPoly.zero(F)
+            for _ in range(degree + 1):
+                c = F.random(rng) if rng.below(6) == 0 else F.zero
+                f = f * shift + UniPoly.const(F, c)
+            forms.append(BinaryForm.from_unipoly(f, degree))
+        bf = minimality_bruteforce(F, d, *forms)
+        assert minimality_of_forms(F, d, *forms) == bf
         seen_nonminimal += not bf
+    assert 10 <= seen_nonminimal < 60
     # force a non-minimal model: (a2, a4, a6) scaled by (t^2, t^4, t^6)
     t = UniPoly.x(F)
-    one = UniPoly.const(F, F.one)
-    m = _model(F, 1, t * t, t * t * t * t,
-               (t * t * t) * (t * t * t) + UniPoly.zero(F))
+    m = _model(F, 1, t * t, t * t * t * t, (t * t * t) * (t * t * t))
     assert not is_minimal(m)
     assert not minimality_bruteforce(F, 1, m.a2, m.a4, m.a6)
 
