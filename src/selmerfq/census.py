@@ -225,36 +225,24 @@ def random_models(F, d, rng, count, minimal=False, smooth=False):
 
 
 # ---------------------------------------------------------------------------
-# Taylor jets at the q + 1 degree-1 places (pure linear algebra, so it runs
-# even at p = 3).  For d = 1 the non-minimal locus and the incidence mask are
-# unions over places of block products on the a6, a4, a2 digit blocks of
-# q^7, q^5, q^3 vectors: a tuple is non-minimal at v iff a2, a4, a6 lie in
-# the kernels of their first 2, 4, 6 Taylor functionals at v.
-
-def _taylor_functional(length, alpha, j, p):
-    """Row vector of the functional 'j-th Taylor coefficient at alpha' on a
-    coefficient block of `length` entries, via binomials mod p."""
-    row = [0] * length
-    for m in range(j, length):
-        row[m] = (math.comb(m, j) * pow(int(alpha), m - j, p)) % p
-    return row
-
-
-def _infinity_functional(length, j):
-    """Coefficient of s^j in the s-chart: the (length-1-j)-th entry."""
-    row = [0] * length
-    row[length - 1 - j] = 1
-    return row
-
+# Hasse-derivative jets at the q + 1 degree-1 places (pure linear algebra,
+# so it runs even at p = 3).  For d = 1 the non-minimal locus and the
+# incidence mask are unions over places of block products on the a6, a4, a2
+# digit blocks of q^7, q^5, q^3 vectors: a tuple is non-minimal at v iff the
+# first 2, 4, 6 jet coefficients of a2, a4, a6 at v all vanish.
 
 def _jets(length, tp, q, k):
-    """The first k Taylor coefficients at the t-point tp (alpha in F_q, or
-    'inf') of every digit vector of one block, first digit fastest, as a
-    (q^length, k) array mod q."""
-    rows = [_infinity_functional(length, j) if tp == "inf" else
-            _taylor_functional(length, tp, j, q) for j in range(k)]
+    """The first k Taylor coefficients D^(j) f(alpha), j < k, at the t-point
+    tp (alpha in F_q, or 'inf': the reversed digits at 0, as in
+    `singular_branches`) of every digit vector of one block, first digit
+    fastest, as a (q^length, k) array mod q; BinaryForm.jet, batched."""
     digits = np.arange(q ** length)[:, None] // q ** np.arange(length) % q
-    return digits @ np.array(rows).T % q
+    if tp == "inf":
+        digits, tp = digits[:, ::-1], 0
+    return np.stack([ffpoly.rows_hasse(digits, j, q)
+                     @ np.array([pow(tp, m, q) for m in range(length - j)],
+                                dtype=np.int64) % q
+                     for j in range(k)], axis=1)
 
 
 def exhaustive_minimality(q, d=1):
@@ -370,7 +358,12 @@ def incidence_mask(q, d=1):
             target = -(x0 ** 3 + V2 * x0 * x0 + V4 * x0) % q \
                 + q * (-(D2 * x0 * x0 + D4 * x0) % q)
             marks[target[i4, i2], i4, i2] = True
-        mask |= marks[V6 + q * D6]
+        # OR the lookup in slices of the a6 block, so the temporary stays
+        # 1/q^2 of the mask
+        lookup = V6 + q * D6
+        step = q ** (l6 - 2)
+        for lo in range(0, q ** l6, step):
+            mask[lo:lo + step] |= marks[lookup[lo:lo + step]]
     return mask.reshape(-1)
 
 

@@ -356,29 +356,6 @@ class UniPoly:
             out = F.add(F.mul(out, x), c)
         return out
 
-    def taylor_at(self, tau, nterms=None):
-        """Coefficients of self(tau + u), by repeated synthetic division
-        by (t - tau).  tau lives in self.field."""
-        n = len(self.coeffs) if nterms is None else nterms
-        F = self.field
-        cs = list(self.coeffs)
-        out = []
-        for _ in range(n):
-            if not cs:
-                out.append(F.zero)
-                continue
-            rem = F.zero
-            quot = [F.zero] * (len(cs) - 1)
-            for i in range(len(cs) - 1, -1, -1):
-                if i < len(cs) - 1:
-                    quot[i] = rem
-                rem = F.add(F.mul(rem, tau), cs[i])
-            out.append(rem)
-            cs = quot
-            while cs and cs[-1] == F.zero:
-                cs.pop()
-        return out
-
     # -- modular exponentiation helpers --
 
     def powmod(self, e, mod):
@@ -411,19 +388,6 @@ class UniPoly:
             if not g.is_constant():
                 return False
         return True
-
-    def roots(self):
-        """Roots in the coefficient field, without multiplicity."""
-        F = self.field
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        x = UniPoly.x(F)
-        g = (x.powmod(F.q, self) - (x % self)).gcd(self)
-        out = []
-        for fac, _ in factor(g):
-            if fac.degree() == 1:
-                out.append(F.neg(F.mul(fac.coeffs[0], F.inv(fac.coeffs[1]))))
-        return sorted(out)
 
     def count_roots(self):
         """Number of distinct roots in the coefficient field."""
@@ -644,6 +608,20 @@ class BinaryForm:
                 out = F.add(out, F.mul(F.mul(c, tp), spows[self.degree - j]))
             tp = F.mul(tp, t0)
         return out
+
+    def jet(self, v, n):
+        """(kappa(v), [c_0, ..., c_(n-1)]), the first n Taylor coefficients
+        at the place v.  At a finite place c_j = D^(j) f(1, t) at the image
+        tau of t, the Hasse derivative taken over the base field and
+        evaluated in kappa(v); at infinity c_j is the s^j coefficient of
+        f(s, 1)."""
+        if v.is_infinity:
+            cs = list(self.coeffs[::-1][:n])
+            return self.field, cs + [self.field.zero] * (n - len(cs))
+        K, tau = v.residue_field()
+        ft = self.dehomog_t()
+        return K, [UniPoly(K, ft.hasse(j).coeffs).evaluate(tau)
+                   for j in range(n)]
 
     def __add__(self, other):
         if self.degree != other.degree:

@@ -121,7 +121,7 @@ def surface_point_count(m, e):
         acc = np.full(Q, form.coeffs[-1], dtype=np.int64)
         for c in reversed(form.coeffs[:-1]):
             acc = E.add(E.mul(acc, elts), np.int64(c))
-        return np.append(acc, form.dehomog_s().evaluate(m.field.zero))
+        return np.append(acc, form.coeffs[-1])
 
     A2, A4, A6 = (evaluate(f) for f in (m.a2, m.a4, m.a6))
     # depress: x -> u - a2/3 turns the cubic into u^3 + A u + B with
@@ -158,7 +158,9 @@ def surface_point_count(m, e):
         cols = eps_idx == k
         fiber[cols] += sgn[cols] * h_int[Bp[cols]]
 
-    sing = evaluate(weierstrass.discriminant(m)) == 0
+    # singular fibers: the depressed cubic's discriminant -16(4A^3 + 27B^2)
+    sing = E.add(E.mul(np.int64(F1.from_int(4)), E.mul(A, E.mul(A, A))),
+                 E.mul(np.int64(F1.from_int(27)), E.mul(B, B))) == 0
     hasse = math.isqrt(4 * Q)
     if np.any(np.abs(fiber[~sing] - (Q + 1)) > hasse):
         raise ValueError("Hasse bound violated at q^e = %d" % Q)

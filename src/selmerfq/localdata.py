@@ -12,7 +12,7 @@ Component counts come from Ogg's relation ord_disc = f_v + m_v - 1.
 
 from . import DomainError, weierstrass
 from .ffpoly import UniPoly, ord_at
-from .weierstrass import bad_places
+from .weierstrass import bad_places, translate_x
 
 
 class PlaceData:
@@ -73,7 +73,9 @@ def _coeff(poly, i):
 
 
 def local_data_at(m, v):
-    """PlaceData at v for a model minimal at v, p >= 5.  Non-minimality at
+    """PlaceData at v for a model minimal at v, p >= 5.  Additive types are
+    read off the Hasse-derivative jets of a2, a4, a6 at v (BinaryForm.jet),
+    x-translated to the triple root of the reduced cubic.  Non-minimality at
     v (ord_v a2, a4, a6 >= 2, 4, 6) gives ord_v Delta >= 12, ord_v c4 >= 4,
     which no type below matches: the final "minimalize first" fires."""
     if m.field.characteristic < 5:
@@ -88,8 +90,7 @@ def local_data_at(m, v):
 
     if vc4 == 0:
         # multiplicative: split iff -c6 is a square in kappa(v)
-        K = m.field if v.is_infinity else v.residue_field()[0]
-        c6res = _residue_of_form(weierstrass.c6_form(m), v)
+        K, (c6res,) = weierstrass.c6_form(m).jet(v, 1)
         split = K.chi(K.neg(c6res)) == 1
         if split:
             c = delta
@@ -99,10 +100,11 @@ def local_data_at(m, v):
 
     # additive; expand in the local coordinate and translate x by the
     # triple root of the reduced cubic
-    nterms = delta + 4
-    K, (A2, A4, A6) = _expand_all(m, v, nterms)
-    x0 = K.neg(K.mul(A2.evaluate(K.zero), K.inv(K.from_int(3))))
-    A2, A4, A6 = _translate_x(K, A2, A4, A6, UniPoly.const(K, x0))
+    (K, A2), (_, A4), (_, A6) = (f.jet(v, delta + 4)
+                                 for f in (m.a2, m.a4, m.a6))
+    x0 = K.neg(K.mul(A2[0], K.inv(K.from_int(3))))
+    A2, A4, A6 = translate_x(*(UniPoly(K, f) for f in (A2, A4, A6)),
+                             UniPoly.const(K, x0))
 
     if vc4 == 2 and delta >= 7:
         n = delta - 6
@@ -123,7 +125,7 @@ def local_data_at(m, v):
     if delta == 8:
         # IV*: re-center at the triple root of the residual cubic first
         t0 = K.neg(K.mul(_coeff(A2, 1), K.inv(K.from_int(3))))
-        A2, A4, A6 = _translate_x(K, A2, A4, A6, UniPoly(K, [K.zero, t0]))
+        A2, A4, A6 = translate_x(A2, A4, A6, UniPoly(K, [K.zero, t0]))
         c = 3 if K.chi(_coeff(A6, 4)) == 1 else 1
         return PlaceData(v, "IV*", 8, 2, 7, c)
     if delta == 9:
@@ -131,31 +133,6 @@ def local_data_at(m, v):
     if delta == 10:
         return PlaceData(v, "II*", 10, 2, 9, 1)
     raise DomainError("minimalize first")
-
-
-def _expand_all(m, v, nterms):
-    K, A2u, A4u, A6u = weierstrass._local_coeff_polys(m, v, nterms)
-    return K, (UniPoly(K, A2u), UniPoly(K, A4u), UniPoly(K, A6u))
-
-
-def _residue_of_form(form, v):
-    """Image of a binary form in kappa(v) (value at the place)."""
-    if v.is_infinity:
-        return form.dehomog_s().evaluate(form.field.zero)
-    K, tau = v.residue_field()
-    return UniPoly(K, form.coeffs).evaluate(tau)
-
-
-def _translate_x(K, A2, A4, A6, r):
-    """Coefficient change of y^2 = x^3 + A2 x^2 + A4 x + A6 under x -> x + r."""
-    three = UniPoly.const(K, K.from_int(3))
-    two = UniPoly.const(K, K.from_int(2))
-    r2 = r * r
-    return (
-        A2 + r * three,
-        A4 + two * r * A2 + three * r2,
-        A6 + r * A4 + r2 * A2 + r2 * r,
-    )
 
 
 def _istar_tamagawa(K, A2, A4, A6, n):
@@ -171,7 +148,7 @@ def _istar_tamagawa(K, A2, A4, A6, n):
         raise ValueError("I_n* place without a residual double root: "
                          "deg gcd(P, P') = %d" % g.degree())
     t0 = K.neg(K.mul(g.coeffs[0], K.inv(g.coeffs[1])))
-    A2, A4, A6 = _translate_x(K, A2, A4, A6, UniPoly(K, [K.zero, t0]))
+    A2, A4, A6 = translate_x(A2, A4, A6, UniPoly(K, [K.zero, t0]))
     a21 = _coeff(A2, 1)
     if a21 == K.zero:
         raise ValueError("I_n* place: a_{2,1} vanishes after re-centering")
@@ -197,7 +174,7 @@ def _istar_tamagawa(K, A2, A4, A6, n):
             shift = K.neg(K.mul(a4c, K.inv(K.mul(K.from_int(2), a21))))
             j = (step + 2) // 2
             r = UniPoly(K, [K.zero] * j + [shift])
-            A2, A4, A6 = _translate_x(K, A2, A4, A6, r)
+            A2, A4, A6 = translate_x(A2, A4, A6, r)
         step += 1
     raise ValueError("I_n* subloop overran n = %d" % n)
 
@@ -239,9 +216,8 @@ def fiber_point_count(m, v):
     good fiber within the Hasse bound; I_n split Q, nonsplit Q + 2; additive
     types exactly Q + 1.
     """
-    K, (A2, A4, A6) = _expand_all(m, v, 1)
-    a2c, a4c, a6c = _coeff(A2, 0), _coeff(A4, 0), _coeff(A6, 0)
-    cubic = UniPoly(K, [a6c, a4c, a2c, K.one])
+    cubic = weierstrass.fiber_cubic(m, v)
+    K = cubic.field
     count = 1
     for x in K.elements():
         count += 1 + K.chi(cubic.evaluate(x))

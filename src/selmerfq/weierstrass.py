@@ -190,23 +190,25 @@ class GroupElement:
         return hash((self.r, self.lam))
 
 
+def translate_x(a2, a4, a6, r):
+    """Coefficients of y^2 = x^3 + a2 x^2 + a4 x + a6 after x -> x + r:
+    a2 + 3r, a4 + 2 r a2 + 3 r^2, a6 + r a4 + r^2 a2 + r^3.  Works on
+    binary forms (r of degree 2d) and on polynomials alike."""
+    c = r.field.from_int
+    r2 = r * r
+    return (a2 + r.scale(c(3)), a4 + (r * a2).scale(c(2)) + r2.scale(c(3)),
+            a6 + r * a4 + r2 * a2 + r2 * r)
+
+
 def act_on_forms(g, a2, a4, a6):
     """Coefficient transform of the equation under g = (r, lambda):
-    a2 -> l^2 (a2 + 3r), a4 -> l^4 (a4 + 2 r a2 + 3 r^2),
-    a6 -> l^6 (a6 + r a4 + r^2 a2 + r^3).  Works on bare forms (no
-    discriminant recomputation), which the census orbit enumeration needs."""
+    translate_x by r, then scale a2, a4, a6 by l^2, l^4, l^6.  Works on bare
+    forms (no discriminant recomputation), which the census orbit
+    enumeration needs."""
     F = a2.field
-    r = g.r
     l2 = F.mul(g.lam, g.lam)
-    l4 = F.mul(l2, l2)
-    l6 = F.mul(l4, l2)
-    three = F.from_int(3)
-    two = F.from_int(2)
-    r2 = r * r
-    a2n = (a2 + r.scale(three)).scale(l2)
-    a4n = (a4 + (r * a2).scale(two) + r2.scale(three)).scale(l4)
-    a6n = (a6 + r * a4 + r2 * a2 + r2 * r).scale(l6)
-    return a2n, a4n, a6n
+    b2, b4, b6 = translate_x(a2, a4, a6, g.r)
+    return b2.scale(l2), b4.scale(F.mul(l2, l2)), b6.scale(F.pow(l2, 3))
 
 
 def act(g, m):
@@ -265,9 +267,9 @@ def singular_surface_points(m):
         x0 = _fiber_multiple_root(m, v)
         if x0 is None:
             continue
-        K, A2u, A4u, A6u = _local_coeff_polys(m, v)
-        # d/du of the chart equation at (x0, y=0, u=0)
-        d2, d4, d6 = A2u[1], A4u[1], A6u[1]
+        # d/du of the chart equation at (x0, y=0, u=0): the u^1 jet terms
+        (K, (_, d2)), (_, (_, d4)), (_, (_, d6)) = (
+            f.jet(v, 2) for f in (m.a2, m.a4, m.a6))
         x0sq = K.mul(x0, x0)
         ft = K.add(K.add(K.mul(d2, x0sq), K.mul(d4, x0)), d6)
         if ft == K.zero:
@@ -275,31 +277,18 @@ def singular_surface_points(m):
     return witnesses
 
 
-def _local_coeff_polys(m, v, nterms=None):
-    """Taylor expansions of (a2, a4, a6) in the local coordinate u at the
-    place v, with coefficients in the residue field kappa(v)."""
-    if nterms is None:
-        nterms = 12 * m.d + 2
-    if v.is_infinity:
-        K = m.field
-        out = []
-        for form in (m.a2, m.a4, m.a6):
-            cs = list(form.dehomog_s().coeffs)
-            cs += [K.zero] * (nterms - len(cs))
-            out.append(cs[:nterms])
-        return K, out[0], out[1], out[2]
-    K, tau = v.residue_field()
-    out = [UniPoly(K, form.coeffs).taylor_at(tau, nterms)
-           for form in (m.a2, m.a4, m.a6)]
-    return K, out[0], out[1], out[2]
+def fiber_cubic(m, v):
+    """The reduced fiber cubic x^3 + a2 x^2 + a4 x + a6 at v, over kappa(v)."""
+    (K, (c2,)), (_, (c4,)), (_, (c6,)) = (f.jet(v, 1)
+                                          for f in (m.a2, m.a4, m.a6))
+    return UniPoly(K, [c6, c4, c2, K.one])
 
 
 def _fiber_multiple_root(m, v):
     """The multiple root x0 of the reduced fiber cubic at v, in kappa(v);
     None if the fiber is smooth (good reduction)."""
-    K, A2u, A4u, A6u = _local_coeff_polys(m, v, nterms=1)
-    a2c, a4c, a6c = A2u[0], A4u[0], A6u[0]
-    cubic = UniPoly(K, [a6c, a4c, a2c, K.one])
+    cubic = fiber_cubic(m, v)
+    K = cubic.field
     g = cubic.gcd(cubic.hasse(1))
     if g.is_constant():
         return None

@@ -15,7 +15,7 @@ from selmerfq.census import (classify, coeff_lengths, exhaustive_minimality,
                              incidence_mask, orbit_stabilizer_audit,
                              run_census, singular_divisor_count,
                              tuple_to_index)
-from selmerfq.ffpoly import (BinaryForm, Field, Place, field_make,
+from selmerfq.ffpoly import (BinaryForm, Field, Place, UniPoly, field_make,
                              is_squarefree, ord_at)
 from selmerfq.rng import SplitMix64
 
@@ -59,15 +59,30 @@ def test_exhaustive_minimality_q3():
 
 
 def test_minimality_routes_cross_check_fires(monkeypatch):
-    # a wrong functional at infinity moves route 1 off the subspace union
-    right = census._infinity_functional
+    # wrong jets at infinity (coefficients 1..k in place of 0..k-1) move
+    # route 1 off the subspace union
+    right = census._jets
 
-    def shifted(length, j):
-        row = right(length, j)
-        return row[1:] + row[:1]
-    monkeypatch.setattr(census, "_infinity_functional", shifted)
+    def shifted(length, tp, q, k):
+        if tp == "inf":
+            return right(length, tp, q, k + 1)[:, 1:]
+        return right(length, tp, q, k)
+    monkeypatch.setattr(census, "_jets", shifted)
     with pytest.raises(ValueError, match="minimality routes disagree"):
         exhaustive_minimality(3, 1)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_jets_match_binary_form_jet(q):
+    # the batched jets of every vector of each block, at all q + 1 places,
+    # equal BinaryForm.jet, with as many terms as exhaustive_minimality uses
+    F = Field(q)
+    places = [(a, Place(UniPoly(F, [F.neg(a), F.one]))) for a in range(q)]
+    for tp, v in places + [("inf", Place.infinity())]:
+        for length, k in zip(coeff_lengths(1), (2, 4, 6)):
+            want = [BinaryForm(F, length - 1, index_to_tuple(i, q, length))
+                    .jet(v, k)[1] for i in range(q ** length)]
+            assert census._jets(length, tp, q, k).tolist() == want, (tp, k)
 
 
 def test_minimality_budget():

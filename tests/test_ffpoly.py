@@ -98,16 +98,15 @@ def test_factor_roundtrip():
 
 
 def test_roots_and_count_roots_agree():
+    # count_roots against a brute-force count of the x in F_11 with f(x) = 0
     F = field_make(11)
     rng = SplitMix64(3)
     for _ in range(20):
         f = UniPoly(F, [F.random(rng) for _ in range(5)])
         if f.is_zero():
             continue
-        rs = f.roots()
-        assert len(rs) == f.count_roots()
-        for r in rs:
-            assert f.evaluate(r) == F.zero
+        assert f.count_roots() == sum(f.evaluate(x) == F.zero
+                                      for x in F.elements())
 
 
 def test_squarefree_detection():
@@ -158,16 +157,29 @@ def test_binary_form_evaluation_charts():
     assert form.evaluate(F.zero, F.one) == ds.evaluate(F.zero)
 
 
-def test_taylor_at_matches_shift():
-    F = field_make(5)
+def test_jet_matches_shift():
+    # sum_j c_j u^j reproduces f at t = tau + u, at a degree-1 place and a
+    # degree-2 place (kappa = F_25), and f(s, 1) at infinity; each identity
+    # is checked on 25 points, so it holds as polynomials of degree 6
+    F, L = field_make(5), field_make(5, 2)
     rng = SplitMix64(7)
-    f = UniPoly(F, [F.random(rng) for _ in range(6)])
-    a = F.from_int(3)
-    cs = f.taylor_at(a, f.degree() + 1)
-    g = UniPoly(F, cs)
-    for x in range(5):
-        xe = F.from_int(x)
-        assert g.evaluate(F.sub(xe, a)) == f.evaluate(xe)
+    form = BinaryForm(F, 6, [F.random(rng) for _ in range(7)])
+    t = UniPoly.x(F)
+    for poly in (t + UniPoly.const(F, F.from_int(2)),
+                 t * t + UniPoly.const(F, F.from_int(2))):
+        v = Place(poly)
+        K, tau = v.residue_field()
+        K_jet, cs = form.jet(v, 7)
+        assert K_jet == K and K.q == 5 ** poly.degree()
+        E = K if K.q == 25 else L
+        g, f = UniPoly(E, cs), UniPoly(E, form.coeffs)
+        for x in E.elements():
+            assert g.evaluate(E.sub(x, tau)) == f.evaluate(x)
+    K, cs = form.jet(Place.infinity(), 9)
+    assert K == F and cs[7:] == [F.zero, F.zero]
+    for s in L.elements():
+        assert UniPoly(L, cs).evaluate(s) \
+            == BinaryForm(L, 6, form.coeffs).evaluate(s, L.one)
 
 
 # sympy's factorization over GF(p) as an independent oracle

@@ -73,28 +73,32 @@ def test_json_roundtrip():
     assert WeierstrassModel.from_json(m.to_json()) == m
 
 
-def test_group_action_composition():
-    F = field_make(5)
+def _random_element(F, d, rng):
+    r = BinaryForm(F, 2 * d, [F.random(rng) for _ in range(2 * d + 1)])
+    return GroupElement(r, 1 + rng.below(F.q - 1))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("F", [field_make(5), field_make(5, 2)], ids=repr)
+def test_group_action_composition(F, d):
     rng = SplitMix64(12)
     for _ in range(10):
-        m = random_model(F, 1, rng)
-        g1 = GroupElement(BinaryForm(F, 2, [F.random(rng) for _ in range(3)]),
-                          F.from_int(1 + rng.below(4)))
-        g2 = GroupElement(BinaryForm(F, 2, [F.random(rng) for _ in range(3)]),
-                          F.from_int(1 + rng.below(4)))
+        m = random_model(F, d, rng)
+        g1, g2 = _random_element(F, d, rng), _random_element(F, d, rng)
         assert act(g2, act(g1, m)) == act(compose(g2, g1), m)
 
 
-def test_action_preserves_discriminant_class():
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("F", [field_make(5), field_make(5, 2)], ids=repr)
+def test_action_preserves_discriminant_class(F, d):
     # disc transforms by lambda^12, so vanishing orders are preserved
-    F = field_make(5)
     rng = SplitMix64(13)
-    m = random_model(F, 1, rng)
-    g = GroupElement(BinaryForm(F, 2, [F.random(rng) for _ in range(3)]),
-                     F.from_int(2))
-    d1 = discriminant(m).dehomog_t()
-    d2 = discriminant(act(g, m)).dehomog_t()
-    assert d2 == d1.scale(F.pow(F.from_int(2), 12))
+    for _ in range(5):
+        m = random_model(F, d, rng)
+        g = _random_element(F, d, rng)
+        d1 = discriminant(m).dehomog_t()
+        d2 = discriminant(act(g, m)).dehomog_t()
+        assert d2 == d1.scale(F.pow(g.lam, 12))
 
 
 def test_identity_action():
