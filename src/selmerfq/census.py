@@ -341,10 +341,13 @@ def incidence_mask(q, d=1):
     D2 x0^2 + D4 x0 + D6.  f_x does not involve a6; where it vanishes,
     f = f_u = 0 fixes (V6, D6), so each tau ORs in one lookup of a
     (V6, D6)-indexed table over the a6 block.  Pure linear algebra, so it
-    runs at p = 3 as well."""
+    runs at p = 3 as well; q must be an odd prime."""
     if d != 1:
         raise DomainError("incidence marking implemented for d = 1")
-    exhaustive_space(q, d)  # raises past the budget
+    # past the budget first, so no huge q reaches the trial-division test
+    exhaustive_space(q, d)
+    if q == 2 or not ffpoly._is_prime(q):
+        raise DomainError("incidence marking needs an odd prime q, got %r" % q)
     l2, l4, l6 = coeff_lengths(d)
     mask = np.zeros((q ** l6, q ** l4, q ** l2), dtype=bool)
     for tp in list(range(q)) + ["inf"]:

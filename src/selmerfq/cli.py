@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Every subcommand emits a JSON report embedding the tool version, the full
-configuration, the seed, and the wall clock; reruns with identical
-configuration are bit-identical apart from the timing fields.
+configuration, the seed (null where nothing is drawn), and the wall clock;
+reruns are bit-identical apart from the timing fields.
 
 Exit codes: 0 success; 2 on a bad option or a DomainError, the ValueError
 raised where an input is found outside the domain of the computation; 1 on
@@ -19,7 +19,7 @@ from . import DomainError, __version__, census, ffpoly, lattice, lfunction, \
     localdata, weierstrass
 from .rng import SplitMix64
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 # largest height --d of census, orbits and model-gen: on 2 CPUs a 10^4-model
 # census takes about 30 s at d = 16 and 140 s at d = 32; at d = 10^5 the
 # census and the orbit Gram fail to allocate and model-gen runs for minutes
@@ -56,15 +56,6 @@ def _load_model(path):
                               % (path, type(exc).__name__, exc))
 
 
-def _budget(args, n, rank=8):
-    """The orbit BFS budget from --budget-bits, which (Z/nZ)^rank must fit;
-    the default rank is that of E8."""
-    budget = lattice.DEFAULT_BUDGET if args.budget_bits is None \
-        else 1 << args.budget_bits
-    lattice.orbit_space(n, rank, budget)
-    return budget
-
-
 def _check_out(path):
     """--out must name a file in an existing, writable directory."""
     folder = os.path.dirname(os.path.abspath(path))
@@ -87,32 +78,21 @@ def _cmd_census(args):
 
 
 def _cmd_divisor_count(args):
-    try:
-        q = ffpoly.Field(int(args.q)).p
-    except ValueError:
-        raise DomainError("divisor-count takes a prime --q")
-    if q == 2:
-        raise DomainError("characteristic 2 is outside the domain")
-    rep = census.singular_divisor_count(q, args.d, seed=args.seed,
-                                        direct_samples=args.samples)
-    return rep.to_json()
+    return census.singular_divisor_count(
+        args.q, args.d, seed=args.seed, direct_samples=args.samples).to_json()
 
 
 def _cmd_orbits(args):
     lat, gens = lattice.standard_generators(args.d, SplitMix64(args.seed))
     module = lattice.QuadraticModule(lat, args.n)
     if args.mode == "exhaustive":
-        rep = lattice.orbit_decompose(
-            module, gens, budget=_budget(args, args.n, module.rank))
-    else:
-        rep = lattice.sampling_connectivity(module, SplitMix64(args.seed),
-                                            pairs_per_class=args.pairs)
-    return rep.to_json()
+        return lattice.orbit_decompose(module, gens).to_json()
+    return lattice.sampling_connectivity(module, SplitMix64(args.seed),
+                                         pairs_per_class=args.pairs).to_json()
 
 
 def _cmd_weyl_e8(args):
-    rep = lattice.weyl_e8_orbits(args.n, budget=_budget(args, args.n))
-    return rep.to_json()
+    return lattice.weyl_e8_orbits(args.n).to_json()
 
 
 def _cmd_tate(args):
@@ -148,14 +128,14 @@ def _cmd_average_table(args):
         if n < 1:
             raise DomainError("n must be >= 1")
         if args.d == 1:
-            _budget(args, n)
+            lattice.orbit_space(n, 8)
     rows = []
     for n in ns:
         if args.d >= 2:
             rows.append({"n": n, "d": args.d, "average": _sigma(n),
                          "provenance": "sigma(n) [theorem]"})
         else:
-            rep = lattice.weyl_e8_orbits(n, budget=_budget(args, n))
+            rep = lattice.weyl_e8_orbits(n)
             rows.append({"n": n, "d": args.d, "average": rep.orbit_count,
                          "provenance": "orbit count [computed]"})
     return {"rows": rows}
@@ -178,27 +158,27 @@ def build_parser():
     ap.add_argument("--version", action="version", version=__version__)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None, help="report file (default stdout)")
-    common.add_argument("--budget-bits", type=_int_in(0), default=None,
-                        help="log2 of the enumeration budget")
+    # only the subcommands that draw take a seed
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0)
 
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("census", parents=[common])
+    p = sub.add_parser("census", parents=[seeded])
     p.add_argument("--q", required=True, help="field spec p or p^k")
     p.add_argument("--d", type=_int_in(0, MAX_HEIGHT), required=True)
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="sample")
     p.add_argument("--n", type=int, default=10 ** 4)
     p.set_defaults(func=_cmd_census)
 
-    p = sub.add_parser("divisor-count", parents=[common])
-    p.add_argument("--q", required=True)
+    p = sub.add_parser("divisor-count", parents=[seeded])
+    p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, default=1, choices=(1,))
     p.add_argument("--samples", type=_int_in(1), default=4000)
     p.set_defaults(func=_cmd_divisor_count)
 
-    p = sub.add_parser("orbits", parents=[common])
+    p = sub.add_parser("orbits", parents=[seeded])
     p.add_argument("--n", type=_int_in(1), required=True)
     p.add_argument("--d", type=_int_in(2, MAX_HEIGHT), required=True,
                    help="height >= 2; weyl-e8 covers d = 1")
@@ -224,7 +204,7 @@ def build_parser():
     p.add_argument("--d", type=_int_in(1), required=True)
     p.set_defaults(func=_cmd_average_table)
 
-    p = sub.add_parser("model-gen", parents=[common])
+    p = sub.add_parser("model-gen", parents=[seeded])
     p.add_argument("--q", required=True)
     p.add_argument("--d", type=_int_in(0, MAX_HEIGHT), required=True)
     p.add_argument("--count", type=_int_in(0, MAX_MODELS), default=1)
@@ -279,7 +259,7 @@ def main(argv=None):
         "tool_version": __version__,
         "command": args.command,
         "config": _config_of(args),
-        "seed": args.seed,
+        "seed": getattr(args, "seed", None),
         "wall_clock_seconds": time.time() - t0,
         "result": result,
     }

@@ -413,7 +413,9 @@ def _prime_divisors(n):
 
 def is_squarefree(f):
     """gcd(f, f') is constant.  In characteristic p a vanishing derivative
-    means f is a p-th power, which the gcd criterion also catches."""
+    means f is a p-th power, which the gcd criterion also catches.  The
+    scalar cross-check of the squarefree_disc bit of census.classify;
+    bench/spans.py wraps it."""
     if f.is_zero():
         raise ValueError("squarefreeness undefined for the zero polynomial")
     return f.gcd(f.hasse(1)).is_constant()
@@ -591,23 +593,6 @@ class BinaryForm:
     def dehomog_t(self):
         """f(1, t) as a UniPoly in t."""
         return UniPoly(self.field, list(self.coeffs))
-
-    def dehomog_s(self):
-        """f(s, 1) as a UniPoly in s (coefficients reversed)."""
-        return UniPoly(self.field, list(reversed(self.coeffs)))
-
-    def evaluate(self, s0, t0):
-        F = self.field
-        out = F.zero
-        tp = F.one
-        spows = [F.one]
-        for _ in range(self.degree):
-            spows.append(F.mul(spows[-1], s0))
-        for j, c in enumerate(self.coeffs):
-            if c != F.zero:
-                out = F.add(out, F.mul(F.mul(c, tp), spows[self.degree - j]))
-            tp = F.mul(tp, t0)
-        return out
 
     def jet(self, v, n):
         """(kappa(v), [c_0, ..., c_(n-1)]), the first n Taylor coefficients

@@ -1,13 +1,13 @@
 """The even unimodular lattice U^(2d-2) + (-E8)^d, its reduction mod n,
-reflections, spinor signs, and orbit decomposition of (Z/nZ)^r under the
-reflection group.  The orbit count realizes sigma(n) = sum of divisors.
+reflections, and orbit decomposition of (Z/nZ)^r under the reflection
+group.  The orbit count realizes sigma(n) = sum of divisors.
 
 Exhaustive decomposition is a BFS over mixed-radix packed vectors with
 numpy: each reflection image is the packed index plus a sparse digit update
 (read the digits on supp Gw, rewrite those on supp w), and each BFS level
-audits the content invariant of its vectors.  Beyond the budget a sampling
-mode checks the predicted invariant classes by exhibiting explicit
-reflection words between random same-class pairs.
+audits the content invariant of its vectors.  Past the fixed budget
+n^r <= BUDGET a sampling mode checks the predicted invariant classes by
+exhibiting explicit reflection words between random same-class pairs.
 """
 
 from math import gcd
@@ -17,7 +17,7 @@ import numpy as np
 from . import DomainError
 from .rng import SplitMix64
 
-DEFAULT_BUDGET = 1 << 26
+BUDGET = 1 << 26
 
 # E8 Cartan matrix: chain 0-1-2-3-4-5-6 with node 7 attached to node 4
 _E8_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]
@@ -52,33 +52,6 @@ class IntegralLattice:
         """Integral quadratic value v.Gv/2."""
         v = np.asarray(v, dtype=object)
         return int(v @ self.gram.astype(object) @ v) // 2
-
-    def bilinear(self, x, y):
-        x = np.asarray(x, dtype=object)
-        y = np.asarray(y, dtype=object)
-        return int(x @ self.gram.astype(object) @ y)
-
-
-def _int_det(mat):
-    """Exact integer determinant (fraction-free Gaussian elimination)."""
-    a = [[int(x) for x in row] for row in mat]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def selmer_lattice(d):
@@ -243,17 +216,17 @@ def _usable(module, gens):
     return out
 
 
-def orbit_space(n, r, budget):
-    """Size n^r of (Z/nZ)^r; raises past the budget."""
+def orbit_space(n, r):
+    """Size n^r of (Z/nZ)^r; raises past BUDGET."""
     total = n ** r
-    if total > budget:
-        raise DomainError("n^r = %d exceeds budget %d" % (total, budget))
+    if total > BUDGET:
+        raise DomainError("n^r = %d exceeds budget %d" % (total, BUDGET))
     return total
 
 
-def orbit_decompose(module, generators, budget=DEFAULT_BUDGET):
+def orbit_decompose(module, generators):
     """Exhaustive orbit decomposition of (Z/nZ)^r under the reflections in
-    `generators`; raises when n^r exceeds the budget (use sampling_connectivity
+    `generators`; raises when n^r exceeds BUDGET (use sampling_connectivity
     instead).
 
     Vectors are packed indices sum v_i n^i.  r_w(v) = v - b w with
@@ -261,7 +234,7 @@ def orbit_decompose(module, generators, budget=DEFAULT_BUDGET):
     supp(w).  Every vector lies in exactly one BFS level, and each level
     checks that its vectors carry the representative's content_invariant."""
     n, r = module.n, module.rank
-    total = orbit_space(n, r, budget)
+    total = orbit_space(n, r)
     if n == 1:
         rep = (0,) * r
         return OrbitReport(1, r, "exhaustive", 1, [(rep, 1, (1, 0))])
@@ -318,13 +291,13 @@ def orbit_decompose(module, generators, budget=DEFAULT_BUDGET):
                        generator_qs=gen_qs)
 
 
-def weyl_e8_orbits(n, budget=DEFAULT_BUDGET):
+def weyl_e8_orbits(n):
     """Exhaustive orbit decomposition of (Z/nZ)^8 under the eight simple
     E8 reflections (sign convention immaterial to orbits)."""
     lat = e8_lattice()
     module = QuadraticModule(lat, n)
     gens = [np.eye(8, dtype=np.int64)[i] for i in range(8)]
-    return orbit_decompose(module, gens, budget=budget)
+    return orbit_decompose(module, gens)
 
 
 def sampling_connectivity(module, rng, pairs_per_class=100, tries=256):
@@ -411,25 +384,3 @@ def _connect(module, x, y, rng, tries):
         if gcd(module.q(d1), n) == 1 and gcd(module.q(d2), n) == 1:
             return [d1, d2]
     return None
-
-
-def e8_root_count():
-    """Number of roots (q = 2 vectors) of E8, via reflection closure of the
-    simple roots in root coordinates; the standard answer is 240."""
-    lat = e8_lattice()
-    simple = [tuple(int(x) for x in np.eye(8, dtype=np.int64)[i]) for i in range(8)]
-    roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            va = np.array(v, dtype=np.int64)
-            for i in range(8):
-                w = np.eye(8, dtype=np.int64)[i]
-                img = va - lat.bilinear(va, w) * w
-                ti = tuple(int(x) for x in img)
-                if ti not in roots:
-                    roots.add(ti)
-                    nxt.append(ti)
-        frontier = nxt
-    return len(roots)

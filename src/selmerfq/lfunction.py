@@ -58,15 +58,16 @@ class ExtField:
         g = self._generator(F)
         pows = p ** np.arange(e, dtype=np.int64)
         # exp by doubling: exp[n:2n] = exp[:n] g^n, where multiplying by
-        # g^n is an e x e matrix mod p on base-p digits (row j: g^n x^j)
+        # g^n is an e x e matrix mod p on base-p digits (row j: g^n x^j),
+        # and the matrix of g^2n is that of g^n squared
+        times_gn = np.array([F.mul(g, int(pw)) for pw in pows])[:, None] \
+            // pows % p
         exp = np.ones(Q - 1, dtype=np.int64)
         n = 1
         while n < Q - 1:
-            gn = F.pow(g, n)
-            times_gn = np.array([F.mul(gn, int(pw)) for pw in pows])[:, None] \
-                // pows % p
             digits = exp[:min(n, Q - 1 - n), None] // pows % p
             exp[n:2 * n] = (digits @ times_gn % p) @ pows
+            times_gn = times_gn @ times_gn % p
             n *= 2
         log = np.zeros(Q, dtype=np.int64)
         log[exp] = np.arange(Q - 1)
@@ -170,17 +171,18 @@ def surface_point_count(m, e):
 
 
 def surface_point_count_slow(m, e):
-    """Pure-Python oracle for small q^e: identical totals, no tables.
-    Prime-field coefficients are the same integers in F_{p^e}."""
+    """Pure-Python oracle for small q^e, the cross-check of
+    surface_point_count: identical totals, no tables.  Prime-field
+    coefficients are the same integers in F_{p^e}."""
     if m.field.k != 1:
         raise DomainError("extension counting assumes a prime base field")
     F = ffpoly.Field(m.field.p, e)
-    forms = [ffpoly.BinaryForm(F, f.degree, f.coeffs)
-             for f in (m.a2, m.a4, m.a6)]
+    forms = [ffpoly.UniPoly(F, f.coeffs) for f in (m.a2, m.a4, m.a6)]
+    # each t in F_{p^e}, then infinity, where a form is its t^D coefficient
+    pts = [[f.evaluate(t) for f in forms] for t in F.elements()]
+    pts.append([f.coeffs[-1] for f in (m.a2, m.a4, m.a6)])
     total = 0
-    pts = [(F.one, t) for t in F.elements()] + [(F.zero, F.one)]
-    for s0, t0 in pts:
-        a2, a4, a6 = (f.evaluate(s0, t0) for f in forms)
+    for a2, a4, a6 in pts:
         cnt = 1
         for x in F.elements():
             val = F.add(F.mul(F.add(F.mul(F.add(x, a2), x), a4), x), a6)

@@ -214,7 +214,8 @@ def fiber_point_count(m, v):
     Independent of the classification tables: one point at infinity plus,
     for each x in kappa(v), 1 + chi(cubic(x)) points.  Oracle values:
     good fiber within the Hasse bound; I_n split Q, nonsplit Q + 2; additive
-    types exactly Q + 1.
+    types exactly Q + 1.  The cross-check of the Kodaira type and split flag
+    that local_data_at reads off the classification tables.
     """
     cubic = weierstrass.fiber_cubic(m, v)
     K = cubic.field

@@ -54,7 +54,3 @@ class SplitMix64:
             out.append((z[ok] % np.uint64(n)).astype(np.int64))
             count -= len(ok)
         return np.concatenate(out)
-
-    def spawn(self):
-        """Derive an independent child generator."""
-        return SplitMix64(self.next_u64())

@@ -142,9 +142,9 @@ def is_minimal(m):
 
 
 def minimality_bruteforce(field, d, a2, a4, a6):
-    """Independent oracle: enumerate every irreducible place of degree up
-    to d dividing any of the forms (plus infinity) and test the
-    divisibility pattern directly.  Slower but assumption-free."""
+    """Independent oracle for minimality_of_forms: enumerate every irreducible
+    place of degree up to d dividing any of the forms (plus infinity) and
+    test the divisibility pattern directly.  Slower but assumption-free."""
     if d == 0:
         return True
     forms = [f for f in (a2, a4, a6) if not f.is_zero()]
@@ -178,10 +178,6 @@ class GroupElement:
             raise DomainError("lambda must be nonzero")
         self.r = r
         self.lam = lam
-
-    @classmethod
-    def identity(cls, field, d):
-        return cls(BinaryForm.zero(field, 2 * d), field.one)
 
     def __eq__(self, other):
         return isinstance(other, GroupElement) and (self.r, self.lam) == (other.r, other.lam)
@@ -218,7 +214,8 @@ def act(g, m):
 
 
 def compose(g2, g1):
-    """Composition law with act(g2, act(g1, m)) == act(compose(g2, g1), m)."""
+    """Composition law with act(g2, act(g1, m)) == act(compose(g2, g1), m),
+    the cross-check that act is a group action."""
     F = g1.r.field
     lam1_inv2 = F.inv(F.mul(g1.lam, g1.lam))
     r = g1.r + g2.r.scale(lam1_inv2)
@@ -260,7 +257,8 @@ def singular_surface_points(m):
     Independent of the Kodaira tables: for each place dividing the
     discriminant, locate the multiple root of the fiber cubic over the
     residue field and test the t-derivative condition there.  Returns a
-    list of (place, x0) witnesses.
+    list of (place, x0) witnesses.  Cross-checks is_smooth_surface (the
+    Kodaira route) and census.singular_branches; bench/spans.py wraps it.
     """
     witnesses = []
     for v in bad_places(m):

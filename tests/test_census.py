@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from selmerfq import census, weierstrass
+from selmerfq import DomainError, census, weierstrass
 from selmerfq.census import (classify, coeff_lengths, exhaustive_minimality,
                              incidence_mask, orbit_stabilizer_audit,
                              run_census, singular_divisor_count,
@@ -93,6 +93,13 @@ def test_minimality_budget():
 def test_incidence_mask_marks_node_fixture():
     mask = incidence_mask(3, 1)
     assert bool(mask[tuple_to_index(NODE_DIGITS, 3)])
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_incidence_mask_needs_an_odd_prime(q):
+    # 2^15 fits the budget, so only the domain check stops characteristic 2
+    with pytest.raises(DomainError):
+        incidence_mask(q)
 
 
 def test_node_fixture_is_directly_singular_i2():

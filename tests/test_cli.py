@@ -37,7 +37,7 @@ def test_weyl_e8_subcommand(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["result"]["orbit_count"] == 5
-    assert rep["schema_version"] == 2
+    assert rep["schema_version"] == 3
     assert "tool_version" in rep and "config" in rep
 
 
@@ -269,7 +269,7 @@ def test_model_gen_minimal_smooth_over_f25(capsys):
     ["divisor-count", "--q", "2", "--samples", "20"],
     ["divisor-count", "--q", "3", "--d", "2"],
     ["census", "--q", "5", "--d", "1", "--mode", "exhaustive"],
-    ["weyl-e8", "--n", "2", "--budget-bits", "-1"],
+    ["divisor-count", "--q", "3^1"],
     ["model-gen", "--q", "5", "--d", "1", "--count", "-1"],
     ["average-table", "--n", "2,x", "--d", "2"],
     ["average-table", "--n", "2", "--d", "0"],
@@ -282,8 +282,8 @@ def test_model_gen_minimal_smooth_over_f25(capsys):
     ["lfunction", "--model", Q29_MODEL],
     ["census", "--q", "5", "--d", "0", "--mode", "exhaustive",
      "--out", "/nonexistent/r.json"],
-    ["weyl-e8", "--n", "3", "--budget-bits", "2"],
-    ["orbits", "--n", "3", "--d", "2", "--budget-bits", "4"],
+    ["weyl-e8", "--n", "10"],
+    ["orbits", "--n", "3", "--d", "2"],
     ["average-table", "--n", "100", "--d", "1"],
     ["census", "--q", "5", "--d", "1", "--n", "20000000000"],
     ["census", "--q", "5", "--d", "100000"],
@@ -300,3 +300,55 @@ def test_invalid_arguments_exit_2(argv):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.strip()
     assert proc.stdout == ""
+
+
+# one cheap run of each subcommand, and whether it draws from --seed;
+# {model} is a smooth minimal d = 1 model over F_5 (model-gen --seed 3)
+SMOOTH_Q5 = {"p": 5, "k": 1, "d": 1, "a2": [3, 0, 2], "a4": [3, 2, 3, 1, 1],
+             "a6": [2, 3, 0, 4, 2, 3, 2]}
+EVERY_SUBCOMMAND = [
+    (["census", "--q", "5", "--d", "0", "--mode", "exhaustive"], True),
+    (["divisor-count", "--q", "3", "--samples", "10"], True),
+    (["orbits", "--n", "2", "--d", "2", "--mode", "sample", "--pairs", "2"],
+     True),
+    (["weyl-e8", "--n", "2"], False),
+    (["tate", "--model", "{model}"], False),
+    (["lfunction", "--model", "{model}"], False),
+    (["average-table", "--n", "2", "--d", "2"], False),
+    (["model-gen", "--q", "5", "--d", "1"], True),
+]
+
+
+def _with_model(argv, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(SMOOTH_Q5))
+    return [str(path) if a == "{model}" else a for a in argv]
+
+
+@pytest.mark.parametrize("argv", [a for a, _ in EVERY_SUBCOMMAND],
+                         ids=[a[0] for a, _ in EVERY_SUBCOMMAND])
+def test_budget_bits_is_not_an_option(tmp_path, capsys, argv):
+    code = cli.main(_with_model(argv, tmp_path) + ["--budget-bits", "30"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --budget-bits 30" in captured.err
+
+
+@pytest.mark.parametrize("argv,seeded", EVERY_SUBCOMMAND,
+                         ids=[a[0] for a, _ in EVERY_SUBCOMMAND])
+def test_seed_only_where_something_is_drawn(tmp_path, capsys, argv, seeded):
+    argv = _with_model(argv, tmp_path)
+    code = cli.main(argv + ["--seed", "7"])
+    captured = capsys.readouterr()
+    if seeded:
+        assert code == 0
+        rep = json.loads(captured.out)
+        assert rep["seed"] == rep["config"]["seed"] == 7
+    else:
+        assert code == 2
+        assert "unrecognized arguments: --seed 7" in captured.err
+        code, out = _run(argv, capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["seed"] is None and "seed" not in rep["config"]

@@ -146,17 +146,6 @@ def test_ord_at_finite_and_infinity():
     assert ord_at(form, Place.infinity()) == 3
 
 
-def test_binary_form_evaluation_charts():
-    F = field_make(7)
-    rng = SplitMix64(6)
-    form = BinaryForm(F, 4, [F.random(rng) for _ in range(5)])
-    dt = form.dehomog_t()
-    for a in range(7):
-        assert form.evaluate(F.one, F.from_int(a)) == dt.evaluate(F.from_int(a))
-    ds = form.dehomog_s()
-    assert form.evaluate(F.zero, F.one) == ds.evaluate(F.zero)
-
-
 def test_jet_matches_shift():
     # sum_j c_j u^j reproduces f at t = tau + u, at a degree-1 place and a
     # degree-2 place (kappa = F_25), and f(s, 1) at infinity; each identity
@@ -179,7 +168,7 @@ def test_jet_matches_shift():
     assert K == F and cs[7:] == [F.zero, F.zero]
     for s in L.elements():
         assert UniPoly(L, cs).evaluate(s) \
-            == BinaryForm(L, 6, form.coeffs).evaluate(s, L.one)
+            == UniPoly(L, form.coeffs[::-1]).evaluate(s)  # f(s, 1)
 
 
 # sympy's factorization over GF(p) as an independent oracle

@@ -9,11 +9,11 @@ from math import gcd
 
 import numpy as np
 import pytest
+import sympy
 
 from selmerfq import lattice
 from selmerfq.lattice import (IntegralLattice, QuadraticModule, e8_gram,
-                              e8_lattice, hyperbolic_gram,
-                              e8_root_count, orbit_decompose,
+                              e8_lattice, hyperbolic_gram, orbit_decompose,
                               sampling_connectivity, selmer_lattice,
                               standard_generators, weyl_e8_orbits)
 from selmerfq.rng import SplitMix64
@@ -28,18 +28,23 @@ def test_e8_gram_shape():
     assert g.shape == (8, 8)
     assert np.array_equal(g, g.T)
     assert all(g[i, i] == 2 for i in range(8))
-    assert lattice._int_det(g.tolist()) == 1
+    assert sympy.Matrix(g).det() == 1
 
 
 def test_e8_root_count():
-    assert e8_root_count() == 240
+    # the W(E8) orbit of the simple root e_0 is the 240 roots, and they stay
+    # distinct mod 3: a nonzero vector of 3E8 has norm >= 18, while two
+    # roots differ by a vector of norm <= 8
+    zero, roots = weyl_e8_orbits(3).orbits[:2]
+    assert zero[:2] == ((0,) * 8, 1)
+    assert roots[:2] == ((1,) + (0,) * 7, 240)
 
 
 def test_selmer_lattice_even_unimodular():
     for d in (2, 3):
         lat = selmer_lattice(d)
         assert lat.rank == 12 * d - 4
-        assert abs(lattice._int_det(lat.gram.tolist())) == 1
+        assert abs(sympy.Matrix(lat.gram).det()) == 1
         for i in range(lat.rank):
             assert lat.gram[i, i] % 2 == 0
     with pytest.raises(ValueError):
@@ -87,10 +92,12 @@ def test_weyl_e8_orbit_counts_small_n():
 
 
 def test_orbit_decompose_budget():
+    # 3^20 vectors, past the fixed budget of 2^26
     lat, gens = standard_generators(2, SplitMix64(33))
     mod = QuadraticModule(lat, 3)
+    assert 3 ** mod.rank > lattice.BUDGET
     with pytest.raises(ValueError):
-        orbit_decompose(mod, gens, budget=1000)
+        orbit_decompose(mod, gens)
 
 
 def test_sampling_connectivity_n2():

@@ -18,13 +18,6 @@ def test_below_range():
         assert 0 <= r.below(13) < 13
 
 
-def test_spawn_streams_differ():
-    r = SplitMix64(1)
-    s1 = r.spawn()
-    s2 = r.spawn()
-    assert [s1.next_u64() for _ in range(4)] != [s2.next_u64() for _ in range(4)]
-
-
 @pytest.mark.parametrize("n", [1, 5, 3 ** 15, 2 ** 62 + 1])
 @pytest.mark.parametrize("count", [0, 1, 1000])
 def test_below_array_is_the_scalar_stream(n, count):

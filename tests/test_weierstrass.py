@@ -105,7 +105,7 @@ def test_identity_action():
     F = field_make(5)
     rng = SplitMix64(14)
     m = random_model(F, 1, rng)
-    assert act(GroupElement.identity(F, 1), m) == m
+    assert act(GroupElement(BinaryForm.zero(F, 2), F.one), m) == m
 
 
 def test_stabilizer_against_direct_count():
