@@ -3,16 +3,16 @@ numbers at places of bad reduction, for p >= 5 (tame reduction), plus
 global consistency sums, the root number of a smooth model, and a
 fiber-point-count oracle.
 
-The type is read off the valuations (ord_v c4, ord_v Delta); Tamagawa
-numbers that depend on rationality questions (split multiplicative,
-IV/IV* square classes, the starred-I subloop) are decided by quadratic
-character and root-count computations in the residue field kappa(v).
-Component counts come from Ogg's relation ord_disc = f_v + m_v - 1.
+Types and Tamagawa numbers come from a table on c4, c6 and Delta: one
+quadratic character or one root count in kappa(v) per type (Tate,
+"Algorithm for determining the type of a singular fiber in an elliptic
+pencil", LNM 476, 1975; see local_data_at).  Component counts come from
+Ogg's relation ord_disc = f_v + m_v - 1.
 """
 
 from . import DomainError, weierstrass
 from .ffpoly import UniPoly, ord_at
-from .weierstrass import bad_places, translate_x
+from .weierstrass import bad_places
 
 
 class PlaceData:
@@ -68,16 +68,22 @@ class GlobalLocalSummary:
         self.disc_degree_check = (total == 12 * model.d)
 
 
-def _coeff(poly, i):
-    return poly.coeffs[i] if i <= poly.degree() else poly.field.zero
+_FIXED = {2: ("II", 1), 3: ("III", 2), 9: ("III*", 2), 10: ("II*", 1)}
 
 
 def local_data_at(m, v):
-    """PlaceData at v for a model minimal at v, p >= 5.  Additive types are
-    read off the Hasse-derivative jets of a2, a4, a6 at v (BinaryForm.jet),
-    x-translated to the triple root of the reduced cubic.  Non-minimality at
-    v (ord_v a2, a4, a6 >= 2, 4, 6) gives ord_v Delta >= 12, ord_v c4 >= 4,
-    which no type below matches: the final "minimalize first" fires."""
+    """PlaceData at v for a model minimal at v, p >= 5 (Tate 1975).  I_n is
+    split iff -c6 is a square in kappa(v).  An additive type is fixed by
+    delta = ord_v Delta and ord_v c4, and c_v by f_j, the j-th Taylor
+    coefficient at v (BinaryForm.jet) of f among c4, c6, Delta:
+      I_n*, ord c4 = 2, delta = 6 + n >= 7: c = 4 iff chi(Delta_delta) = 1
+        for even n, chi(c6_3 Delta_delta) = 1 for odd n; else c = 2;
+      II, III, III*, II* (delta = 2, 3, 9, 10): c = 1, 2, 2, 1;
+      IV, IV* (delta = 4, 8): c = 3 iff chi(-6 c6_(delta/2)) = 1, else 1;
+      I_0* (delta = 6): c = 1 + #kappa-roots of X^3 - 27 c4_2 X - 54 c6_3.
+    I_n* is tested first, as I_2*, I_3*, I_4* have delta = 8, 9, 10.
+    Non-minimality at v (ord_v a2, a4, a6 >= 2, 4, 6) gives delta >= 12 and
+    ord_v c4 >= 4, which no row matches: "minimalize first" fires."""
     if m.field.characteristic < 5:
         raise DomainError("local classification needs p >= 5")
     disc = weierstrass.discriminant(m)
@@ -98,85 +104,39 @@ def local_data_at(m, v):
             c = 2 if delta % 2 == 0 else 1
         return PlaceData(v, "I_%d" % delta, delta, 1, delta, c, split)
 
-    # additive; expand in the local coordinate and translate x by the
-    # triple root of the reduced cubic
-    (K, A2), (_, A4), (_, A6) = (f.jet(v, delta + 4)
-                                 for f in (m.a2, m.a4, m.a6))
-    x0 = K.neg(K.mul(A2[0], K.inv(K.from_int(3))))
-    A2, A4, A6 = translate_x(*(UniPoly(K, f) for f in (A2, A4, A6)),
-                             UniPoly.const(K, x0))
-
+    # additive: f_v = 2, so Ogg gives m_v = delta - 1
     if vc4 == 2 and delta >= 7:
-        n = delta - 6
-        c = _istar_tamagawa(K, A2, A4, A6, n)
-        return PlaceData(v, "I_%d*" % n, delta, 2, 5 + n, c)
-    if delta == 2:
-        return PlaceData(v, "II", 2, 2, 1, 1)
-    if delta == 3:
-        return PlaceData(v, "III", 3, 2, 2, 2)
-    if delta == 4:
-        c = 3 if K.chi(_coeff(A6, 2)) == 1 else 1
-        return PlaceData(v, "IV", 4, 2, 3, c)
-    if delta == 6:
-        # I_0*: component group order 1 + #kappa-roots of the residual cubic
-        P = UniPoly(K, [_coeff(A6, 3), _coeff(A4, 2), _coeff(A2, 1), K.one])
-        c = 1 + P.count_roots()
-        return PlaceData(v, "I_0*", 6, 2, 5, c)
-    if delta == 8:
-        # IV*: re-center at the triple root of the residual cubic first
-        t0 = K.neg(K.mul(_coeff(A2, 1), K.inv(K.from_int(3))))
-        A2, A4, A6 = translate_x(A2, A4, A6, UniPoly(K, [K.zero, t0]))
-        c = 3 if K.chi(_coeff(A6, 4)) == 1 else 1
-        return PlaceData(v, "IV*", 8, 2, 7, c)
-    if delta == 9:
-        return PlaceData(v, "III*", 9, 2, 8, 2)
-    if delta == 10:
-        return PlaceData(v, "II*", 10, 2, 9, 1)
-    raise DomainError("minimalize first")
+        kodaira = "I_%d*" % (delta - 6)
+        K, c6 = _c6_coeff(m, v, 3, kodaira)
+        _, D = disc.jet(v, delta + 1)
+        test = K.mul(c6, D[delta]) if delta % 2 else D[delta]
+        c = 4 if K.chi(test) == 1 else 2
+    elif delta in _FIXED:
+        kodaira, c = _FIXED[delta]
+    elif delta in (4, 8):
+        kodaira = "IV" if delta == 4 else "IV*"
+        K, c6 = _c6_coeff(m, v, delta // 2, kodaira)
+        c = 3 if K.chi(K.mul(K.from_int(-6), c6)) == 1 else 1
+    elif delta == 6:
+        kodaira = "I_0*"
+        K, (_, _, c4_2) = c4.jet(v, 3)
+        _, (_, _, _, c6_3) = weierstrass.c6_form(m).jet(v, 4)
+        cubic = UniPoly(K, [K.mul(K.from_int(-54), c6_3),
+                            K.mul(K.from_int(-27), c4_2), K.zero, K.one])
+        c = 1 + cubic.count_roots()
+    else:
+        raise DomainError("minimalize first")
+    return PlaceData(v, kodaira, delta, 2, delta - 1, c)
 
 
-def _istar_tamagawa(K, A2, A4, A6, n):
-    """Tamagawa number of I_n*, n >= 1, via the standard subloop.
-
-    On entry the reduced cubic has a triple root at 0 modulo u and its
-    depressed residual cubic P(T) has a double root; we re-center at that
-    double root, then walk the even/odd quadratic tests.
-    """
-    P = UniPoly(K, [_coeff(A6, 3), _coeff(A4, 2), _coeff(A2, 1), K.one])
-    g = P.gcd(P.hasse(1))
-    if g.degree() != 1:
-        raise ValueError("I_n* place without a residual double root: "
-                         "deg gcd(P, P') = %d" % g.degree())
-    t0 = K.neg(K.mul(g.coeffs[0], K.inv(g.coeffs[1])))
-    A2, A4, A6 = translate_x(A2, A4, A6, UniPoly(K, [K.zero, t0]))
-    a21 = _coeff(A2, 1)
-    if a21 == K.zero:
-        raise ValueError("I_n* place: a_{2,1} vanishes after re-centering")
-
-    step = 1
-    while step <= n:
-        if step % 2 == 1:
-            # test Y^2 = A6 coefficient at u^(step+3)
-            test = _coeff(A6, step + 3)
-        else:
-            # test a21 X^2 + a4c X + a6c
-            a4c = _coeff(A4, (step + 4) // 2)
-            a6c = _coeff(A6, step + 3)
-            test = K.sub(K.mul(a4c, a4c),
-                         K.mul(K.from_int(4), K.mul(a21, a6c)))
-        if test != K.zero:
-            if step != n:
-                raise ValueError("I_n* subloop ended at %d, n = %d"
-                                 % (step, n))
-            return 4 if K.chi(test) == 1 else 2
-        if step % 2 == 0:
-            # depress: kill the a4c term by an x-shift at level u^((step+2)/2)
-            shift = K.neg(K.mul(a4c, K.inv(K.mul(K.from_int(2), a21))))
-            j = (step + 2) // 2
-            r = UniPoly(K, [K.zero] * j + [shift])
-            A2, A4, A6 = translate_x(A2, A4, A6, r)
-        step += 1
-    raise ValueError("I_n* subloop overran n = %d" % n)
+def _c6_coeff(m, v, j, kodaira):
+    """(kappa(v), c6_j).  1728 Delta = c4^3 - c6^2 forces ord_v c6 = j at the
+    IV, I_n* and IV* places that read it; chi(0) would give a wrong c."""
+    K, c6 = weierstrass.c6_form(m).jet(v, j + 1)
+    if c6[j] == K.zero:
+        raise ValueError("%s at %r: c6 coefficient %d vanishes"
+                         % (kodaira, v, j))
+    return K, c6[j]
 
 
 def global_summary(m):

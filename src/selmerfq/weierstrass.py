@@ -186,25 +186,18 @@ class GroupElement:
         return hash((self.r, self.lam))
 
 
-def translate_x(a2, a4, a6, r):
-    """Coefficients of y^2 = x^3 + a2 x^2 + a4 x + a6 after x -> x + r:
-    a2 + 3r, a4 + 2 r a2 + 3 r^2, a6 + r a4 + r^2 a2 + r^3.  Works on
-    binary forms (r of degree 2d) and on polynomials alike."""
-    c = r.field.from_int
-    r2 = r * r
-    return (a2 + r.scale(c(3)), a4 + (r * a2).scale(c(2)) + r2.scale(c(3)),
-            a6 + r * a4 + r2 * a2 + r2 * r)
-
-
 def act_on_forms(g, a2, a4, a6):
-    """Coefficient transform of the equation under g = (r, lambda):
-    translate_x by r, then scale a2, a4, a6 by l^2, l^4, l^6.  Works on bare
-    forms (no discriminant recomputation), which the census orbit
-    enumeration needs."""
-    F = a2.field
+    """Coefficient transform of the equation under g = (r, lambda): x -> x + r
+    gives a2 + 3r, a4 + 2 r a2 + 3 r^2, a6 + r a4 + r^2 a2 + r^3, which then
+    scale by l^2, l^4, l^6.  Works on bare forms (no discriminant
+    recomputation), which the census orbit enumeration needs."""
+    F, r = a2.field, g.r
+    c = F.from_int
+    r2 = r * r
     l2 = F.mul(g.lam, g.lam)
-    b2, b4, b6 = translate_x(a2, a4, a6, g.r)
-    return b2.scale(l2), b4.scale(F.mul(l2, l2)), b6.scale(F.pow(l2, 3))
+    return ((a2 + r.scale(c(3))).scale(l2),
+            (a4 + (r * a2).scale(c(2)) + r2.scale(c(3))).scale(F.mul(l2, l2)),
+            (a6 + r * a4 + r2 * a2 + r2 * r).scale(F.pow(l2, 3)))
 
 
 def act(g, m):

@@ -290,6 +290,8 @@ def test_model_gen_minimal_smooth_over_f25(capsys):
     ["orbits", "--n", "2", "--d", "100000"],
     ["model-gen", "--q", "5", "--d", "100000"],
     ["model-gen", "--q", "5", "--d", "1", "--count", "100000000000"],
+    ["census", "--q", "1000000000000000003", "--d", "1"],
+    ["model-gen", "--q", "18446744073709551629", "--d", "1"],
 ])
 def test_invalid_arguments_exit_2(argv):
     # a fresh process under a timeout: one of these used to hang
@@ -300,6 +302,17 @@ def test_invalid_arguments_exit_2(argv):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.strip()
     assert proc.stdout == ""
+
+
+def test_model_gen_over_a_large_prime_field():
+    # Field(p) once ran trial division up to sqrt(p) and hung here
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-m", "selmerfq.cli", "model-gen",
+                           "--q", "1000000000000000003", "--d", "1"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["result"]["models"]) == 1
 
 
 # one cheap run of each subcommand, and whether it draws from --seed;

@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selmerfq import ffpoly
+from selmerfq import DomainError, ffpoly
 from selmerfq.ffpoly import (BinaryForm, Field, Place, UniPoly, factor,
                              field_make, is_squarefree, ord_at)
 from selmerfq.rng import SplitMix64
@@ -28,6 +28,24 @@ def test_field_make_rejects_small_characteristic():
             field_make(p)
     with pytest.raises(ValueError):
         field_make(4)
+
+
+def test_is_prime_matches_sympy():
+    assert all(ffpoly._is_prime(n) == sympy.isprime(n) for n in range(10 ** 5))
+    rng = SplitMix64(64)
+    for _ in range(20000):
+        n = rng.next_u64()
+        assert ffpoly._is_prime(n) == sympy.isprime(n), n
+    # strong pseudoprimes to all prime bases up to 11, 13 and 23
+    for n in (2152302898747, 3474749660383, 3825123056546413051):
+        assert not ffpoly._is_prime(n)
+
+
+def test_field_rejects_p_from_2_64():
+    # 2^64 + 13 is prime; the range check comes before the primality test
+    with pytest.raises(DomainError, match="below 2"):
+        Field(2 ** 64 + 13)
+    assert Field(2 ** 64 - 59).q == 2 ** 64 - 59  # the largest 64-bit prime
 
 
 def test_extension_field_properties():
