@@ -68,8 +68,8 @@ def tuple_to_index(coeffs, q):
 
 
 class CensusReport:
-    def __init__(self, q, d, mode, seed, counts, ratios, stacky_count,
-                 elapsed, n=None):
+    def __init__(self, q, d, mode, seed, n, counts, ratios, stacky_count,
+                 elapsed):
         self.q = q
         self.d = d
         self.mode = mode
@@ -181,8 +181,8 @@ def run_census(q, d, mode="sample", n=10 ** 4, seed=0):
         stacky = counts["minimal"] / group_order
     else:
         stacky = counts["minimal"] / n_models * total_space / group_order
-    return CensusReport(q, d, mode, seed_out, counts, ratios, stacky,
-                        time.time() - t0, n=n_models)
+    return CensusReport(q, d, mode, seed_out, n_models, counts, ratios,
+                        stacky, time.time() - t0)
 
 
 def random_models(F, d, rng, count, minimal=False, smooth=False):
@@ -344,7 +344,6 @@ def incidence_mask(q, d=1):
     runs at p = 3 as well; q must be an odd prime."""
     if d != 1:
         raise DomainError("incidence marking implemented for d = 1")
-    # past the budget first, so no huge q reaches the trial-division test
     exhaustive_space(q, d)
     if q == 2 or not ffpoly._is_prime(q):
         raise DomainError("incidence marking needs an odd prime q, got %r" % q)

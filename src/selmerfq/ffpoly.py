@@ -55,10 +55,12 @@ class Field:
     one = 1
 
     def __init__(self, p, k=1):
-        if not (p < 2 ** 64 and _is_prime(p)):
-            raise DomainError("p must be a prime below 2^64, got %r" % (p,))
         if not 1 <= k <= 16:
             raise DomainError("extension degree must be in [1, 16]")
+        # below 2^64, so that SplitMix64.below can draw elements
+        if not (p ** k < 2 ** 64 and _is_prime(p)):
+            raise DomainError("q = p^k must be a prime power below 2^64, "
+                              "got p = %r, k = %d" % (p, k))
         self.p = self.characteristic = self.q = p
         self.k = 1
         self.base = self.modulus = None
@@ -431,7 +433,7 @@ def is_squarefree(f):
     return f.gcd(f.hasse(1)).is_constant()
 
 
-def factor(f, seed=0x5EED):
+def factor(f):
     """Factor a nonzero univariate polynomial into monic irreducibles.
 
     Returns a list of (irreducible monic UniPoly, multiplicity), sorted by
@@ -441,7 +443,7 @@ def factor(f, seed=0x5EED):
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     F = f.field
-    rng = SplitMix64(seed)
+    rng = SplitMix64(0x5EED)
     out = {}
 
     def add_factor(g, mult):
@@ -608,15 +610,20 @@ class BinaryForm:
         """(kappa(v), [c_0, ..., c_(n-1)]), the first n Taylor coefficients
         at the place v.  At a finite place c_j = D^(j) f(1, t) at the image
         tau of t, the Hasse derivative taken over the base field and
-        evaluated in kappa(v); at infinity c_j is the s^j coefficient of
+        evaluated in kappa(v): the remainder of the j-th synthetic division
+        of f(1, t) by t - tau.  At infinity c_j is the s^j coefficient of
         f(s, 1)."""
         if v.is_infinity:
             cs = list(self.coeffs[::-1][:n])
             return self.field, cs + [self.field.zero] * (n - len(cs))
         K, tau = v.residue_field()
-        ft = self.dehomog_t()
-        return K, [UniPoly(K, ft.hasse(j).coeffs).evaluate(tau)
-                   for j in range(n)]
+        cs = list(self.coeffs)
+        out = []
+        for _ in range(n):
+            for i in range(len(cs) - 2, -1, -1):
+                cs[i] = K.add(cs[i], K.mul(tau, cs[i + 1]))
+            out.append(cs.pop(0) if cs else K.zero)
+        return K, out
 
     def __add__(self, other):
         if self.degree != other.degree:

@@ -15,7 +15,6 @@ from math import gcd
 import numpy as np
 
 from . import DomainError
-from .rng import SplitMix64
 
 BUDGET = 1 << 26
 
@@ -132,10 +131,10 @@ class QuadraticModule:
         return out
 
 
-def standard_generators(d, rng=None, extra=64):
+def standard_generators(d, rng):
     """Reflection vector pool for the Selmer lattice of height d: e+f and
-    e-f per hyperbolic block, the 8 basis roots per E8 block, plus seeded
-    random vectors whose integral q lands in {1, -1, 2, -2}."""
+    e-f per hyperbolic block, the 8 basis roots per E8 block, plus 64
+    vectors drawn from rng whose integral q lands in {1, -1, 2, -2}."""
     lat = selmer_lattice(d)
     r = lat.rank
     gens = []
@@ -152,10 +151,8 @@ def standard_generators(d, rng=None, extra=64):
             v = np.zeros(r, dtype=np.int64)
             v[base + i] = 1
             gens.append(v)
-    if rng is None:
-        rng = SplitMix64(0xA11CE)
     targets = (1, -1, 2, -2)
-    for i in range(extra):
+    for i in range(64):
         # hit the target q exactly: with v[0] = 1 the first hyperbolic pair
         # contributes v[0]*v[1], so v[1] absorbs the residual
         v = np.array([rng.below(5) - 2 for _ in range(r)], dtype=np.int64)
@@ -300,7 +297,7 @@ def weyl_e8_orbits(n):
     return orbit_decompose(module, gens)
 
 
-def sampling_connectivity(module, rng, pairs_per_class=100, tries=256):
+def sampling_connectivity(module, rng, pairs_per_class=100):
     """Sampling-mode orbit report: classes predicted by content_invariant;
     for each class, connect random same-class pairs by an explicit
     reflection word (certificate) built from midpoint reflections:
@@ -324,7 +321,7 @@ def sampling_connectivity(module, rng, pairs_per_class=100, tries=256):
             # reflections are linear, so a word taking px to py also takes
             # x = t px to y = t py; the primitive parts are built with equal
             # q mod n, which the midpoint construction needs
-            word = _connect(module, px, py, rng, tries)
+            word = _connect(module, px, py, rng)
             if word is not None:
                 v = x
                 for w in word:
@@ -362,10 +359,11 @@ def _random_class_vector(module, t, qbar, rng):
             return v, prim
 
 
-def _connect(module, x, y, rng, tries):
+def _connect(module, x, y, rng):
     """Reflection word taking x to y, or None.  Midpoint construction:
     q(x) = q(y) makes B(x, x-y) = q(x-y), so r_{x-y}(x) = y whenever
-    q(x-y) is a unit; otherwise route through a random z of the same q."""
+    q(x-y) is a unit; otherwise route through one of 256 random z of the
+    same q."""
     n = module.n
     x = np.asarray(x, dtype=np.int64) % n
     y = np.asarray(y, dtype=np.int64) % n
@@ -375,7 +373,7 @@ def _connect(module, x, y, rng, tries):
     if gcd(module.q(d), n) == 1:
         return [d]
     qx = module.q(x)
-    for _ in range(tries):
+    for _ in range(256):
         z, _ = _random_class_vector(module, 1, qx, rng)
         if module.q(z) != qx:
             continue

@@ -13,8 +13,9 @@ Each extension F_{q^e} gets log/exp tables over a multiplicative generator
 (multiplication and the quadratic character become array gathers), while
 addition works digitwise on the base-p digit encoding of ffpoly.Field
 elements.  That encoding makes (F_{q^e}, +) the index grid (Z/p)^e, so the
-character sums of all fibers come from one additive convolution, an FFT
-over that grid, per depressed cubic shape.
+character sums h_eps(b) = sum_v chi(v^3 + eps v + b), eps in {0, 1, g},
+are one FFT convolution over that grid each, built once per field.  A point
+count evaluates c4 and c6 and reads each fiber off h.
 """
 
 import cmath
@@ -36,7 +37,8 @@ def table_size(q, e):
 
 
 class ExtField:
-    """Vectorized arithmetic for F_{p^e} on integer-encoded elements."""
+    """Vectorized arithmetic for F_{p^e} on integer-encoded elements, and
+    the character sums h[k, b] = h_eps(b) for eps = (0, 1, g)[k]."""
 
     _cache = {}
 
@@ -53,7 +55,6 @@ class ExtField:
         F = ffpoly.Field(p, e)
         self.F = F
         self.p = p
-        self.e = e
         self.Q = Q
         g = self._generator(F)
         pows = p ** np.arange(e, dtype=np.int64)
@@ -77,6 +78,22 @@ class ExtField:
         chi[0] = 0
         self.chi_table = chi
         self._pows = pows
+        # h_eps is the cross-correlation of chi with the value counts of
+        # v^3 + eps v over the index grid (Z/p)^e
+        shape = (p,) * e
+        chi_hat = np.fft.fftn(chi.reshape(shape))
+        elts = np.arange(Q, dtype=np.int64)
+        v3 = self.mul(elts, self.mul(elts, elts))
+        self.h = np.empty((3, Q), dtype=np.int32)  # |h| <= Q <= 2^24
+        for k, eps in enumerate((0, 1, exp[1])):
+            N = np.bincount(self.add(v3, self.mul(eps, elts)), minlength=Q)
+            N_hat = np.fft.fftn(N.reshape(shape))
+            h = np.fft.ifftn(chi_hat * np.conj(N_hat)).ravel()
+            self.h[k] = np.rint(h.real)
+            residual = float(np.max(np.abs(h - self.h[k])))
+            if residual > 0.25:
+                raise ValueError("FFT rounding residual %.3g exceeds 0.25 at "
+                                 "q^e = %d" % (residual, Q))
 
     @staticmethod
     def _generator(F):
@@ -105,11 +122,9 @@ def surface_point_count(m, e):
     """#W(F_{q^e}) of the projective Weierstrass surface, fiberwise: each t
     in P^1(F_{q^e}) contributes Q + 1 + sum_x chi(cubic(x)).
 
-    The cubic is depressed and rescaled to sign * (v^3 + eps v + B') with
-    eps in {0, 1, g}, so a fiber's character sum is h_eps(B') for
-    h_eps(b) = sum_v chi(v^3 + eps v + b).  With elements as base-p digit
-    integers, (F_Q, +) is the index grid (Z/p)^e, and h_eps for every b is
-    one FFT cross-correlation of chi with the value counts of v^3 + eps v.
+    The fiber cubic depressed is u^3 + A u + B with A = -c4/48 and
+    B = -c6/864.  Rescaled to sign * (v^3 + eps v + B') with eps in
+    {0, 1, g}, its character sum is the table entry ExtField.h_eps(B').
     """
     if m.field.k != 1:
         raise DomainError("extension counting assumes a prime base field")
@@ -124,17 +139,10 @@ def surface_point_count(m, e):
             acc = E.add(E.mul(acc, elts), np.int64(c))
         return np.append(acc, form.coeffs[-1])
 
-    A2, A4, A6 = (evaluate(f) for f in (m.a2, m.a4, m.a6))
-    # depress: x -> u - a2/3 turns the cubic into u^3 + A u + B with
-    # A = a4 - 3 t^2 and B = 2 t^3 - a4 t + a6 for t = a2/3
     F1 = m.field
-    third = np.int64(F1.inv(F1.from_int(3)))
-    negone = np.int64(F1.neg(F1.one))
-    t = E.mul(A2, third)
-    t2 = E.mul(t, t)
-    A = E.add(A4, E.mul(negone, E.mul(np.int64(F1.from_int(3)), t2)))
-    B = E.add(E.add(E.mul(np.int64(F1.from_int(2)), E.mul(t, t2)),
-                    E.mul(negone, E.mul(A4, t))), A6)
+    C4, C6 = evaluate(weierstrass.c4_form(m)), evaluate(weierstrass.c6_form(m))
+    A = E.mul(C4, np.int64(F1.neg(F1.inv(F1.from_int(48)))))
+    B = E.mul(C6, np.int64(F1.neg(F1.inv(F1.from_int(864)))))
 
     # rescale u = c v with c = g^(log A // 2): A / c^2 is 1 or g, and the
     # character picks up chi(c^3) = chi(c); A = 0 keeps c = 1, eps = 0
@@ -142,26 +150,10 @@ def surface_point_count(m, e):
     eps_idx = np.where(A == 0, 0, 1 + E.log[A] % 2)
     sgn = 1 - 2 * (lc & 1)
     Bp = np.where(B == 0, 0, E.exp[(E.log[B] - 3 * lc) % (Q - 1)])
+    fiber = Q + 1 + sgn * E.h[eps_idx, Bp]
 
-    shape = (E.p,) * E.e
-    chi_hat = np.fft.fftn(E.chi_table.reshape(shape))
-    v3 = E.mul(elts, E.mul(elts, elts))
-    fiber = np.full(Q + 1, Q + 1, dtype=np.int64)
-    for k, eps in enumerate((0, 1, E.exp[1])):
-        N = np.bincount(E.add(v3, E.mul(eps, elts)), minlength=Q)
-        N_hat = np.fft.fftn(N.reshape(shape))
-        h = np.fft.ifftn(chi_hat * np.conj(N_hat)).ravel()
-        h_int = np.rint(h.real).astype(np.int64)
-        residual = float(np.max(np.abs(h - h_int)))
-        if residual > 0.25:
-            raise ValueError("FFT rounding residual %.3g exceeds 0.25 at "
-                             "q^e = %d" % (residual, Q))
-        cols = eps_idx == k
-        fiber[cols] += sgn[cols] * h_int[Bp[cols]]
-
-    # singular fibers: the depressed cubic's discriminant -16(4A^3 + 27B^2)
-    sing = E.add(E.mul(np.int64(F1.from_int(4)), E.mul(A, E.mul(A, A))),
-                 E.mul(np.int64(F1.from_int(27)), E.mul(B, B))) == 0
+    # singular fibers: 1728 Delta = c4^3 - c6^2 vanishes
+    sing = E.mul(C4, E.mul(C4, C4)) == E.mul(C6, C6)
     hasse = math.isqrt(4 * Q)
     if np.any(np.abs(fiber[~sing] - (Q + 1)) > hasse):
         raise ValueError("Hasse bound violated at q^e = %d" % Q)

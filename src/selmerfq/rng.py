@@ -29,8 +29,8 @@ class SplitMix64:
 
     def below(self, n):
         """Uniform integer in [0, n). Rejection sampling, no modulo bias."""
-        if n <= 0:
-            raise ValueError("below() needs n >= 1")
+        if not 1 <= n <= 1 << 64:
+            raise ValueError("below() needs 1 <= n <= 2^64")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             x = self.next_u64()

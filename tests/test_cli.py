@@ -292,6 +292,9 @@ def test_model_gen_minimal_smooth_over_f25(capsys):
     ["model-gen", "--q", "5", "--d", "1", "--count", "100000000000"],
     ["census", "--q", "1000000000000000003", "--d", "1"],
     ["model-gen", "--q", "18446744073709551629", "--d", "1"],
+    ["model-gen", "--q", "65537^4", "--d", "1"],
+    ["model-gen", "--q", "1000003^4", "--d", "1"],
+    ["model-gen", "--q", "4294967311^2", "--d", "1"],
 ])
 def test_invalid_arguments_exit_2(argv):
     # a fresh process under a timeout: one of these used to hang

@@ -46,6 +46,10 @@ def test_field_rejects_p_from_2_64():
     with pytest.raises(DomainError, match="below 2"):
         Field(2 ** 64 + 13)
     assert Field(2 ** 64 - 59).q == 2 ** 64 - 59  # the largest 64-bit prime
+    # so is q = p^k: 65537^4 > 2^64 > 65521^4
+    with pytest.raises(DomainError, match="below 2"):
+        Field(65537, 4)
+    assert Field(65521, 4).q == 65521 ** 4
 
 
 def test_extension_field_properties():

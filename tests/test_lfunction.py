@@ -68,6 +68,18 @@ def test_extfield_tables_match_scalar_powers(p, e):
     assert cur == E.F.one and E.log[0] == 0
 
 
+@pytest.mark.parametrize("p,e", [(5, 1), (5, 2), (7, 1), (7, 2), (11, 1)])
+def test_extfield_character_sums(p, e):
+    # h_eps(b) = sum_v chi(v^3 + eps v + b), summed with scalar Field ops
+    E = ExtField(p, e)
+    F = E.F
+    for k, eps in enumerate((0, 1, int(E.exp[1]))):
+        for b in F.elements():
+            h = sum(F.chi(F.add(F.mul(F.add(F.mul(v, v), eps), v), b))
+                    for v in F.elements())
+            assert E.h[k, b] == h
+
+
 def test_supersingular_constant_surface_count():
     # y^2 = x^3 + 1 over F_5 is supersingular (5 = 2 mod 3): each of the
     # 6 fibers has exactly 6 points, 36 total
@@ -77,12 +89,16 @@ def test_supersingular_constant_surface_count():
     assert surface_point_count_slow(m, 1) == 36
 
 
-def test_fast_and_slow_counts_agree():
-    F = field_make(5)
+@pytest.mark.parametrize("q,d,models,e_max", [(5, 1, 3, 3), (7, 1, 2, 2),
+                                               (5, 2, 1, 2)],
+                         ids=["q5-d1", "q7-d1", "q5-d2"])
+def test_fast_and_slow_counts_agree(q, d, models, e_max):
+    # the slow count reads a2, a4, a6; the fast one c4 and c6
+    F = field_make(q)
     rng = SplitMix64(41)
-    for i in range(3):
-        m = random_model(F, 1, rng, minimal=True)
-        for e in (1, 2, 3) if i == 0 else (1, 2):
+    for i in range(models):
+        m = random_model(F, d, rng, minimal=True)
+        for e in range(1, (e_max if i == 0 else 2) + 1):
             assert surface_point_count(m, e) == surface_point_count_slow(m, e)
 
 
@@ -95,6 +111,8 @@ def test_seed0_traces_through_s7():
 
 
 def test_fft_rounding_residual_rejected(monkeypatch):
+    # a fresh table cache, so that ExtField builds h and runs the check
+    monkeypatch.setattr(lfunction.ExtField, "_cache", {})
     ifftn = np.fft.ifftn
     monkeypatch.setattr(lfunction.np.fft, "ifftn", lambda a: ifftn(a) + 0.3)
     m = WeierstrassModel.from_json(SEED0_MODEL)

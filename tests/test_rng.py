@@ -36,3 +36,12 @@ def test_below_array_rejects_n_past_2_63():
         SplitMix64(0).below_array(2 ** 63 + 1, 10)
     with pytest.raises(ValueError):
         SplitMix64(0).below_array(0, 10)
+
+
+def test_below_rejects_n_past_2_64():
+    # past 2^64 the acceptance limit 2^64 - (2^64 mod n) is 0
+    with pytest.raises(ValueError):
+        SplitMix64(0).below(2 ** 64 + 1)
+    with pytest.raises(ValueError):
+        SplitMix64(0).below(0)
+    assert 0 <= SplitMix64(0).below(2 ** 64) < 2 ** 64
