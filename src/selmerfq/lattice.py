@@ -2,12 +2,15 @@
 reflections, and orbit decomposition of (Z/nZ)^r under the reflection
 group.  The orbit count realizes sigma(n) = sum of divisors.
 
-Exhaustive decomposition is a BFS over mixed-radix packed vectors with
-numpy: each reflection image is the packed index plus a sparse digit update
-(read the digits on supp Gw, rewrite those on supp w), and each BFS level
-audits the content invariant of its vectors.  Past the fixed budget
-n^r <= BUDGET a sampling mode checks the predicted invariant classes by
-exhibiting explicit reflection words between random same-class pairs.
+Exhaustive decomposition is a BFS over mixed-radix packed int32 vectors
+with numpy.  Each BFS level builds its digits once, as one r x m block, by
+floor division; audits the content invariant of every vector on that block;
+and writes each reflection image v - b w as the packed index minus b times
+w packed, plus one correction per digit on supp w, with b read from the
+digits on supp Gw.  Every reduction mod n is x - (x // n) * n.  Past the
+fixed budget n^r <= BUDGET a sampling mode checks the predicted invariant
+classes by exhibiting explicit reflection words between random same-class
+pairs.
 """
 
 from math import gcd
@@ -226,10 +229,22 @@ def orbit_decompose(module, generators):
     `generators`; raises when n^r exceeds BUDGET (use sampling_connectivity
     instead).
 
-    Vectors are packed indices sum v_i n^i.  r_w(v) = v - b w with
-    b = B(v, w) q(w)^-1 reads the digits on supp(Gw) and rewrites those on
-    supp(w).  Every vector lies in exactly one BFS level, and each level
-    checks that its vectors carry the representative's content_invariant."""
+    Vectors are packed indices sum v_i n^i, held as int32: exact, since
+    n^r <= BUDGET = 2^26 < 2^31.  A level of m vectors makes its digits
+    once, as the r x m block floor(v / n^i) - n floor(v / n^(i+1)), and
+    reduces mod n as x - (x // n) * n, never with %.  Raises DomainError
+    where an intermediate could leave int32 (never for an n the CLI takes).
+
+    Every vector lies in exactly one BFS level.  Each level checks on the
+    digit block that its vectors carry the representative's content
+    invariant (t0, qbar0): t0 divides every digit; for each prime
+    p | n/t0, no vector has every digit divisible by t0 p; and
+    q(v/t0) = qbar0 mod n/t0, summed over the nonzero Gram terms.
+
+    r_w(v) = v - b w with b = B(v, w) q(w)^-1 mod n, a sum over the digits
+    on supp Gw.  Digit i of v - b w is y_i = v_i - b w_i plus n c_i with
+    c_i = -floor(y_i / n), so the packed image is v - b (w packed) plus
+    c_i n^(i+1) summed over supp w."""
     n, r = module.n, module.rank
     total = orbit_space(n, r)
     if n == 1:
@@ -239,49 +254,67 @@ def orbit_decompose(module, generators):
     gram = module.gram
     # q(v) = sum_i (G_ii/2) v_i^2 + sum_{i<j} G_ij v_i v_j, nonzero terms
     half = np.triu(gram, 1) + np.diag(np.diag(gram) // 2)
-    q_terms = [(i, j, half[i, j]) for i, j in zip(*np.nonzero(half))]
-    pows = np.array([n ** i for i in range(r)], dtype=np.int64)
-    # per generator: supp w, w there, supp Gw mod n, Gw there, q(w)^-1
+    qi, qj = np.nonzero(half)
+    qh = half[qi, qj, None].astype(np.int32)
+    # widest intermediates: v - b w packed (< n^(r+1)), b and q(v/t) before
+    # their reduction mod n (< (r + sum |terms|) n^2)
+    if max(n * total, (r + int(np.abs(qh).sum())) * n * n) >= 1 << 31:
+        raise DomainError("n = %d, rank %d: BFS arithmetic overflows int32"
+                          % (n, r))
+    pows = n ** np.arange(r, dtype=np.int32)
+    # per generator: (j, q(w)^-1 (Gw)_j mod n) on supp Gw, (i, w_i, n^(i+1))
+    # on supp w, and w packed
     refl = []
     gen_qs = []
     for w in _usable(module, generators):
         gen_qs.append(module.lattice.q(w))
-        gw = gram @ w % n
-        sw, sg = np.flatnonzero(w), np.flatnonzero(gw)
-        refl.append((sw, w[sw], sg, gw[sg], pow(module.q(w), -1, n)))
+        c = gram @ w % n * pow(module.q(w), -1, n) % n
+        refl.append(([(j, int(c[j])) for j in np.flatnonzero(c)],
+                     [(i, int(w[i]), int(pows[i]) * n)
+                      for i in np.flatnonzero(w)],
+                     int(w @ pows)))
 
-    visited = np.zeros(total, dtype=bool)
+    unseen = np.ones(total, dtype=bool)
     orbits = []
     start = 0
-    while not visited[start]:
-        visited[start] = True
+    while unseen[start]:
+        unseen[start] = False
         rep = tuple(int(start // p % n) for p in pows)
-        inv = module.content_invariant(rep)
-        frontier = np.array([start], dtype=np.int64)
+        inv = t0, qbar0 = module.content_invariant(rep)
+        nt = n // t0
+        primes = [p for p in range(2, nt + 1)
+                  if nt % p == 0 and all(p % f for f in range(2, p))]
+        frontier = np.array([start], dtype=np.int32)
         size = 0
         while frontier.size:
             size += frontier.size
-            digits = frontier // pows[:, None] % n  # r x m
-            t = np.gcd(np.gcd.reduce(digits), n)
-            prim = digits // t
-            qbar = sum(g * prim[i] * prim[j] for i, j, g in q_terms) % (n // t)
-            if np.any(t != inv[0]) or np.any(qbar != inv[1]):
+            digits = frontier // pows[:, None]  # r x m
+            digits[:-1] -= digits[1:] * n
+            prim = digits // t0
+            qv = (qh * prim[qi] * prim[qj]).sum(axis=0, dtype=np.int32)
+            qv -= qbar0
+            if not ((prim * t0 == digits).all()
+                    and all((prim // p * p != prim).any(axis=0).all()
+                            for p in primes)
+                    and (qv // nt * nt == qv).all()):
                 raise ValueError("orbit %d not invariant-homogeneous"
                                  % len(orbits))
             # an involution maps distinct vectors to distinct images, so
-            # marking `visited` per generator is the whole dedup
+            # marking `unseen` per generator is the whole dedup
             nxt = []
-            for sw, ws, sg, gs, qinv in refl:
-                b = sum(g * digits[j] for j, g in zip(sg, gs)) * qinv % n
-                img = frontier.copy()
-                for i, wi in zip(sw, ws):
-                    img += ((digits[i] - wi * b) % n - digits[i]) * pows[i]
-                img = img[~visited[img]]
-                visited[img] = True
+            for bterms, wterms, wp in refl:
+                b = sum(cj * digits[j] for j, cj in bterms)
+                b -= b // n * n
+                # v - b w packed, then n c_i added to each digit on supp w
+                img = frontier - wp * b
+                for i, wi, pn in wterms:
+                    img -= pn * ((digits[i] - wi * b) // n)
+                img = img[unseen.take(img)]
+                unseen[img] = False
                 nxt.append(img)
             frontier = np.concatenate([frontier[:0], *nxt])
         orbits.append((rep, size, inv))
-        start += int(visited[start:].argmin())
+        start += int(unseen[start:].argmax())
     if sum(s for _, s, _ in orbits) != total:
         raise ValueError("orbit sizes do not sum to n^r = %d" % total)
     return OrbitReport(n, r, "exhaustive", len(orbits), orbits,

@@ -4,6 +4,8 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines as they
 complete; each criterion carries its stated tolerance and time budget.
 """
 
+import hashlib
+import json
 import math
 import time
 
@@ -56,6 +58,14 @@ def test_criterion_2_primitive_single_orbit(mod2_exhaustive):
     ok = distinct and total == n_prim
     _line(2, ok, "each primitive q-class is a single orbit (exact); "
           "%d primitive vectors covered" % total)
+
+
+def test_mod2_exhaustive_report_pinned(mod2_exhaustive):
+    # orbit order, representatives, sizes, invariants and generator q-values
+    report, _ = mod2_exhaustive
+    text = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5b69d57787bda26cefdd37ca6f63728f9e52a2b27ec4b1e7d8afe16fd739fa02")
 
 
 def test_criterion_3_weyl_e8_n3():

@@ -1,6 +1,8 @@
 """Lattices, mod-n quadratic modules, reflection orbits, and connectivity
 certificates."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -10,8 +12,10 @@ from math import gcd
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from selmerfq import lattice
+from selmerfq import DomainError, lattice
 from selmerfq.lattice import (IntegralLattice, QuadraticModule, e8_gram,
                               e8_lattice, hyperbolic_gram, orbit_decompose,
                               sampling_connectivity, selmer_lattice,
@@ -202,12 +206,47 @@ def test_orbit_decompose_matches_union_find_dense_generators():
     assert _report_set(report) == _union_find_orbits(module, gens)
 
 
-def _mislabel(orig):
-    """content_invariant with a wrong qbar for the vector e_0."""
+_BLOCKS = {"U": hyperbolic_gram(), "<2>": np.array([[2]])}
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocks=st.lists(st.sampled_from(sorted(_BLOCKS)), min_size=1,
+                       max_size=4).filter(
+           lambda bs: 2 <= sum(len(_BLOCKS[b]) for b in bs) <= 4),
+       n=st.integers(2, 7), count=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32))
+def test_orbit_decompose_matches_union_find_property(blocks, n, count, seed):
+    # n^r <= 7^4: U and <2> blocks give digits above and below b w_i (the
+    # floor divisions see negative operands) and, for n >= 3, q(w) with an
+    # inverse other than 1; at n = 2 a <2> coordinate can have Gw = 0
+    module = QuadraticModule(_block_lattice(*(_BLOCKS[b] for b in blocks)), n)
+    gens = _random_unit_generators(module, count, seed)
+    report = orbit_decompose(module, gens)
+    assert _report_set(report) == _union_find_orbits(module, gens)
+    packed = [sum(x * n ** i for i, x in enumerate(rep))
+              for rep, _, _ in report.orbits]
+    assert packed == sorted(packed)
+
+
+def test_orbit_decompose_rejects_int32_overflow():
+    # 2^16 vectors, but the packed v - b w reaches n^(r+1) = 2^32
+    module = QuadraticModule(IntegralLattice([[2]]), 1 << 16)
+    with pytest.raises(DomainError, match="overflows int32"):
+        orbit_decompose(module, [np.array([1])])
+
+
+def _wrong_qbar(t, qbar, n):
+    return t, (qbar + 1) % (n // t)
+
+
+def _mislabel(orig, target=(1,), fake=_wrong_qbar):
+    """content_invariant answering fake(t, qbar, n) for the vector `target`
+    (zero-padded); by default a wrong qbar for e_0."""
     def wrong(self, v):
         t, qbar = orig(self, v)
-        if tuple(int(x) for x in v) == (1,) + (0,) * (self.rank - 1):
-            return t, (qbar + 1) % (self.n // t)
+        pad = (0,) * (self.rank - len(target))
+        if tuple(int(x) for x in v) == target + pad:
+            return fake(t, qbar, self.n)
         return t, qbar
     return wrong
 
@@ -217,6 +256,24 @@ def test_orbit_audit_fires_on_wrong_invariant(monkeypatch):
                         _mislabel(QuadraticModule.content_invariant))
     with pytest.raises(ValueError, match="orbit 1 not invariant-homogeneous"):
         weyl_e8_orbits(3)
+
+
+# at n = 6 the orbits of 2 e_0 and 3 e_0 are orbits 2 and 3, with invariants
+# (2, 1) and (3, 1)
+@pytest.mark.parametrize("target, fake, k", [
+    # n / t = 1: only the test that t divides every digit sees this
+    ((2,), lambda t, qbar, n: (n, 0), 2),
+    # q(2 e_0) = 4 agrees, but every digit is divisible by t * 2
+    ((2,), lambda t, qbar, n: (1, 4), 2),
+    ((3,), _wrong_qbar, 3),
+], ids=["t-too-large", "t-too-small", "wrong-qbar"])
+def test_orbit_audit_fires_at_composite_n(monkeypatch, target, fake, k):
+    monkeypatch.setattr(QuadraticModule, "content_invariant",
+                        _mislabel(QuadraticModule.content_invariant,
+                                  target, fake))
+    with pytest.raises(ValueError,
+                       match="orbit %d not invariant-homogeneous" % k):
+        weyl_e8_orbits(6)
 
 
 def test_orbit_audit_survives_python_O():
@@ -242,8 +299,13 @@ def test_orbit_audit_survives_python_O():
     assert "orbit 1 not invariant-homogeneous" in proc.stdout
 
 
-# sorted orbit sizes of (Z/n)^8 under W(E8)
+# sorted orbit sizes of (Z/n)^8 under W(E8), and the SHA-256 of
+# json.dumps(weyl_e8_orbits(n).to_json(), sort_keys=True), which also pins
+# the orbit order, the representatives, the invariants and the generator
+# q-values
 E8_ORBIT_SIZES = {
+    2: [1, 120, 135],
+    3: [1, 240, 1920, 2160, 2240],
     4: [1, 120, 135, 240, 2160, 6720, 8640, 15120, 15120, 17280],
     5: [1, 240, 240, 2160, 2160, 6720, 6720, 17280, 17280, 30240, 48384,
         60480, 60480, 69120, 69120],
@@ -251,12 +313,21 @@ E8_ORBIT_SIZES = {
         15120, 17280, 17280, 30240, 60480, 69120, 80640, 90720, 138240,
         138240, 151200, 161280, 181440, 241920, 241920],
 }
+E8_REPORT_SHA256 = {
+    2: "39fd1c6359505a800fc7556b726f93ea4208f344c3bb57f0981bde32e00beb57",
+    3: "a248b576358b2104908aa1b5fc9f987a588717a40a090523be3100310dc70b24",
+    4: "b92a992e5def26ee0e7a235e8556d3a41cd48782703a6dc2efe6f34466c8af2e",
+    5: "1ed8a3d9516a94c6122f4981ab496ac3eaf979c7a2b463a1c960a6a6e86700ec",
+    6: "743299b50d5dd09b8e185d3c5f2bbab6903f58f6d73b3501fdaccccc6181b4b5",
+}
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_weyl_e8_orbit_sizes_pinned(n):
     report = weyl_e8_orbits(n)
     sizes = sorted(size for _, size, _ in report.orbits)
     assert report.orbit_count == len(E8_ORBIT_SIZES[n])
     assert sizes == E8_ORBIT_SIZES[n]
     assert sum(sizes) == n ** 8
+    text = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == E8_REPORT_SHA256[n]
