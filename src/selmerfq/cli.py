@@ -83,10 +83,11 @@ def _cmd_divisor_count(args):
 
 
 def _cmd_orbits(args):
-    lat, gens = lattice.standard_generators(args.d, SplitMix64(args.seed))
-    module = lattice.QuadraticModule(lat, args.n)
     if args.mode == "exhaustive":
+        lat, gens = lattice.standard_generators(args.d, SplitMix64(args.seed))
+        module = lattice.QuadraticModule(lat, args.n)
         return lattice.orbit_decompose(module, gens).to_json()
+    module = lattice.QuadraticModule(lattice.selmer_lattice(args.d), args.n)
     return lattice.sampling_connectivity(module, SplitMix64(args.seed),
                                          pairs_per_class=args.pairs).to_json()
 

@@ -7,8 +7,6 @@ action on equations and its stabilizers, torsion-section search at levels
 2 and 3, and smoothness of the total space.
 """
 
-import itertools
-
 from . import DomainError, ffpoly
 from .ffpoly import BinaryForm, Place, UniPoly, factor, ord_at
 
@@ -294,68 +292,69 @@ def _fiber_multiple_root(m, v):
 
 
 def torsion_section_search(m, n):
-    """Polynomial torsion sections of level n in {2, 3}.
+    """Polynomial torsion sections of level n in {2, 3}, for p >= 5.
 
     Level 2: homogeneous degree-2d roots r of the fiber cubic; sections
-    (r, 0).  Level 3: polynomial roots of the 3-division polynomial whose
-    y-coordinate is itself a degree-3d polynomial; both y-signs returned.
-    Candidates come from interpolation through 2d+1 base-field nodes.
+    (r, 0).  Level 3: degree-2d roots r of the 3-division polynomial whose
+    y^2 = r^3 + a2 r^2 + a4 r + a6 has a degree-3d square root y; both
+    y-signs returned.
     """
     if n not in (2, 3):
         raise DomainError("torsion search supports n in {2, 3}")
     F = m.field
+    if F.characteristic < 5:
+        raise DomainError("torsion search needs p >= 5")
     d = m.d
-    npts = 2 * d + 1
-    if F.q < npts:
-        raise DomainError("base field too small for interpolation nodes")
-    nodes = range(npts)  # the first 2d + 1 element codes, all distinct
     A2t, A4t, A6t = (m.a2.dehomog_t(), m.a4.dehomog_t(), m.a6.dehomog_t())
-
+    cubic = [A6t, A4t, A2t, UniPoly.const(F, F.one)]
     if n == 2:
-        target = _cubic_in_x(F, A2t, A4t, A6t)
-    else:
-        target = _psi3_in_x(F, A2t, A4t, A6t)
-
-    # per-node roots of the specialized polynomial in x
-    per_node = []
-    for tau in nodes:
-        spec = UniPoly(F, [c.evaluate(tau) for c in target])
-        roots = [x for x in F.elements() if spec.evaluate(x) == F.zero]
-        if not roots:
-            return []
-        per_node.append(roots)
-
-    basis = _lagrange_basis(F, nodes)
+        return [(BinaryForm.from_unipoly(r, 2 * d), BinaryForm.zero(F, 3 * d))
+                for r in _roots_in_t(cubic, 2 * d)]
     sections = []
-    seen = set()
-    for combo in itertools.product(*per_node):
-        r = sum((L.scale(y) for L, y in zip(basis, combo)), UniPoly.zero(F))
-        if r.degree() > 2 * d or r.coeffs in seen:
+    for r in _roots_in_t(_psi3_in_x(F, A2t, A4t, A6t), 2 * d):
+        y = _poly_sqrt(_subst_x(cubic, r), 3 * d)
+        if y is None:
             continue
-        # exact check: substitute r into the target polynomial
-        if not _subst_x(target, r).is_zero():
-            continue
-        seen.add(r.coeffs)
         r_form = BinaryForm.from_unipoly(r, 2 * d)
-        if n == 2:
-            sections.append((r_form, BinaryForm.zero(F, 3 * d)))
-        else:
-            cubic = _cubic_in_x(F, A2t, A4t, A6t)
-            ysq = _subst_x(cubic, r)
-            y = _poly_sqrt(ysq, 3 * d)
-            if y is None:
-                continue
-            y_form = BinaryForm.from_unipoly(y, 3 * d)
-            sections.append((r_form, y_form))
-            if not y.is_zero():
-                sections.append((r_form, BinaryForm.from_unipoly(-y, 3 * d)))
+        sections.append((r_form, BinaryForm.from_unipoly(y, 3 * d)))
+        if not y.is_zero():
+            sections.append((r_form, BinaryForm.from_unipoly(-y, 3 * d)))
     return sections
 
 
-def _cubic_in_x(F, A2t, A4t, A6t):
-    """x^3 + a2 x^2 + a4 x + a6 as a list of t-polynomials, low x-degree first."""
-    one = UniPoly.const(F, F.one)
-    return [A6t, A4t, A2t, one]
+def _roots_in_t(coeffs_in_x, max_degree):
+    """The roots r in F_q[t] with deg r <= max_degree of sum_k c_k(t) x^k,
+    whose top coefficient is a nonzero constant.  With c_k the lowest
+    nonzero coefficient, 0 is a root iff k > 0 and every other root divides
+    c_k (rational root theorem), so the candidates are the unit multiples
+    of the monic divisors of c_k of degree <= max_degree.  A root takes
+    each tau in F_q to a root of the specialization at t = tau, so there is
+    none unless every specialization has one, and a candidate goes to the
+    exact check only if its values are such roots."""
+    F = coeffs_in_x[0].field
+    specs = []
+    for tau in F.elements():
+        spec = UniPoly(F, [c.evaluate(tau) for c in coeffs_in_x])
+        if all(spec.evaluate(x) != F.zero for x in F.elements()):
+            return []
+        specs.append(spec)
+    lowest = next(c for c in coeffs_in_x if not c.is_zero())
+    divisors = [UniPoly.const(F, F.one)]
+    for f, mult in factor(lowest):
+        multiples = []
+        for g in divisors:
+            for _ in range(mult):
+                g = g * f
+                if g.degree() > max_degree:
+                    break
+                multiples.append(g)
+        divisors += multiples
+    candidates = [UniPoly.zero(F)] + [g.scale(u) for g in divisors
+                                      for u in F.elements() if u != F.zero]
+    return [r for r in candidates
+            if all(spec.evaluate(r.evaluate(tau)) == F.zero
+                   for tau, spec in zip(F.elements(), specs))
+            and _subst_x(coeffs_in_x, r).is_zero()]
 
 
 def _psi3_in_x(F, A2t, A4t, A6t):
@@ -376,20 +375,6 @@ def _subst_x(coeffs_in_x, r):
     for c in reversed(coeffs_in_x):
         out = out * r + c
     return out
-
-
-def _lagrange_basis(F, nodes):
-    """The L_i with L_i(nodes[j]) = [i == j]; sum y_i L_i interpolates y."""
-    basis = []
-    for xi in nodes:
-        num = UniPoly.const(F, F.one)
-        den = F.one
-        for xj in nodes:
-            if xj != xi:
-                num = num * UniPoly(F, [F.neg(xj), F.one])
-                den = F.mul(den, F.sub(xi, xj))
-        basis.append(num.scale(F.inv(den)))
-    return basis
 
 
 def _poly_sqrt(f, half_degree):

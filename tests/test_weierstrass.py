@@ -3,7 +3,7 @@ section searches."""
 
 import pytest
 
-from selmerfq import ffpoly, weierstrass
+from selmerfq import DomainError, ffpoly, weierstrass
 from selmerfq.ffpoly import BinaryForm, Place, UniPoly, field_make, ord_at
 from selmerfq.rng import SplitMix64
 from selmerfq.weierstrass import (GroupElement, WeierstrassModel, act,
@@ -197,11 +197,89 @@ def test_no_torsion_on_random_smooth_models():
 
 
 def test_two_torsion_found_when_planted():
-    # y^2 = x(x^2 + a2 x + a4) has the 2-torsion section (0, 0); over F_25
-    # at d = 3 the 2d + 1 = 7 interpolation nodes outnumber F_5
-    for F, d in ((field_make(5), 1), (field_make(5, 2), 3)):
+    # y^2 = x(x^2 + a2 x + a4) has the 2-torsion section (0, 0), also where
+    # F_q has fewer than 2d + 1 elements
+    for F, d in ((field_make(5), 1), (field_make(5), 3),
+                 (field_make(5, 2), 3)):
         t = UniPoly.x(F)
         one = UniPoly.const(F, F.one)
         m = _model(F, d, t * t + one, t * t * t + t + one, UniPoly.zero(F))
         secs = torsion_section_search(m, 2)
         assert any(x.is_zero() and y.is_zero() for x, y in secs), F
+
+
+def test_three_torsion_found_when_planted():
+    # y^2 = x^3 + b^2 has psi3 = 3x(x^3 + 4b^2); b is squarefree, so -4b^2
+    # is no cube and the 3-torsion sections are exactly (0, +-b)
+    for F in (field_make(5), field_make(7), field_make(5, 2)):
+        t = UniPoly.x(F)
+        b = t * t * t + t + UniPoly.const(F, F.one)
+        m = _model(F, 1, UniPoly.zero(F), UniPoly.zero(F), b * b)
+        secs = sorted((x.coeffs, y.coeffs)
+                      for x, y in torsion_section_search(m, 3))
+        x0 = BinaryForm.zero(F, 2).coeffs
+        assert secs == sorted((x0, BinaryForm.from_unipoly(y, 3).coeffs)
+                              for y in (b, -b)), F
+
+
+def test_torsion_search_rejects_small_characteristic():
+    # at p = 3, psi3 = a2 x^3 + a2 a6 - a4^2 loses its x^4 term
+    F = ffpoly.Field(3, 1)
+    t = UniPoly.x(F)
+    m = _model(F, 1, UniPoly.const(F, F.one), UniPoly.zero(F), t)
+    for n in (2, 3):
+        with pytest.raises(DomainError):
+            torsion_section_search(m, n)
+
+
+def _sections_by_enumeration(m, n):
+    """Every x of degree <= 2 substituted into x^3 + a2 x^2 + a4 x + a6
+    (n = 2) or into psi3 = 3x^4 + 4 a2 x^3 + 6 a4 x^2 + 12 a6 x
+    + 4 a2 a6 - a4^2 (n = 3); y from the square root of the cubic."""
+    import itertools
+    F = m.field
+    a2, a4, a6 = (f.dehomog_t() for f in (m.a2, m.a4, m.a6))
+    c = lambda k: UniPoly.const(F, F.from_int(k))
+    out = []
+    for coeffs in itertools.product(F.elements(), repeat=3):
+        x = UniPoly(F, coeffs)
+        cubic = x * x * x + a2 * x * x + a4 * x + a6
+        if n == 2:
+            if cubic.is_zero():
+                out.append((x, UniPoly.zero(F)))
+            continue
+        psi3 = (c(3) * x * x * x * x + c(4) * a2 * x * x * x
+                + c(6) * a4 * x * x + c(12) * a6 * x
+                + c(4) * a2 * a6 - a4 * a4)
+        y = weierstrass._poly_sqrt(cubic, 3) if psi3.is_zero() else None
+        if y is not None:
+            out.extend({(x, y), (x, -y)})
+    return sorted((BinaryForm.from_unipoly(x, 2).coeffs,
+                   BinaryForm.from_unipoly(y, 3).coeffs) for x, y in out)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_torsion_sections_match_enumeration(q):
+    F = field_make(q)
+    rng = SplitMix64(0x7051 + q)
+    poly = lambda deg: UniPoly(F, [F.random(rng) for _ in range(deg + 1)])
+    models = [random_model(F, 1, rng, minimal=True) for _ in range(6)]
+    while len(models) < 12:
+        # (x - e)(x^2 + c2 x + c4) and x^3 + b^2
+        e, c2, c4, b = poly(2), poly(2), poly(4), poly(3)
+        for a2, a4, a6 in ((c2 - e, c4 - e * c2, -(e * c4)),
+                           (UniPoly.zero(F), UniPoly.zero(F), b * b)):
+            try:
+                models.append(_model(F, 1, a2, a4, a6))
+            except ValueError:  # singular generic fiber
+                pass
+    if q == 7:
+        models.append(f7_example_model())
+    planted = 0
+    for m in models:
+        for n in (2, 3):
+            secs = sorted((x.coeffs, y.coeffs)
+                          for x, y in torsion_section_search(m, n))
+            assert secs == _sections_by_enumeration(m, n), (m.to_json(), n)
+            planted += bool(secs)
+    assert planted >= 6
