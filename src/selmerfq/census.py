@@ -245,21 +245,19 @@ def _jets(length, tp, q, k):
                      for j in range(k)], axis=1)
 
 
-def exhaustive_minimality(q, d=1):
-    """Exact count of minimal tuples over the whole coefficient space.
+def exhaustive_minimality(q):
+    """Exact count of minimal tuples over the whole d = 1 coefficient space.
 
     Two independent routes whose agreement is checked: at every place v
     (the q degree-1 places plus infinity) the outer product of the kernel
     masks K6_v x K4_v x K2_v, each over its own block of q^7, q^5, q^3
     digit vectors, ORed over v; and direct enumeration of the non-minimal
     locus as a union of coordinate subspaces.  Feasible budget:
-    q^{12d+3} <= 2^28.
+    q^15 <= 2^28.
     """
-    if d != 1:
-        raise DomainError("exhaustive minimality implemented for d = 1")
-    total = exhaustive_space(q, d)
+    total = exhaustive_space(q, 1)
     t0 = time.time()
-    l2, l4, l6 = coeff_lengths(d)
+    l2, l4, l6 = coeff_lengths(1)
 
     # route 1: a6 is the slowest digit block, so it is the outer axis
     bad = np.zeros((q ** l6, q ** l4, q ** l2), dtype=bool)
@@ -296,7 +294,7 @@ def exhaustive_minimality(q, d=1):
                          % (nonmin_count, len(oracle)))
 
     return {
-        "q": q, "d": d, "total": total,
+        "q": q, "d": 1, "total": total,
         "minimal": total - nonmin_count,
         "nonminimal": nonmin_count,
         "oracle_nonminimal": len(oracle),
@@ -309,10 +307,9 @@ def exhaustive_minimality(q, d=1):
 # the singular-surface locus: incidence marking and the direct Jacobian test
 
 class SingularDivisorReport:
-    def __init__(self, q, d, image_count, image_ratio, direct_mode,
+    def __init__(self, q, image_count, image_ratio, direct_mode,
                  direct_count, direct_detail, elapsed):
         self.q = q
-        self.d = d
         self.image_count = image_count
         self.image_ratio = image_ratio
         self.direct_mode = direct_mode
@@ -322,7 +319,7 @@ class SingularDivisorReport:
 
     def to_json(self):
         return {
-            "q": self.q, "d": self.d,
+            "q": self.q, "d": 1,
             "image_count": self.image_count,
             "image_ratio": self.image_ratio,
             "direct_mode": self.direct_mode,
@@ -332,22 +329,20 @@ class SingularDivisorReport:
         }
 
 
-def incidence_mask(q, d=1):
-    """Boolean mark array over the whole coefficient space: True where some
-    rational base point (x0, tau) has f = f_x = f_u = 0 for the fiber cubic
-    f = x^3 + a2 x^2 + a4 x + a6 and u the local parameter at the t-point
-    tau.  With V_k, D_k the value and first Taylor coefficient of a_k at
-    tau, these are x0^3 + V2 x0^2 + V4 x0 + V6, 3 x0^2 + 2 V2 x0 + V4 and
-    D2 x0^2 + D4 x0 + D6.  f_x does not involve a6; where it vanishes,
+def incidence_mask(q):
+    """Boolean mark array over the whole d = 1 coefficient space: True where
+    some rational base point (x0, tau) has f = f_x = f_u = 0 for the fiber
+    cubic f = x^3 + a2 x^2 + a4 x + a6 and u the local parameter at the
+    t-point tau.  With V_k, D_k the value and first Taylor coefficient of
+    a_k at tau, these are x0^3 + V2 x0^2 + V4 x0 + V6, 3 x0^2 + 2 V2 x0 + V4
+    and D2 x0^2 + D4 x0 + D6.  f_x does not involve a6; where it vanishes,
     f = f_u = 0 fixes (V6, D6), so each tau ORs in one lookup of a
     (V6, D6)-indexed table over the a6 block.  Pure linear algebra, so it
     runs at p = 3 as well; q must be an odd prime."""
-    if d != 1:
-        raise DomainError("incidence marking implemented for d = 1")
-    exhaustive_space(q, d)
+    exhaustive_space(q, 1)
     if q == 2 or not ffpoly._is_prime(q):
         raise DomainError("incidence marking needs an odd prime q, got %r" % q)
-    l2, l4, l6 = coeff_lengths(d)
+    l2, l4, l6 = coeff_lengths(1)
     mask = np.zeros((q ** l6, q ** l4, q ** l2), dtype=bool)
     for tp in list(range(q)) + ["inf"]:
         (V2, D2), (V4, D4), (V6, D6) = (_jets(ln, tp, q, 2).T
@@ -413,21 +408,25 @@ def singular_branches(digits, q, d):
     }
 
 
-def singular_divisor_count(q, d=1, seed=0, direct_samples=4000):
-    """(image_count, direct_count) for the singular-surface locus.
+def singular_divisor_count(q, seed=0, direct_samples=4000):
+    """(image_count, direct_count) for the d = 1 singular-surface locus.
 
     image_count is exact: the tuples `incidence_mask` marks, by one table
     lookup per t-point over the a6 block.  direct_count is a sampling
     estimate: `direct_samples` uniform tuples, decided in chunks by the
     batched Jacobian test `singular_branches`; only an exhaustive direct
     count over the whole space is out of time budget.  The containment
-    audit (marked => directly singular) runs on the same sample.
+    audit (marked => directly singular) runs on the same sample, of at most
+    as many tuples as there are.
     """
     t0 = time.time()
-    mask = incidence_mask(q, d)
+    total = exhaustive_space(q, 1)
+    if not 1 <= direct_samples <= total:
+        raise DomainError("direct_samples must be in [1, %d], got %d"
+                          % (total, direct_samples))
+    mask = incidence_mask(q)
     image_count = int(mask.sum())
-    width = 12 * d + 3
-    total = q ** width
+    width = 15
     radix = q ** np.arange(width, dtype=np.int64)
 
     rng = SplitMix64(seed)
@@ -438,7 +437,7 @@ def singular_divisor_count(q, d=1, seed=0, direct_samples=4000):
         rows = min(_CLASSIFY_CHUNK, direct_samples - lo)
         idx = rng.below_array(total, rows)
         sing = np.logical_or.reduce(list(
-            singular_branches(idx[:, None] // radix % q, q, d).values()))
+            singular_branches(idx[:, None] // radix % q, q, 1).values()))
         marked = mask[idx]
         sampled_singular += int(sing.sum())
         sampled_marked += int(marked.sum())
@@ -456,7 +455,7 @@ def singular_divisor_count(q, d=1, seed=0, direct_samples=4000):
         "containment_violations": containment_violations,
     }
     return SingularDivisorReport(
-        q, d, image_count, image_count / q ** (width - 1), "sample",
+        q, image_count, image_count / q ** (width - 1), "sample",
         direct_count, detail, time.time() - t0)
 
 

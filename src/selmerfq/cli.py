@@ -11,6 +11,7 @@ any other failure, a failed cross-check included.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -19,7 +20,7 @@ from . import DomainError, __version__, census, ffpoly, lattice, lfunction, \
     localdata, weierstrass
 from .rng import SplitMix64
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 # largest height --d of census, orbits and model-gen: on 2 CPUs a 10^4-model
 # census takes about 30 s at d = 16 and 140 s at d = 32; at d = 10^5 the
 # census and the orbit Gram fail to allocate and model-gen runs for minutes
@@ -30,7 +31,10 @@ MAX_MODELS = 10 ** 4
 
 
 def _sigma(n):
-    return sum(m for m in range(1, n + 1) if n % m == 0)
+    """Sum of the divisors of n, from the pairs (m, n/m) with m <= sqrt n."""
+    r = math.isqrt(n)
+    pairs = sum(m + n // m for m in range(1, r + 1) if n % m == 0)
+    return pairs - r * (r * r == n)  # a square counts its root once
 
 
 def _int_in(lo, hi=None):
@@ -50,7 +54,11 @@ def _int_in(lo, hi=None):
 def _load_model(path):
     with open(path) as fh:
         try:
-            return weierstrass.WeierstrassModel.from_json(json.load(fh))
+            obj = json.load(fh)
+            if not 0 <= obj["d"] <= MAX_HEIGHT:
+                raise DomainError("%s: height d = %r is outside [0, %d]"
+                                  % (path, obj["d"], MAX_HEIGHT))
+            return weierstrass.WeierstrassModel.from_json(obj)
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError("%s is not a model file (%s: %s)"
                               % (path, type(exc).__name__, exc))
@@ -79,12 +87,12 @@ def _cmd_census(args):
 
 def _cmd_divisor_count(args):
     return census.singular_divisor_count(
-        args.q, args.d, seed=args.seed, direct_samples=args.samples).to_json()
+        args.q, seed=args.seed, direct_samples=args.samples).to_json()
 
 
 def _cmd_orbits(args):
     if args.mode == "exhaustive":
-        lat, gens = lattice.standard_generators(args.d, SplitMix64(args.seed))
+        lat, gens = lattice.standard_generators(args.d)
         module = lattice.QuadraticModule(lat, args.n)
         return lattice.orbit_decompose(module, gens).to_json()
     module = lattice.QuadraticModule(lattice.selmer_lattice(args.d), args.n)
@@ -126,8 +134,9 @@ def _cmd_average_table(args):
         raise DomainError("--n takes comma-separated integers, got %r"
                           % args.n)
     for n in ns:
-        if n < 1:
-            raise DomainError("n must be >= 1")
+        if not 1 <= n <= lattice.BUDGET:
+            raise DomainError("n must be in [1, %d], got %d"
+                              % (lattice.BUDGET, n))
         if args.d == 1:
             lattice.orbit_space(n, 8)
     rows = []

@@ -20,6 +20,11 @@ import numpy as np
 from . import DomainError
 
 BUDGET = 1 << 26
+# bound on sigma(n) * pairs_per_class * rank, the certificates of one
+# sampling run times their vector length: on 2 CPUs a certificate takes
+# 0.25 ms at rank 20 and 1.7 ms at rank 188, so the largest accepted run
+# takes 20-25 s
+SAMPLE_BUDGET = 2 * 10 ** 6
 
 # E8 Cartan matrix: chain 0-1-2-3-4-5-6 with node 7 attached to node 4
 _E8_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]
@@ -134,38 +139,18 @@ class QuadraticModule:
         return out
 
 
-def standard_generators(d, rng):
-    """Reflection vector pool for the Selmer lattice of height d: e+f and
-    e-f per hyperbolic block, the 8 basis roots per E8 block, plus 64
-    vectors drawn from rng whose integral q lands in {1, -1, 2, -2}."""
+def standard_generators(d):
+    """Reflection vectors for the Selmer lattice of height d, each with at
+    most 3 nonzero coordinates: e+f and e-f per hyperbolic block, the 8
+    basis roots per -E8 block, and for every basis vector b outside the
+    first hyperbolic block (e, f) the bridge e + (1 - q(b)) f + b, of
+    q = 1, which joins b's block to the first."""
     lat = selmer_lattice(d)
-    r = lat.rank
-    gens = []
-    for b in range(2 * d - 2):
-        e = np.zeros(r, dtype=np.int64)
-        f = np.zeros(r, dtype=np.int64)
-        e[2 * b] = 1
-        f[2 * b + 1] = 1
-        gens.append(e + f)
-        gens.append(e - f)
-    for b in range(d):
-        base = 2 * (2 * d - 2) + 8 * b
-        for i in range(8):
-            v = np.zeros(r, dtype=np.int64)
-            v[base + i] = 1
-            gens.append(v)
-    targets = (1, -1, 2, -2)
-    for i in range(64):
-        # hit the target q exactly: with v[0] = 1 the first hyperbolic pair
-        # contributes v[0]*v[1], so v[1] absorbs the residual
-        v = np.array([rng.below(5) - 2 for _ in range(r)], dtype=np.int64)
-        v[0] = 1
-        v[1] = 0
-        v[1] = targets[i % 4] - lat.q(v)
-        if lat.q(v) != targets[i % 4]:
-            raise ValueError("extra generator %d misses q = %d"
-                             % (i, targets[i % 4]))
-        gens.append(v)
+    eye = np.eye(lat.rank, dtype=np.int64)
+    hyp = 4 * d - 4  # coordinates of the hyperbolic blocks
+    gens = [eye[i] + s * eye[i + 1] for i in range(0, hyp, 2) for s in (1, -1)]
+    gens += list(eye[hyp:])
+    gens += [eye[0] + (1 - lat.q(b)) * eye[1] + b for b in eye[2:]]
     return lat, gens
 
 
@@ -336,9 +321,19 @@ def sampling_connectivity(module, rng, pairs_per_class=100):
     reflection word (certificate) built from midpoint reflections:
     if q(x) = q(y) and q(x - y) is a unit then r_{x-y}(x) = y, and a random
     midpoint z with q(z) = q(x) splits the general case in two steps.
-    Classes whose pairs cannot all be certified are reported UNRESOLVED."""
+    Classes whose pairs cannot all be certified are reported UNRESOLVED.
+    Raises before any draw when sigma(n) * pairs_per_class * rank exceeds
+    SAMPLE_BUDGET; since sigma(n) >= n, n is checked first, so sigma(n) is
+    never listed for a huge n."""
     n, r = module.n, module.rank
+    past = DomainError("n = %d, %d pairs per class, rank %d: past the "
+                       "sampling budget sigma(n) * pairs * rank <= %d"
+                       % (n, pairs_per_class, r, SAMPLE_BUDGET))
+    if n * pairs_per_class * r > SAMPLE_BUDGET:
+        raise past
     classes = module.predicted_classes()
+    if len(classes) * pairs_per_class * r > SAMPLE_BUDGET:
+        raise past
     results = {}
     unresolved = []
     for (t, qbar) in classes:

@@ -18,7 +18,6 @@ are one FFT convolution over that grid each, built once per field.  A point
 count evaluates c4 and c6 and reads each fiber off h.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -216,23 +215,12 @@ class LPolynomial:
         self.epsilon = epsilon
         self.factorization = cyclotomic_factorization(q, self.coeffs)
 
-    def distinct_reciprocal_roots(self):
-        """The exact values q zeta, zeta a primitive k-th root of unity, for
-        each Phi_k in the factorization."""
-        return np.array([self.q * cmath.exp(2j * math.pi * j / k)
-                         for k in self.factorization
-                         for j in range(1, k + 1) if math.gcd(j, k) == 1])
-
     def to_json(self):
-        roots = self.distinct_reciprocal_roots()
-        absdev = float(np.max(np.abs(np.abs(roots) - self.q))) / self.q
         return {
             "q": self.q,
             "degree": self.degree,
             "coefficients": [int(c) for c in self.coeffs],
             "epsilon": self.epsilon,
-            "roots_abs_check": {"max_relative_deviation": absdev,
-                                "tolerance": 1e-6},
             "cyclotomic_factorization": dict(self.factorization),
             "analytic_rank": self.factorization.get(1, 0),
         }

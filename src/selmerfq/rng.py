@@ -1,7 +1,7 @@
 """Seeded splitmix64 generator.
 
 Used everywhere randomness is needed (model sampling, Cantor-Zassenhaus
-splitting, lattice vector pools) so that runs are reproducible across
+splitting, the sampled lattice vectors) so that runs are reproducible across
 platforms and implementations from the seed alone.
 """
 

@@ -9,8 +9,8 @@ import json
 import math
 import time
 
-import numpy as np
 import pytest
+import sympy
 
 from selmerfq import census, ffpoly, lattice, lfunction, localdata, weierstrass
 from selmerfq.ffpoly import field_make
@@ -29,7 +29,7 @@ def _line(num, ok, text):
 
 @pytest.fixture(scope="module")
 def mod2_exhaustive():
-    lat, gens = standard_generators(2, SplitMix64(0xACCE55))
+    lat, gens = standard_generators(2)
     module = QuadraticModule(lat, 2)
     t0 = time.monotonic()
     report = lattice.orbit_decompose(module, gens)
@@ -65,7 +65,16 @@ def test_mod2_exhaustive_report_pinned(mod2_exhaustive):
     report, _ = mod2_exhaustive
     text = json.dumps(report.to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "5b69d57787bda26cefdd37ca6f63728f9e52a2b27ec4b1e7d8afe16fd739fa02")
+        "0afa4bdbfdb928b1dac758bb7f68c28ed7f573c8613e843e2d7de990f8d55512")
+
+
+def test_mod2_exhaustive_orbits_pinned(mod2_exhaustive):
+    # the orbit list alone (order, representatives, sizes, invariants), which
+    # no generating set of the same group may change
+    report, _ = mod2_exhaustive
+    text = json.dumps(report.to_json()["orbits"], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f19fd29a71e4b940e876030f138ac548331204e04f37887737f8d7cd266ab82f")
 
 
 def test_criterion_3_weyl_e8_n3():
@@ -100,6 +109,7 @@ def test_criterion_5_rank_two_ways():
     t0 = time.monotonic()
     F = field_make(5)
     rng = SplitMix64(0xC5)
+    T = sympy.Symbol("T")
     ok = True
     for _ in range(50):
         m = weierstrass.random_model(F, 1, rng, minimal=True, smooth=True)
@@ -109,25 +119,30 @@ def test_criterion_5_rank_two_ways():
             disc, ffpoly.Place.infinity())
         summary = localdata.global_summary(m)
         L = lfunction.l_polynomial(m)
-        roots = L.distinct_reciprocal_roots()
-        dev = float(np.max(np.abs(np.abs(roots) - 5))) / 5
+        # |alpha| = 5 exactly: L(T/5) = (-1)^m_1 prod Phi_k^m_k, checked
+        # with sympy's own cyclotomic polynomials
+        pure = sympy.expand(
+            sum(c * (T / 5) ** i for i, c in enumerate(L.coeffs))
+            - (-1) ** L.factorization.get(1, 0) * sympy.prod(
+                sympy.cyclotomic_poly(k, T) ** mult
+                for k, mult in L.factorization.items())) == 0
         if not (disc_deg == 12 and summary.conductor_degree == 12
-                and L.degree == 8 and dev <= 1e-6):
+                and L.degree == 8 and pure):
             ok = False
             break
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 600.0
     _line(5, ok, "50 smooth F_5 models: deg disc = 12, sum f_v deg v = 12, "
-          "deg L = 8, |alpha| = 5 within 1e-6; %.1fs (< 10 min)" % elapsed)
+          "deg L = 8, |alpha| = 5 exactly; %.1fs (< 10 min)" % elapsed)
 
 
 def test_criterion_6_census_densities():
     t0 = time.monotonic()
-    mask = census.incidence_mask(3, 1)
+    mask = census.incidence_mask(3)
     marks_mb = mask.nbytes / 2 ** 20
     image_count = int(mask.sum())
     log3 = math.log(image_count, 3)
-    minrep = census.exhaustive_minimality(3, 1)
+    minrep = census.exhaustive_minimality(3)
     elapsed = time.monotonic() - t0
     ok = (13.5 < log3 < 14.5
           and minrep["nonminimal"] == minrep["oracle_nonminimal"] == 105

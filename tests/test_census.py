@@ -49,7 +49,7 @@ def test_index_roundtrip():
 
 
 def test_exhaustive_minimality_q3():
-    rep = exhaustive_minimality(3, 1)
+    rep = exhaustive_minimality(3)
     assert rep["total"] == 3 ** 15
     # 4 degree-1 places x 27-element subspaces, overlapping only in the
     # zero tuple: 4*27 - 6 + 4 - 1 = 105 non-minimal tuples
@@ -69,7 +69,7 @@ def test_minimality_routes_cross_check_fires(monkeypatch):
         return right(length, tp, q, k)
     monkeypatch.setattr(census, "_jets", shifted)
     with pytest.raises(ValueError, match="minimality routes disagree"):
-        exhaustive_minimality(3, 1)
+        exhaustive_minimality(3)
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -87,11 +87,11 @@ def test_jets_match_binary_form_jet(q):
 
 def test_minimality_budget():
     with pytest.raises(ValueError):
-        exhaustive_minimality(5, 1)
+        exhaustive_minimality(5)
 
 
 def test_incidence_mask_marks_node_fixture():
-    mask = incidence_mask(3, 1)
+    mask = incidence_mask(3)
     assert bool(mask[tuple_to_index(NODE_DIGITS, 3)])
 
 
@@ -116,7 +116,7 @@ def test_node_fixture_is_directly_singular_i2():
 def test_incidence_mask_matches_direct_incidence_test():
     # marked iff some (x0, t-point) has f = f_x = f_u = 0, with each block's
     # value and first Taylor coefficient at the t-point read off its digits
-    mask = incidence_mask(3, 1)
+    mask = incidence_mask(3)
     idx = np.random.default_rng(11).integers(0, 3 ** 15, 3000)
     digits = idx[:, None] // 3 ** np.arange(15) % 3
     blocks = digits[:, :3], digits[:, 3:8], digits[:, 8:]
@@ -144,7 +144,7 @@ def test_incidence_mask_matches_direct_incidence_test():
 
 def test_squarefree_disc_not_marked():
     # models with squarefree discriminant are never incidence-marked
-    mask = incidence_mask(3, 1)
+    mask = incidence_mask(3)
     from selmerfq.ffpoly import Place, is_squarefree, ord_at
     F = Field(3, 1)
     rng = SplitMix64(50)
@@ -166,7 +166,7 @@ def test_squarefree_disc_not_marked():
 
 def test_singular_divisor_count_window():
     import math
-    rep = singular_divisor_count(3, 1, seed=7, direct_samples=600)
+    rep = singular_divisor_count(3, seed=7, direct_samples=600)
     assert 13.5 < math.log(rep.image_count, 3) < 14.5
     assert 0.3 <= rep.image_ratio <= 3.0
     assert rep.direct_detail["containment_violations"] == 0
@@ -176,7 +176,7 @@ def test_singular_divisor_count_window():
 
 def test_singular_divisor_count_seed0():
     # the values of the earlier per-model Jacobian search and combos @ B mask
-    rep = singular_divisor_count(3, 1, seed=0, direct_samples=4000)
+    rep = singular_divisor_count(3, seed=0, direct_samples=4000)
     assert rep.image_count == 5389497
     assert rep.direct_count == 5969145
     assert rep.direct_detail == {"samples": 4000, "seed": 0,
@@ -220,7 +220,7 @@ def test_containment_check_survives_python_O():
         "census.singular_branches = lambda digits, q, d: "
         "{'none': np.zeros(len(digits), dtype=bool)}\n"
         "try:\n"
-        "    census.singular_divisor_count(3, 1, seed=0, direct_samples=50)\n"
+        "    census.singular_divisor_count(3, seed=0, direct_samples=50)\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
         "else:\n"
@@ -333,7 +333,7 @@ def test_counts_do_not_depend_on_the_chunk(monkeypatch):
     for chunk in (512, 1000, 4096):
         monkeypatch.setattr(census, "_CLASSIFY_CHUNK", chunk)
         rep = run_census(5, 1, mode="sample", n=10 ** 4, seed=3)
-        div = singular_divisor_count(3, 1, seed=5, direct_samples=3000)
+        div = singular_divisor_count(3, seed=5, direct_samples=3000)
         seen.append((rep.counts, div.direct_detail, div.image_count))
     assert seen[0] == seen[1] == seen[2]
 

@@ -55,8 +55,18 @@ def test_selmer_lattice_even_unimodular():
         selmer_lattice(1)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_standard_generators_sparse_units(d):
+    lat, gens = standard_generators(d)
+    assert all(np.count_nonzero(w) <= 3 and lat.q(w) in (1, -1)
+               for w in gens)
+    # 2 per hyperbolic block, 8 per -E8 block, one bridge per basis vector
+    # outside the first hyperbolic block
+    assert len(gens) == 2 * (2 * d - 2) + 8 * d + lat.rank - 2
+
+
 def test_reflection_is_involution_and_preserves_q():
-    lat, gens = standard_generators(2, SplitMix64(30))
+    lat, gens = standard_generators(2)
     for n in (2, 3, 5):
         mod = QuadraticModule(lat, n)
         rng = SplitMix64(n)
@@ -71,7 +81,7 @@ def test_reflection_is_involution_and_preserves_q():
 
 
 def test_content_invariant_is_reflection_invariant():
-    lat, gens = standard_generators(2, SplitMix64(31))
+    lat, gens = standard_generators(2)
     mod = QuadraticModule(lat, 6)
     rng = SplitMix64(32)
     usable = [g for g in gens if np.gcd(mod.q(g), 6) == 1][:8]
@@ -97,7 +107,7 @@ def test_weyl_e8_orbit_counts_small_n():
 
 def test_orbit_decompose_budget():
     # 3^20 vectors, past the fixed budget of 2^26
-    lat, gens = standard_generators(2, SplitMix64(33))
+    lat, gens = standard_generators(2)
     mod = QuadraticModule(lat, 3)
     assert 3 ** mod.rank > lattice.BUDGET
     with pytest.raises(ValueError):
@@ -105,16 +115,14 @@ def test_orbit_decompose_budget():
 
 
 def test_sampling_connectivity_n2():
-    lat, gens = standard_generators(2, SplitMix64(34))
-    mod = QuadraticModule(lat, 2)
+    mod = QuadraticModule(selmer_lattice(2), 2)
     rep = sampling_connectivity(mod, SplitMix64(35), pairs_per_class=25)
     assert rep.orbit_count == _sigma(2)
     assert rep.unresolved == []
 
 
 def test_sampling_connectivity_composite_n():
-    lat, gens = standard_generators(2, SplitMix64(36))
-    mod = QuadraticModule(lat, 6)
+    mod = QuadraticModule(selmer_lattice(2), 6)
     rep = sampling_connectivity(mod, SplitMix64(37), pairs_per_class=10)
     assert rep.orbit_count == _sigma(6)
     assert rep.unresolved == []
