@@ -42,6 +42,8 @@ from .ffpoly import BinaryForm, UniPoly
 from .rng import SplitMix64
 
 _EXHAUSTIVE_BUDGET = 1 << 28
+# most direct samples of singular_divisor_count: about 17 s on 2 CPUs
+_MAX_DIRECT_SAMPLES = 3 * 10 ** 5
 # tuples per array pass, a few MB of int64 rows at d = 1: enough to amortize
 # each numpy call (rows_gcd's Euclid steps); counts do not depend on it
 _CLASSIFY_CHUNK = 4096
@@ -329,6 +331,13 @@ class SingularDivisorReport:
         }
 
 
+def _locus_space(q):
+    """q^15 tuples in the d = 1 space of the locus, for an odd prime q."""
+    if q == 2 or not ffpoly._is_prime(q):
+        raise DomainError("incidence marking needs an odd prime q, got %r" % q)
+    return exhaustive_space(q, 1)
+
+
 def incidence_mask(q):
     """Boolean mark array over the whole d = 1 coefficient space: True where
     some rational base point (x0, tau) has f = f_x = f_u = 0 for the fiber
@@ -339,9 +348,7 @@ def incidence_mask(q):
     f = f_u = 0 fixes (V6, D6), so each tau ORs in one lookup of a
     (V6, D6)-indexed table over the a6 block.  Pure linear algebra, so it
     runs at p = 3 as well; q must be an odd prime."""
-    exhaustive_space(q, 1)
-    if q == 2 or not ffpoly._is_prime(q):
-        raise DomainError("incidence marking needs an odd prime q, got %r" % q)
+    _locus_space(q)
     l2, l4, l6 = coeff_lengths(1)
     mask = np.zeros((q ** l6, q ** l4, q ** l2), dtype=bool)
     for tp in list(range(q)) + ["inf"]:
@@ -417,13 +424,13 @@ def singular_divisor_count(q, seed=0, direct_samples=4000):
     batched Jacobian test `singular_branches`; only an exhaustive direct
     count over the whole space is out of time budget.  The containment
     audit (marked => directly singular) runs on the same sample, of at most
-    as many tuples as there are.
+    _MAX_DIRECT_SAMPLES tuples.
     """
     t0 = time.time()
-    total = exhaustive_space(q, 1)
-    if not 1 <= direct_samples <= total:
+    total = _locus_space(q)
+    if not 1 <= direct_samples <= _MAX_DIRECT_SAMPLES:
         raise DomainError("direct_samples must be in [1, %d], got %d"
-                          % (total, direct_samples))
+                          % (_MAX_DIRECT_SAMPLES, direct_samples))
     mask = incidence_mask(q)
     image_count = int(mask.sum())
     width = 15

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Every subcommand emits a JSON report embedding the tool version, the full
-configuration, the seed (null where nothing is drawn), and the wall clock;
-reruns are bit-identical apart from the timing fields.
+configuration (null for an option the run does not read), the seed (null
+where nothing is drawn, as in exhaustive census and orbits), and the wall
+clock; reruns are bit-identical apart from the timing fields.
 
 Exit codes: 0 success; 2 on a bad option or a DomainError, the ValueError
 raised where an input is found outside the domain of the computation; 1 on
@@ -20,7 +21,7 @@ from . import DomainError, __version__, census, ffpoly, lattice, lfunction, \
     localdata, weierstrass
 from .rng import SplitMix64
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 # largest height --d of census, orbits and model-gen: on 2 CPUs a 10^4-model
 # census takes about 30 s at d = 16 and 140 s at d = 32; at d = 10^5 the
 # census and the orbit Gram fail to allocate and model-gen runs for minutes
@@ -81,8 +82,9 @@ def _cmd_census(args):
     F = ffpoly.field_from_spec(args.q)
     if F.k != 1:
         raise DomainError("census runs over prime fields")
-    rep = census.run_census(F.p, args.d, args.mode, args.n, args.seed)
-    return rep.to_json()
+    if args.mode == "exhaustive":  # nothing drawn, and n is the whole space
+        args.seed = args.n = None
+    return census.run_census(F.p, args.d, args.mode, args.n, args.seed).to_json()
 
 
 def _cmd_divisor_count(args):
@@ -92,6 +94,7 @@ def _cmd_divisor_count(args):
 
 def _cmd_orbits(args):
     if args.mode == "exhaustive":
+        args.seed = args.pairs = None  # nothing drawn, no pairs sampled
         lat, gens = lattice.standard_generators(args.d)
         module = lattice.QuadraticModule(lat, args.n)
         return lattice.orbit_decompose(module, gens).to_json()
@@ -117,14 +120,7 @@ def _cmd_tate(args):
 
 
 def _cmd_lfunction(args):
-    L = lfunction.l_polynomial(_load_model(args.model))
-    out = L.to_json()
-    if args.mod is not None:
-        coeffs, mult = lfunction.charpoly_mod(L, args.mod)
-        out["mod"] = args.mod
-        out["coefficients_mod"] = coeffs
-        out["unit_root_multiplicity"] = mult
-    return out
+    return lfunction.l_polynomial(_load_model(args.model)).to_json()
 
 
 def _cmd_average_table(args):
@@ -206,7 +202,6 @@ def build_parser():
 
     p = sub.add_parser("lfunction", parents=[common])
     p.add_argument("--model", required=True)
-    p.add_argument("--mod", type=_int_in(2), default=None)
     p.set_defaults(func=_cmd_lfunction)
 
     p = sub.add_parser("average-table", parents=[common])
@@ -222,6 +217,8 @@ def build_parser():
     p.add_argument("--smooth", action="store_true")
     p.set_defaults(func=_cmd_model_gen)
 
+    for p in sub.choices.values():  # a prefix (--mod) names no option
+        p.allow_abbrev = False
     return ap
 
 

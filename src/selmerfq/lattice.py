@@ -373,18 +373,14 @@ def _random_class_vector(module, t, qbar, rng):
     normalized so the primitive part has q = qbar mod n (the first
     hyperbolic coordinate pair absorbs the adjustment)."""
     n = module.n
-    nt = max(n // t, 1)
-    while True:
-        prim = np.array([rng.below(n) for _ in range(module.rank)],
-                        dtype=np.int64)
-        prim[0] = 1  # primitive, and q(prim) = prim[1] + q(prim with prim[1]=0)
-        rest = prim.copy()
-        rest[1] = 0
-        q_rest = int(rest @ module.gram @ rest) // 2
-        prim[1] = (qbar - q_rest) % n
-        v = (t * prim) % n
-        if module.content_invariant(v) == (t, qbar % nt):
-            return v, prim
+    prim = np.array([rng.below(n) for _ in range(module.rank)], dtype=np.int64)
+    prim[:2] = 1, 0  # primitive, and then q(prim + c f) = c + q(prim)
+    prim[1] = (qbar - module.q(prim)) % n
+    v = (t * prim) % n
+    if module.content_invariant(v) != (t, qbar % max(n // t, 1)):
+        raise ValueError("vector %s drawn for class %s has invariant %s"
+                         % (v, (t, qbar), module.content_invariant(v)))
+    return v, prim
 
 
 def _connect(module, x, y, rng):
@@ -404,7 +400,8 @@ def _connect(module, x, y, rng):
     for _ in range(256):
         z, _ = _random_class_vector(module, 1, qx, rng)
         if module.q(z) != qx:
-            continue
+            raise ValueError("midpoint %s has q = %d, not q(x) = %d"
+                             % (z, module.q(z), qx))
         d1 = (x - z) % n
         d2 = (z - y) % n
         if gcd(module.q(d1), n) == 1 and gcd(module.q(d2), n) == 1:

@@ -7,7 +7,8 @@ Mordell-Weil lattice as q times an isometry of finite order.  So
 P(T) = L(T/q) is +-prod Phi_k^m_k with phi(k) <= 8, the sign of the
 functional equation is the global root number prod_v w_v of the local
 data, and the analytic rank is m_1.  L follows from S_1..S_4 and that
-sign; S_5 cross-checks it, and exact division checks the factorization.
+sign; S_5 cross-checks it, and exact division checks the factorization,
+from which selmer_bounds reads the bracket m_1 <= dim Sel_ell <= hi.
 
 Each extension F_{q^e} gets log/exp tables over a multiplicative generator
 (multiplication and the quadratic character become array gathers), while
@@ -223,6 +224,8 @@ class LPolynomial:
             "epsilon": self.epsilon,
             "cyclotomic_factorization": dict(self.factorization),
             "analytic_rank": self.factorization.get(1, 0),
+            "selmer_bounds": {str(ell): dict(zip(("lo", "hi", "exact"),
+                              selmer_bounds(self, ell))) for ell in (2, 3)},
         }
 
 
@@ -275,6 +278,17 @@ def cyclotomic_factorization(q, coeffs):
     return out
 
 
+def selmer_bounds(L, ell):
+    """(lo, hi, exact) with lo = m_1 <= dim_{F_ell} Sel_ell <= hi for a prime
+    ell, hi the multiplicity of (1 - T) in P(T) = L(T/q) mod ell.  As
+    Phi_{ell^a} = (1 - T)^phi(ell^a) mod ell and no other Phi_k has the root
+    1 mod ell, hi = sum_a phi(ell^a) m_{ell^a}, where phi(k) = deg Phi_k."""
+    lo = L.factorization.get(1, 0)
+    hi = sum(m * (len(_CYCLOTOMIC[k]) - 1) for k, m in L.factorization.items()
+             if k in [ell ** a for a in range(5)])  # phi(ell^a) <= 8: a <= 4
+    return lo, hi, lo == hi
+
+
 def _newton_coeffs(power_sums, k_max):
     """c_0..c_k from p_1..p_k via c_k = -(p_k + sum c_i p_{k-i})/k."""
     c = [1]
@@ -321,22 +335,3 @@ def l_polynomial(m):
                          "point count gives %d" % (p5, S[4]))
     return LPolynomial(q, c, eps)
 
-
-def charpoly_mod(L, n):
-    """Coefficients of L mod n and the multiplicity of the factor (1 - T).
-
-    The multiplicity bounds the unit-root eigenspace of Frobenius mod n;
-    it is an upper-bound diagnostic only, since the characteristic
-    polynomial does not determine the module structure of ker(Frob - 1).
-    """
-    if math.gcd(L.q, n) != 1:
-        raise DomainError("gcd(q, n) = 1 required")
-    coeffs = [c % n for c in L.coeffs]
-    mult = 0
-    work = coeffs
-    while len(work) > 1 and sum(work) % n == 0:
-        # divide by T - 1, whose remainder work(1) = sum(work) is 0 mod n;
-        # the unit factor -1 of (1 - T) does not affect multiplicity
-        work = [c % n for c in _divmod_monic(work, (-1, 1))[0]]
-        mult += 1
-    return coeffs, mult

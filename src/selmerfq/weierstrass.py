@@ -56,7 +56,10 @@ class WeierstrassModel:
     @classmethod
     def from_json(cls, obj):
         """Inverse of to_json; each coefficient must be an element code,
-        an int in [0, q)."""
+        an int in [0, q), and p, k and d must be JSON integers."""
+        for name in "pkd":
+            if type(obj.get(name, 1)) is not int:
+                raise DomainError("%s = %r is not an int" % (name, obj[name]))
         F = ffpoly.field_make(obj["p"], obj.get("k", 1))
         d = obj["d"]
         forms = []

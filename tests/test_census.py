@@ -174,6 +174,21 @@ def test_singular_divisor_count_window():
     assert rep.direct_count >= rep.image_count
 
 
+@pytest.mark.parametrize("q,samples,message", [
+    (1, 4000, "odd prime q, got 1"),
+    (-3, 4000, "odd prime q, got -3"),
+    (3, 300001, "direct_samples must be in [1, 300000], got 300001"),
+])
+def test_singular_divisor_count_checks_before_the_mask(monkeypatch, q, samples,
+                                                       message):
+    def no_mask(q):
+        raise AssertionError("mask built")
+    monkeypatch.setattr(census, "incidence_mask", no_mask)
+    with pytest.raises(DomainError) as exc:
+        singular_divisor_count(q, direct_samples=samples)
+    assert message in str(exc.value)
+
+
 def test_singular_divisor_count_seed0():
     # the values of the earlier per-model Jacobian search and combos @ B mask
     rep = singular_divisor_count(3, seed=0, direct_samples=4000)

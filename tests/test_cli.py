@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -37,7 +38,7 @@ def test_weyl_e8_subcommand(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["result"]["orbit_count"] == 5
-    assert rep["schema_version"] == 4
+    assert rep["schema_version"] == 5
     assert "tool_version" in rep and "config" in rep
 
 
@@ -102,12 +103,20 @@ def test_model_gen_tate_lfunction_pipeline(tmp_path, capsys):
     assert res["disc_degree_check"] is True
     assert all(p["kodaira"] in ("I_1", "II") for p in res["places"])
 
-    code, out = _run(["lfunction", "--model", str(path), "--mod", "2"], capsys)
+    code, out = _run(["lfunction", "--model", str(path)], capsys)
     assert code == 0
     res = json.loads(out)["result"]
     assert res["degree"] == 8
     assert res["coefficients"][0] == 1
-    assert "unit_root_multiplicity" in res
+    assert sorted(res["selmer_bounds"]) == ["2", "3"]
+
+
+def test_lfunction_has_no_mod_option(capsys):
+    code = cli.main(["lfunction", "--model", "unused.json", "--mod", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --mod 2" in captured.err
 
 
 def test_reports_bit_identical_except_timing(capsys):
@@ -136,6 +145,20 @@ def test_exhaustive_orbits_read_no_seed(capsys):
         results.append(_strip_timing(json.loads(out))["result"])
     assert results[0] == results[1]
     assert results[0]["orbit_count"] == 3
+
+
+@pytest.mark.parametrize("argv,unread", [
+    (["census", "--q", "5", "--d", "0"], "n"),
+    (["orbits", "--n", "2", "--d", "2"], "pairs"),
+], ids=["census", "orbits"])
+def test_exhaustive_modes_report_null_seed(capsys, argv, unread):
+    # --seed stays parseable, but nothing is drawn and --n/--pairs go unread
+    code, out = _run(argv + ["--mode", "exhaustive", "--seed", "7"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["seed"] is None and rep["config"]["seed"] is None
+    assert rep["config"][unread] is None
+    assert rep["result"].get("seed") is None
 
 
 def test_orbits_d1_rejected(capsys):
@@ -167,31 +190,27 @@ def test_computation_error_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_lfunction_outside_domain_exits_2(tmp_path, capsys):
-    smooth_q5 = _first_model(["model-gen", "--q", "5", "--d", "1", "--minimal",
-                              "--smooth", "--seed", "3"], capsys)
     cases = [
         # d = 2: a K3 surface, whose L-polynomial is not computed
         ("d = 1 only", _first_model(["model-gen", "--q", "5", "--d", "2",
-                                     "--minimal", "--smooth"], capsys), []),
+                                     "--minimal", "--smooth"], capsys)),
         # minimal, with a bad fiber beyond I_1 and II
         ("smooth total space", _first_model(
             ["model-gen", "--q", "5", "--d", "1", "--minimal", "--count",
-             "40", "--seed", "3"], capsys), []),
+             "40", "--seed", "3"], capsys)),
         # y^2 = x^3 + t^3: I_0* fibers at 0 and infinity
         ("smooth total space",
          {"p": 5, "k": 1, "d": 1, "a2": [0, 0, 0], "a4": [0, 0, 0, 0, 0],
-          "a6": [0, 0, 0, 1, 0, 0, 0]}, []),
+          "a6": [0, 0, 0, 1, 0, 0, 0]}),
         # smooth, but the point counts need a prime base field
         ("prime base field", _first_model(
             ["model-gen", "--q", "5^2", "--d", "1", "--minimal", "--smooth"],
-            capsys), []),
-        # L mod n needs n prime to q
-        ("gcd(q, n) = 1", smooth_q5, ["--mod", "5"]),
+            capsys)),
     ]
-    for message, model, extra in cases:
+    for message, model in cases:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model))
-        code = cli.main(["lfunction", "--model", str(path)] + extra)
+        code = cli.main(["lfunction", "--model", str(path)])
         captured = capsys.readouterr()
         assert code == 2, message
         assert captured.out == ""
@@ -286,8 +305,8 @@ def test_model_gen_minimal_smooth_over_f25(capsys):
     ["average-table", "--n", "2", "--d", "-3"],
     ["orbits", "--n", "2", "--d", "2", "--mode", "sample", "--pairs", "-5"],
     ["orbits", "--n", "2", "--d", "2", "--mode", "sample", "--pairs", "0"],
-    ["lfunction", "--model", "unused.json", "--mod", "0"],
-    ["lfunction", "--model", "unused.json", "--mod", "-3"],
+    ["divisor-count", "--q", "1"],
+    ["divisor-count", "--q", "-3"],
     ["divisor-count", "--q", "5"],
     ["lfunction", "--model", Q29_MODEL],
     ["census", "--q", "5", "--d", "0", "--mode", "exhaustive",
@@ -313,8 +332,9 @@ def test_model_gen_minimal_smooth_over_f25(capsys):
     ["orbits", "--d", "2", "--mode", "sample", "--n", "2",
      "--pairs", "1000000000000"],
     ["average-table", "--n", "10000000000", "--d", "2"],
-    # more samples than the 3^15 tuples
+    # more samples than the 3^15 tuples, and than the 3 * 10^5 cap
     ["divisor-count", "--q", "3", "--samples", "1000000000000"],
+    ["divisor-count", "--q", "3", "--samples", "300001"],
 ])
 def test_invalid_arguments_exit_2(argv):
     # a fresh process under a timeout: one of these used to hang
@@ -325,6 +345,22 @@ def test_invalid_arguments_exit_2(argv):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.strip()
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["tate", "lfunction"])
+@pytest.mark.parametrize("field,value", [("p", 5.0), ("d", True), ("d", 1.0),
+                                         ("k", True), ("k", 1.0)])
+def test_model_header_must_be_integers(tmp_path, capsys, command, field,
+                                       value):
+    # "p": 5.0 once raised a TypeError traceback inside Field.inv
+    model = dict(SMOOTH_Q5, **{field: value})
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    code = cli.main([command, "--model", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "%s = %r is not an int" % (field, value) in captured.err
 
 
 @pytest.mark.parametrize("command", ["tate", "lfunction"])
@@ -361,7 +397,7 @@ def test_model_gen_over_a_large_prime_field():
 SMOOTH_Q5 = {"p": 5, "k": 1, "d": 1, "a2": [3, 0, 2], "a4": [3, 2, 3, 1, 1],
              "a6": [2, 3, 0, 4, 2, 3, 2]}
 EVERY_SUBCOMMAND = [
-    (["census", "--q", "5", "--d", "0", "--mode", "exhaustive"], True),
+    (["census", "--q", "5", "--d", "0", "--mode", "sample"], True),
     (["divisor-count", "--q", "3", "--samples", "10"], True),
     (["orbits", "--n", "2", "--d", "2", "--mode", "sample", "--pairs", "2"],
      True),
@@ -406,3 +442,25 @@ def test_seed_only_where_something_is_drawn(tmp_path, capsys, argv, seeded):
         assert code == 0
         rep = json.loads(out)
         assert rep["seed"] is None and "seed" not in rep["config"]
+
+
+def test_readme_commands_run(tmp_path, capsys, monkeypatch):
+    # every selmerfq line of the README's command block, in order, in a tmp
+    # dir; model.json is the first model of the model-gen line
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = [ln for ln in block.split("```", 1)[0].splitlines()
+             if ln.startswith("selmerfq ")]
+    commands = {ln.split()[1] for ln in lines}
+    assert commands == {argv[0] for argv, _ in EVERY_SUBCOMMAND}
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code, out = _run(shlex.split(line)[1:], capsys)
+        assert code == 0, line
+        if line.startswith("selmerfq model-gen"):
+            model = json.loads(out)["result"]["models"][0]
+            (tmp_path / "model.json").write_text(json.dumps(model))
+    assert (tmp_path / "table.json").exists()
+    assert (tmp_path / "table.tsv").exists()

@@ -128,6 +128,53 @@ def test_sampling_connectivity_composite_n():
     assert rep.unresolved == []
 
 
+# sample reports at the default 100 pairs per class, keyed by (n, d, seed)
+SAMPLE_REPORT_SHA256 = {
+    (2, 2, 0): "537818f307250578c6c3d718a8bbd8b4388a61545cbf792a1a6bf6a824e55e90",
+    (2, 2, 1): "f8087e42f421701fea7c5f105c84b4c516d57961101afb89f929a8100a5469b8",
+    (2, 2, 2): "61951b074998f6ca2c892001545b7986f2276865e07ba5cb71b12db3b1b07d55",
+    (3, 2, 0): "0e061354bdd689ff8b242a6a2400f2edffc132477339f2c4a9081209718ea0b6",
+    (3, 2, 1): "3476e0da1dba301cb0c3583cf8620cd48e7b8a4aa365a48ff658672d02e05afd",
+    (3, 2, 2): "bfd46edf21c597951f096d0f3dffef715c1b212cd92e120a9502add0c4086545",
+    (2, 3, 0): "ef62c551afc82af7068a17b0d14cc2d9cc735f08cab96125c5ba20cba3cd119a",
+    (2, 3, 1): "8d6bc1ce7492072cb0e8b27c8a48a8d1aa7b1e91e18ac6e11ccad130e650bbbe",
+    (2, 3, 2): "e8cde8518ba63b94c5cc86c4a3b1fdcc2a9e4af7fb0d6adf9ec7627e50c01e7e",
+}
+
+
+@pytest.mark.parametrize("n,d,seed", sorted(SAMPLE_REPORT_SHA256))
+def test_sampling_reports_pinned(n, d, seed):
+    mod = QuadraticModule(selmer_lattice(d), n)
+    text = json.dumps(sampling_connectivity(mod, SplitMix64(seed)).to_json(),
+                      sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == SAMPLE_REPORT_SHA256[n, d, seed]
+
+
+def test_class_vector_invariant_is_checked(monkeypatch):
+    mod = QuadraticModule(selmer_lattice(2), 2)
+    monkeypatch.setattr(QuadraticModule, "content_invariant",
+                        lambda self, v: (1, 99))
+    with pytest.raises(ValueError, match="has invariant"):
+        lattice._random_class_vector(mod, 1, 0, SplitMix64(0))
+
+
+def test_midpoint_q_is_checked(monkeypatch):
+    # x != y with q(x) = q(y) = 1 and q(x - y) even: _connect needs a midpoint
+    mod = QuadraticModule(selmer_lattice(2), 2)
+    rng = SplitMix64(0)
+    while True:
+        x, _ = lattice._random_class_vector(mod, 1, 1, rng)
+        y, _ = lattice._random_class_vector(mod, 1, 1, rng)
+        if tuple(x) != tuple(y) and mod.q(x - y) % 2 == 0:
+            break
+    zero = np.zeros(mod.rank, dtype=np.int64)
+    monkeypatch.setattr(lattice, "_random_class_vector",
+                        lambda *args: (zero, zero))
+    with pytest.raises(ValueError, match="midpoint"):
+        lattice._connect(mod, x, y, rng)
+
+
 def _block_lattice(*blocks):
     r = sum(b.shape[0] for b in blocks)
     g = np.zeros((r, r), dtype=np.int64)

@@ -6,11 +6,13 @@ import sys
 
 import numpy as np
 import pytest
+import sympy
 
 from selmerfq import lfunction, localdata, weierstrass
+from selmerfq.census import random_models
 from selmerfq.ffpoly import BinaryForm, UniPoly, field_make
-from selmerfq.lfunction import (ExtField, charpoly_mod, frobenius_traces,
-                                l_polynomial, surface_point_count,
+from selmerfq.lfunction import (ExtField, frobenius_traces, l_polynomial,
+                                selmer_bounds, surface_point_count,
                                 surface_point_count_slow)
 from selmerfq.rng import SplitMix64
 from selmerfq.weierstrass import GroupElement, WeierstrassModel, act, random_model
@@ -20,7 +22,6 @@ SEED0_MODEL = {"p": 5, "k": 1, "d": 1, "a2": [0, 0, 4], "a4": [4, 2, 0, 3, 0],
                "a6": [4, 0, 1, 1, 3, 1, 2]}
 SEED0_L = [1, 5, 25, 125, 0, -3125, -15625, -78125, -390625]
 SEED0_EPS = -1
-SEED0_MOD2 = ([1, 1, 1, 1, 0, 1, 1, 1, 1], 4)
 
 # smooth F_5 models whose sign S_5 cannot fix, as c_3 = c_4 = 0: with
 # c_2 != 0 (S_6 fixes it), with c_2 = 0 and c_1 != 0 (S_7), and with
@@ -166,7 +167,6 @@ def test_seed0_regression_fixture():
     assert L.coeffs == SEED0_L
     assert L.epsilon == SEED0_EPS
     assert L.degree == 8
-    assert charpoly_mod(L, 2) == SEED0_MOD2
 
 
 def test_l_polynomial_functional_equation():
@@ -184,24 +184,127 @@ def test_l_polynomial_rejects_other_heights():
         l_polynomial(m)
 
 
-def test_charpoly_mod_crt_consistency():
-    m = WeierstrassModel.from_json(SEED0_MODEL)
-    L = l_polynomial(m)
-    c6, _ = charpoly_mod(L, 6)
-    c2, _ = charpoly_mod(L, 2)
-    c3, _ = charpoly_mod(L, 3)
-    assert [c % 2 for c in c6] == c2
-    assert [c % 3 for c in c6] == c3
-    with pytest.raises(ValueError):
-        charpoly_mod(L, 10)  # gcd(q, n) != 1
-
-
-def test_charpoly_mod_unit_multiplicity_zero_case():
-    # L = 1 + q^8 T^8 (supersingular, eps would be -1 gives 1 - q^8 T^8);
-    # construct a literal LPolynomial with no unit root mod 3
+def test_selmer_bounds_pinned():
+    # SEED0: P = Phi_1 Phi_2 Phi_4 Phi_5, so hi = 1 + 1 + 2 at ell = 2, the
+    # multiplicity of (1 - T) in L mod 2 (L = P mod 2 for odd q), and
+    # hi = m_1 at ell = 3
+    L = l_polynomial(WeierstrassModel.from_json(SEED0_MODEL))
+    assert L.factorization == {1: 1, 2: 1, 4: 1, 5: 1}
+    assert selmer_bounds(L, 2) == (1, 4, False)
+    assert _unit_root_multiplicity(L.coeffs, 2) == 4
+    assert selmer_bounds(L, 3) == (1, 1, True)
+    assert L.to_json()["selmer_bounds"] == {
+        "2": {"lo": 1, "hi": 4, "exact": False},
+        "3": {"lo": 1, "hi": 1, "exact": True}}
+    # P = 1 + T^8 = Phi_16 = (1 - T)^8 mod 2, with no root 1 mod 3
     L = lfunction.LPolynomial(5, [1, 0, 0, 0, 0, 0, 0, 0, 5 ** 8], 1)
-    _, mult = charpoly_mod(L, 3)
-    assert mult == 0
+    assert L.factorization == {16: 1}
+    assert selmer_bounds(L, 2) == (0, 8, False)
+    assert selmer_bounds(L, 3) == (0, 0, True)
+
+
+def _unit_root_multiplicity(P, ell):
+    """Multiplicity of (1 - T) in P mod ell, by synthetic division."""
+    work = [c % ell for c in P]
+    mult = 0
+    while len(work) > 1 and sum(work) % ell == 0:
+        quot = [0] * (len(work) - 1)  # work = (T - 1) quot, top down
+        carry = 0
+        for i in range(len(work) - 1, 0, -1):
+            carry = (work[i] + carry) % ell
+            quot[i - 1] = carry
+        work = quot
+        mult += 1
+    return mult
+
+
+def _rank_mod(A, ell):
+    """Rank of an integer matrix mod the prime ell, by Gaussian elimination."""
+    A = [[int(x) % ell for x in row] for row in A]
+    rank = 0
+    for col in range(len(A[0])):
+        pivot = next((r for r in range(rank, len(A)) if A[r][col]), None)
+        if pivot is None:
+            continue
+        A[rank], A[pivot] = A[pivot], A[rank]
+        inv = pow(A[rank][col], -1, ell)
+        A[rank] = [x * inv % ell for x in A[rank]]
+        for r in range(len(A)):
+            if r != rank and A[r][col]:
+                f = A[r][col]
+                A[r] = [(x - f * y) % ell for x, y in zip(A[r], A[rank])]
+        rank += 1
+    return rank
+
+
+def _charpoly_reversed(w):
+    """det(1 - w T), lowest degree first, by Faddeev-LeVerrier over Z."""
+    n = len(w)
+    coeffs = [1]  # c_k of det(x - w) = sum c_k x^(n-k)
+    M = np.zeros_like(w)
+    for k in range(1, n + 1):
+        M = w @ M + coeffs[-1] * np.eye(n, dtype=np.int64)
+        tr = int(np.trace(w @ M))
+        assert tr % k == 0
+        coeffs.append(-tr // k)
+    return coeffs
+
+
+# E8 Dynkin diagram, Bourbaki labels 0..7: the chain 0-2-3-4-5-6-7 and 1-3
+E8_EDGES = [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)]
+
+
+def test_selmer_bounds_bracket_on_weyl_e8():
+    # Frobenius acts on E8 as q w, so P_w(T) = det(1 - w T); the kernel of
+    # w - 1 on E8 / ell E8 must lie in [lo, hi], with equality when exact
+    cartan = 2 * np.eye(8, dtype=np.int64)
+    for i, j in E8_EDGES:
+        cartan[i, j] = cartan[j, i] = -1
+    # s_i(e_j) = e_j - cartan[i, j] e_i on the simple-root basis
+    simple = []
+    for i in range(8):
+        s = np.eye(8, dtype=np.int64)
+        s[i] -= cartan[i]
+        simple.append(s)
+    rng = SplitMix64(2024)
+    words = []
+    for _ in range(2000):
+        w = np.eye(8, dtype=np.int64)
+        for _ in range(1 + rng.below(40)):
+            w = simple[rng.below(8)] @ w
+        words += [w, -w]
+    x = sympy.Symbol("x")
+    for w in words[:20]:  # the integer charpoly against sympy's
+        ref = sympy.Matrix(w.tolist()).charpoly(x).all_coeffs()
+        assert _charpoly_reversed(w) == [int(c) for c in ref]
+    exact = {2: 0, 3: 0}
+    for w in words:
+        assert (w.T @ cartan @ w == cartan).all()
+        P = _charpoly_reversed(w)
+        L = lfunction.LPolynomial(5, [c * 5 ** i for i, c in enumerate(P)], 1)
+        for ell in (2, 3):
+            lo, hi, is_exact = selmer_bounds(L, ell)
+            kernel = 8 - _rank_mod(w - np.eye(8, dtype=np.int64), ell)
+            assert lo <= kernel <= hi, (w.tolist(), ell, lo, kernel, hi)
+            assert hi == _unit_root_multiplicity(P, ell)
+            if is_exact:
+                assert kernel == lo
+            exact[ell] += is_exact
+    assert 0 < exact[2] < len(words) and 0 < exact[3] < len(words)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_selmer_bounds_read_p_not_l(q):
+    # hi is the multiplicity of (1 - T) in P(T) = L(T/q) mod ell, divided
+    # out here; L(T) mod ell differs from P mod ell unless q = 1 mod ell
+    models = random_models(field_make(q), 1, SplitMix64(q), 150,
+                           minimal=True, smooth=True)
+    assert len(models) == 150
+    for m in models:
+        L = l_polynomial(m)
+        P = [c // q ** i for i, c in enumerate(L.coeffs)]
+        for ell in (2, 3):
+            assert selmer_bounds(L, ell)[1] == _unit_root_multiplicity(P, ell)
 
 
 def test_supersingular_epsilon_forced():
