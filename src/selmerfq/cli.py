@@ -60,6 +60,8 @@ def _load_model(path):
                 raise DomainError("%s: height d = %r is outside [0, %d]"
                                   % (path, obj["d"], MAX_HEIGHT))
             return weierstrass.WeierstrassModel.from_json(obj)
+        except DomainError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError("%s is not a model file (%s: %s)"
                               % (path, type(exc).__name__, exc))

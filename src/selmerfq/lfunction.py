@@ -10,13 +10,15 @@ data, and the analytic rank is m_1.  L follows from S_1..S_4 and that
 sign; S_5 cross-checks it, and exact division checks the factorization,
 from which selmer_bounds reads the bracket m_1 <= dim Sel_ell <= hi.
 
-Each extension F_{q^e} gets log/exp tables over a multiplicative generator
-(multiplication and the quadratic character become array gathers), while
-addition works digitwise on the base-p digit encoding of ffpoly.Field
-elements.  That encoding makes (F_{q^e}, +) the index grid (Z/p)^e, so the
-character sums h_eps(b) = sum_v chi(v^3 + eps v + b), eps in {0, 1, g},
-are one FFT convolution over that grid each, built once per field.  A point
-count evaluates c4 and c6 and reads each fiber off h.
+Each F_{q^e} = F_p[x]/(f), f the least monic primitive polynomial of degree
+e, gets log/exp tables over the generator x (multiplication and the
+quadratic character become array gathers); addition works on base-p digits,
+the coefficients on 1, x, ...  No count depends on f, which may differ from
+the modulus of ffpoly.Field(p, e): only prime-field constants and the list
+of all elements leave ExtField.  The digits make (F_{q^e}, +) the grid
+(Z/p)^e, so h_eps(b) = sum_v chi(v^3 + eps v + b), eps in {0, 1, x}, is one
+FFT convolution over it per field.  A point count evaluates c4 and c6 and
+reads each fiber off h.
 """
 
 import math
@@ -26,6 +28,7 @@ import numpy as np
 from . import DomainError, ffpoly, localdata, weierstrass
 
 _TABLE_BUDGET = 1 << 24
+_MODULUS_BLOCK = 32  # codes per order test; at 5^5 one in 11 is primitive
 
 
 def table_size(q, e):
@@ -36,9 +39,34 @@ def table_size(q, e):
     return Q
 
 
+def _primitive_modulus(p, e):
+    """Digits c_0..c_(e-1) of the least monic primitive x^e + sum c_i x^i by
+    code sum c_i p^i, and x's matrix on base-p digit rows; primitive means
+    c_0 != 0 and x of order p^e - 1 (Lidl and Niederreiter, Thm 3.16)."""
+    Q = p ** e
+    exps = [Q - 1] + [(Q - 1) // ell for ell in ffpoly._prime_divisors(Q - 1)]
+    eye = np.eye(e, dtype=np.int64)
+    for start in range(0, Q, _MODULUS_BLOCK):
+        tails = np.arange(start, min(start + _MODULUS_BLOCK, Q))[:, None] \
+            // p ** np.arange(e) % p
+        tails = tails[tails[:, 0] != 0]
+        comp = np.zeros((len(tails), e, e), dtype=np.int64)
+        comp[:, :-1, 1:], comp[:, -1] = eye[1:, 1:], -tails % p
+        acc, square = dict.fromkeys(exps, eye), comp  # x^n for n in exps
+        for bit in range(Q.bit_length()):
+            for n in exps:
+                if n >> bit & 1:
+                    acc[n] = acc[n] @ square % p
+            square = square @ square % p
+        one = np.array([(acc[n] == eye).all(axis=(1, 2)) for n in exps])
+        primitive = one[0] & ~one[1:].any(axis=0)
+        if primitive.any():
+            return tails[primitive][0], comp[primitive][0]
+
+
 class ExtField:
-    """Vectorized arithmetic for F_{p^e} on integer-encoded elements, and
-    the character sums h[k, b] = h_eps(b) for eps = (0, 1, g)[k]."""
+    """Vectorized arithmetic for F_{p^e} over the least primitive modulus
+    (F: its scalar Field), and h[k, b] = h_eps(b) for eps = (0, 1, x)[k]."""
 
     _cache = {}
 
@@ -52,17 +80,15 @@ class ExtField:
 
     def _build(self, p, e):
         Q = table_size(p, e)
-        F = ffpoly.Field(p, e)
-        self.F = F
+        base = ffpoly.Field(p)  # validates p
+        tail, times_gn = _primitive_modulus(p, e)
+        self.F = ffpoly.Field.extension(
+            ffpoly.UniPoly(base, tail.tolist() + [1]))
         self.p = p
         self.Q = Q
-        g = self._generator(F)
         pows = p ** np.arange(e, dtype=np.int64)
-        # exp by doubling: exp[n:2n] = exp[:n] g^n, where multiplying by
-        # g^n is an e x e matrix mod p on base-p digits (row j: g^n x^j),
-        # and the matrix of g^2n is that of g^n squared
-        times_gn = np.array([F.mul(g, int(pw)) for pw in pows])[:, None] \
-            // pows % p
+        # exp by doubling: exp[n:2n] = exp[:n] x^n, and multiplying by x^n
+        # is the n-th power of the companion matrix of f on base-p digit rows
         exp = np.ones(Q - 1, dtype=np.int64)
         n = 1
         while n < Q - 1:
@@ -94,14 +120,6 @@ class ExtField:
             if residual > 0.25:
                 raise ValueError("FFT rounding residual %.3g exceeds 0.25 at "
                                  "q^e = %d" % (residual, Q))
-
-    @staticmethod
-    def _generator(F):
-        order_facs = ffpoly._prime_divisors(F.q - 1)
-        for g in range(2, F.q):
-            if all(F.pow(g, (F.q - 1) // ell) != F.one for ell in order_facs):
-                return g
-        raise AssertionError("no multiplicative generator found")
 
     def add(self, a, b):
         out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)

@@ -364,6 +364,23 @@ def test_model_header_must_be_integers(tmp_path, capsys, command, field,
 
 
 @pytest.mark.parametrize("command", ["tate", "lfunction"])
+@pytest.mark.parametrize("field,value,message", [
+    ("k", 17, "extension degree must be in [1, 16]"),
+    ("d", -1, "height d = -1 is outside [0, 16]")])
+def test_model_file_domain_errors_pass_through(tmp_path, capsys, command,
+                                               field, value, message):
+    # a well-formed model file outside the domain is not "not a model file"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(dict(SMOOTH_Q5, **{field: value})))
+    code = cli.main([command, "--model", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+    assert "not a model file" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["tate", "lfunction"])
 def test_model_file_height_past_max_exits_2(tmp_path, command):
     # model-gen writes d <= 16; a d = 48 file once ran past 30 s in tate
     d = 48

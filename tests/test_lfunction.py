@@ -10,7 +10,7 @@ import sympy
 
 from selmerfq import lfunction, localdata, weierstrass
 from selmerfq.census import random_models
-from selmerfq.ffpoly import BinaryForm, UniPoly, field_make
+from selmerfq.ffpoly import BinaryForm, Field, UniPoly, field_make
 from selmerfq.lfunction import (ExtField, frobenius_traces, l_polynomial,
                                 selmer_bounds, surface_point_count,
                                 surface_point_count_slow)
@@ -59,14 +59,40 @@ def test_extfield_tables():
 
 @pytest.mark.parametrize("p,e", [(5, 1), (5, 3), (5, 4), (7, 2), (3, 5)])
 def test_extfield_tables_match_scalar_powers(p, e):
-    # the doubling build against g^i by repeated scalar Field.mul
+    # the generator is x, whose code is p, or -c_0 when the modulus is
+    # x + c_0; the doubling build against x^i by repeated scalar Field.mul
     E = ExtField(p, e)
-    g = E._generator(E.F)
+    x = p if e > 1 else -E.F.modulus.coeffs[0] % p
+    assert E.exp[1] == x
     cur = E.F.one
     for i in range(E.Q - 1):
         assert E.exp[i] == cur and E.log[cur] == i
-        cur = E.F.mul(cur, g)
+        cur = E.F.mul(cur, x)
     assert cur == E.F.one and E.log[0] == 0
+
+
+@pytest.mark.parametrize("p,e", [(3, e) for e in range(1, 7)]
+                         + [(5, e) for e in range(1, 6)]
+                         + [(7, 1), (7, 2), (7, 3), (11, 1), (11, 2),
+                            (13, 1), (13, 2)])
+def test_extfield_modulus_is_least_primitive(p, e):
+    # scalar brute force: the least code with f(0) != 0 such that x has
+    # order exactly p^e - 1 in F_p[x]/(f); a primitive f is irreducible
+    Q = p ** e
+    for code in range(Q):
+        tail = [code // p ** i % p for i in range(e)]
+        if tail[0] == 0:
+            continue
+        K = Field.extension(UniPoly(Field(p), tail + [1]))
+        x = p if e > 1 else -tail[0] % p
+        if K.pow(x, Q - 1) == 1 and all(K.pow(x, (Q - 1) // ell) != 1
+                                        for ell in sympy.primefactors(Q - 1)):
+            break
+    modulus = ExtField(p, e).F.modulus
+    assert list(modulus.coeffs) == tail + [1]
+    T = sympy.Symbol("T")
+    assert sympy.Poly(list(reversed(modulus.coeffs)), T,
+                      modulus=p).is_irreducible
 
 
 @pytest.mark.parametrize("p,e", [(5, 1), (5, 2), (7, 1), (7, 2), (11, 1)])
