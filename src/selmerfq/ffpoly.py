@@ -164,7 +164,7 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         if self.base is None:
             return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
+        return a if a == 1 else self.pow(a, self.q - 2)  # monic divisors
 
     def chi(self, a):
         """Quadratic character: 0 on zero, +1 on squares, -1 otherwise."""
@@ -173,19 +173,16 @@ class Field:
         return 1 if self.pow(a, (self.q - 1) // 2) == self.one else -1
 
     def sqrt(self, a):
-        """A square root of a, or None.  Brute search is fine at our sizes
-        for k > 1; prime fields use Tonelli-Shanks-free exponent tricks
-        when q % 4 == 3 and fall back to search otherwise."""
+        """A square root of a, or None: a^((q+1)/4) when q % 4 == 3, else the
+        least root, read off the linear factors of x^2 - a."""
         if a == 0:
             return 0
         if self.chi(a) != 1:
             return None
         if self.q % 4 == 3:
             return self.pow(a, (self.q + 1) // 4)
-        for x in range(1, self.q):
-            if self.mul(x, x) == a:
-                return x
-        return None
+        return min(self.neg(g.coeffs[0])
+                   for g, _ in factor(UniPoly(self, [self.neg(a), 0, 1])))
 
     def from_int(self, n):
         """The image of the integer n."""
@@ -381,32 +378,13 @@ class UniPoly:
         return out
 
     def is_irreducible(self):
-        """Rabin irreducibility test over F_q."""
-        n = self.degree()
-        if n < 1:
-            return False
-        if n == 1:
-            return True
-        F = self.field
-        q = F.q
-        x = UniPoly.x(F)
-        # x^(q^n) == x mod f
-        xp = x.powmod(q ** n, self)
-        if xp != x % self:
-            return False
-        for ell in _prime_divisors(n):
-            xp = x.powmod(q ** (n // ell), self)
-            g = (xp - (x % self)).gcd(self)
-            if not g.is_constant():
-                return False
-        return True
+        return self.degree() >= 1 and factor(self) == [(self.monic(), 1)]
 
     def count_roots(self):
-        """Number of distinct roots in the coefficient field."""
-        F = self.field
-        x = UniPoly.x(F)
-        g = (x.powmod(F.q, self) - (x % self)).gcd(self)
-        return g.degree() if not g.is_zero() else 0
+        """Number of distinct roots in the coefficient field, read off the
+        first distinct-degree pair of factor."""
+        g, d = next(_distinct_degree(self), (None, 0))
+        return g.degree() if d == 1 else 0
 
 
 def _prime_divisors(n):
@@ -445,10 +423,6 @@ def factor(f):
     F = f.field
     rng = SplitMix64(0x5EED)
     out = {}
-
-    def add_factor(g, mult):
-        key = g.coeffs
-        out[key] = out.get(key, 0) + mult
 
     def squarefree_parts(g, mult):
         # yields (squarefree poly, multiplicity) pieces
@@ -498,26 +472,31 @@ def factor(f):
                 return equal_degree_split(w, d) + equal_degree_split((g // w).monic(), d)
 
     for sf, mult in squarefree_parts(f.monic(), 1):
-        # distinct degree
-        x = UniPoly.x(F)
-        h = x
-        rem = sf
-        d = 0
-        while rem.degree() > 0:
-            d += 1
-            if 2 * d > rem.degree():
-                add_factor(rem.monic(), mult)
-                break
-            h = h.powmod(F.q, rem)
-            g = (h - (x % rem)).gcd(rem)
-            if not g.is_constant():
-                for piece in equal_degree_split(g.monic(), d):
-                    add_factor(piece, mult)
-                rem = (rem // g).monic()
-                h = h % rem
+        for g, d in _distinct_degree(sf):
+            for piece in equal_degree_split(g, d):
+                out[piece.coeffs] = out.get(piece.coeffs, 0) + mult
     result = [(UniPoly(F, list(k)), m) for k, m in out.items()]
     result.sort(key=lambda fm: (fm[0].degree(), fm[0].coeffs))
     return result
+
+
+def _distinct_degree(f):
+    """Distinct-degree stage of factor: (g, d), d increasing, g != 1 the
+    product of the degree-d irreducible factors of a monic squarefree f.
+    For any f the first pair has d = 1 iff f has a root; g = gcd(x^q - x, f)."""
+    x = UniPoly.x(f.field)
+    h, rem, d = x, f, 0
+    while rem.degree() > 0:
+        d += 1
+        if 2 * d > rem.degree():
+            yield rem, rem.degree()
+            return
+        h = h.powmod(f.field.q, rem)
+        g = (h - x).gcd(rem)  # deg rem >= 2 > deg x
+        if not g.is_constant():
+            yield g, d
+            rem = rem // g
+            h = h % rem
 
 
 class Place:

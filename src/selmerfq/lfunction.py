@@ -320,23 +320,17 @@ def _newton_coeffs(power_sums, k_max):
     return c
 
 
-def _predicted_power_sum(coeffs, power_sums, k):
-    """p_k from c_1..c_k and p_1..p_{k-1} (Newton, k <= deg)."""
-    return -k * coeffs[k] - sum(coeffs[i] * power_sums[k - 1 - i]
-                                for i in range(1, k))
-
-
 def l_polynomial(m):
     """Integral L-polynomial of a smooth d = 1 model.
 
     c_1..c_4 come from Newton's identities on S_1..S_4.  The sign eps of
     the functional equation c_{8-i} = eps q^{8-2i} c_i is the global root
     number from Tate's algorithm (localdata.root_number), and fills in the
-    top half.  The one cross-check: Newton's p_5 from c_1..c_5 must equal
-    the counted S_5.  LPolynomial then checks purity by exact cyclotomic
-    division.  Point counts run over F_{q^e} for e <= 5 only, so q^5 must
-    fit the table budget (q <= 27).  Smoothness and eps share one
-    `summary` = localdata.global_summary(m).
+    top half.  The one cross-check: Newton's c_5 from the counted S_1..S_5
+    must equal the c_5 of the functional equation.  LPolynomial then checks
+    purity by exact cyclotomic division.  Point counts run over F_{q^e} for
+    e <= 5 only, so q^5 must fit the table budget (q <= 27).  Smoothness
+    and eps share one `summary` = localdata.global_summary(m).
     """
     if m.d != 1:
         raise DomainError("full L-polynomials are computed for d = 1 only")
@@ -344,12 +338,13 @@ def l_polynomial(m):
     table_size(q, 5)
     summary = localdata.global_summary(m)
     S = frobenius_traces(m, 5, summary)
-    c = _newton_coeffs(S[:4], 4)
+    newton = _newton_coeffs(S, 5)
     eps = localdata.root_number(m, summary)
-    c += [eps * q ** (8 - 2 * i) * c[i] for i in range(3, -1, -1)]
-    p5 = _predicted_power_sum(c, S, 5)
-    if p5 != S[4]:
-        raise ValueError("S_5 cross-check failed: Newton predicts %d, the "
-                         "point count gives %d" % (p5, S[4]))
+    c = newton[:5] + [eps * q ** (8 - 2 * i) * newton[i]
+                      for i in range(3, -1, -1)]
+    if newton[5] != c[5]:
+        raise ValueError("S_5 cross-check failed: Newton on the point counts "
+                         "gives c_5 = %d, the functional equation %d"
+                         % (newton[5], c[5]))
     return LPolynomial(q, c, eps)
 

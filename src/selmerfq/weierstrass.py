@@ -104,8 +104,12 @@ def bad_places(m):
 
 def c4_form(m):
     """c4 = 16(a2^2 - 3 a4), a degree-4d form."""
-    F = m.field
-    return (m.a2 * m.a2 - m.a4.scale(F.from_int(3))).scale(F.from_int(16))
+    return _c4_of_forms(m.a2, m.a4)
+
+
+def _c4_of_forms(a2, a4):
+    F = a2.field
+    return (a2 * a2 - a4.scale(F.from_int(3))).scale(F.from_int(16))
 
 
 def c6_form(m):
@@ -136,6 +140,20 @@ def minimality_of_forms(field, d, a2, a4, a6):
             if g.degree() == 0:
                 return True
     return False
+
+
+def smoothness_of_forms(field, d, a2, a4, a6):
+    """Smoothness of the total space on raw coefficient forms of a minimal
+    model, p >= 5: the smooth bit of census.classify on one tuple, False
+    when Delta = 0.  With g1 = gcd(Delta, D1 Delta), every finite bad fiber
+    is I_1 or II iff g1 shares no root with D2 Delta and g1 | c4; the fiber
+    at infinity is iff ord_inf Delta <= 1, or = 2 with c4 vanishing there."""
+    dt, c4 = _disc_form(a2, a4, a6).dehomog_t(), _c4_of_forms(a2, a4)
+    g1 = dt.gcd(dt.hasse(1))
+    ord_inf = 12 * d - dt.degree()
+    return g1.gcd(dt.hasse(2)).degree() == 0 \
+        and (c4.dehomog_t() % g1).is_zero() \
+        and (ord_inf <= 1 or ord_inf == 2 and c4.coeffs[-1] == field.zero)
 
 
 def is_minimal(m):
@@ -401,22 +419,22 @@ def _poly_sqrt(f, half_degree):
 
 def random_model(field, d, rng, minimal=False, smooth=False):
     """Seeded random model of height d; optionally resample until minimal
-    and/or smooth.  rng is a SplitMix64."""
+    and/or smooth (smooth implies minimal, and is decided by
+    smoothness_of_forms).  rng is a SplitMix64."""
     if d < 0:
         raise DomainError("height d must be >= 0, got %r" % (d,))
     while True:
         a2 = BinaryForm(field, 2 * d, [field.random(rng) for _ in range(2 * d + 1)])
         a4 = BinaryForm(field, 4 * d, [field.random(rng) for _ in range(4 * d + 1)])
         a6 = BinaryForm(field, 6 * d, [field.random(rng) for _ in range(6 * d + 1)])
+        if (minimal or smooth) and not minimality_of_forms(field, d, a2, a4, a6):
+            continue
+        if smooth and not smoothness_of_forms(field, d, a2, a4, a6):
+            continue
         try:
-            m = WeierstrassModel(field, d, a2, a4, a6)
+            return WeierstrassModel(field, d, a2, a4, a6)
         except ValueError:  # singular generic fiber: draw again
             continue
-        if minimal and not is_minimal(m):
-            continue
-        if smooth and not is_smooth_surface(m):
-            continue
-        return m
 
 
 def f7_example_model():

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -387,13 +386,27 @@ def test_random_models_prime_power_field():
 
 
 def test_random_models_extension_field_large_height():
-    # minimality by Hasse-derivative gcds, without factoring: one minimal
-    # model over F_25 at d = 16 took about 40 s when each draw was factored
-    t0 = time.perf_counter()
-    (m,) = census.random_models(Field(5, 2), 16, SplitMix64(0), 1,
-                                minimal=True)
-    assert time.perf_counter() - t0 < 10
-    assert weierstrass.is_minimal(m) and m.d == 16
+    # minimality and smoothness by gcds of Hasse derivatives, without
+    # factoring: one minimal model over F_25 at d = 16 took about 40 s when
+    # each draw was factored, and a smooth one did not end within 60 s when
+    # Tate's algorithm decided each draw.  A subprocess with a timeout fails
+    # a returning hang fast instead of stalling the run.
+    script = (
+        "import time\n"
+        "from selmerfq import census, weierstrass\n"
+        "from selmerfq.ffpoly import Field\n"
+        "from selmerfq.rng import SplitMix64\n"
+        "for smooth in (False, True):\n"
+        "    t0 = time.perf_counter()\n"
+        "    (m,) = census.random_models(Field(5, 2), 16, SplitMix64(0), 1,\n"
+        "                                minimal=True, smooth=smooth)\n"
+        "    assert time.perf_counter() - t0 < 10, smooth\n"
+        "    assert weierstrass.is_minimal(m) and m.d == 16\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_random_models_smooth_implies_minimal():

@@ -69,11 +69,13 @@ def test_extension_field_properties():
 
 
 def test_sqrt_of_squares():
-    F = field_make(13)
-    for a in range(1, 13):
-        sq = F.mul(a, a)
-        r = F.sqrt(sq)
-        assert F.mul(r, r) == sq
+    # q = 1 mod 4 in each field: the root is the least x with x^2 = a
+    for F in (field_make(5), field_make(13), Field(5, 2), Field(5, 3)):
+        least = {}
+        for x in range(F.q - 1, -1, -1):
+            least[F.mul(x, x)] = x
+        assert [F.sqrt(a) for a in F.elements()] == \
+            [least.get(a) for a in F.elements()]
 
 
 def test_unipoly_divmod_and_gcd():
@@ -120,15 +122,21 @@ def test_factor_roundtrip():
 
 
 def test_roots_and_count_roots_agree():
-    # count_roots against a brute-force count of the x in F_11 with f(x) = 0
-    F = field_make(11)
-    rng = SplitMix64(3)
-    for _ in range(20):
-        f = UniPoly(F, [F.random(rng) for _ in range(5)])
-        if f.is_zero():
-            continue
-        assert f.count_roots() == sum(f.evaluate(x) == F.zero
-                                      for x in F.elements())
+    # count_roots against a brute-force count of the x with f(x) = 0, in
+    # F_11 and in residue fields of degree 2 and 3; up to two random linear
+    # factors make roots, repeated ones too, common in the larger fields
+    residue = [Place(Field(p, k).modulus).residue_field()[0]
+               for p, k in ((5, 2), (7, 2), (5, 3))]
+    for F in [field_make(11)] + residue:
+        rng = SplitMix64(3)
+        for _ in range(20):
+            f = UniPoly(F, [F.random(rng) for _ in range(5)])
+            for _ in range(rng.below(3)):
+                f = f * UniPoly(F, [F.random(rng), F.one])
+            if f.is_zero():
+                continue
+            assert f.count_roots() == sum(f.evaluate(x) == F.zero
+                                          for x in F.elements())
 
 
 def test_squarefree_detection():

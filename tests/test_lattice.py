@@ -159,22 +159,6 @@ def test_class_vector_invariant_is_checked(monkeypatch):
         lattice._random_class_vector(mod, 1, 0, SplitMix64(0))
 
 
-def test_midpoint_q_is_checked(monkeypatch):
-    # x != y with q(x) = q(y) = 1 and q(x - y) even: _connect needs a midpoint
-    mod = QuadraticModule(selmer_lattice(2), 2)
-    rng = SplitMix64(0)
-    while True:
-        x, _ = lattice._random_class_vector(mod, 1, 1, rng)
-        y, _ = lattice._random_class_vector(mod, 1, 1, rng)
-        if tuple(x) != tuple(y) and mod.q(x - y) % 2 == 0:
-            break
-    zero = np.zeros(mod.rank, dtype=np.int64)
-    monkeypatch.setattr(lattice, "_random_class_vector",
-                        lambda *args: (zero, zero))
-    with pytest.raises(ValueError, match="midpoint"):
-        lattice._connect(mod, x, y, rng)
-
-
 def _block_lattice(*blocks):
     r = sum(b.shape[0] for b in blocks)
     g = np.zeros((r, r), dtype=np.int64)

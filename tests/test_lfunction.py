@@ -366,17 +366,27 @@ def test_root_number_matches_newton_c8(model, eps):
 
 
 def _signs_from_s5(m):
-    """The signs eps that the functional equation and S_5 allow."""
+    """The signs eps that the functional equation and S_5 allow: c_5 =
+    eps q^2 c_3 must be Newton's c_5 from S_1..S_5."""
     q = m.field.q
-    S = frobenius_traces(m, 5)
-    half = lfunction._newton_coeffs(S[:4], 4)
-    out = []
-    for eps in (1, -1):
-        c = half + [eps * q ** (8 - 2 * i) * half[i] for i in (3, 2, 1, 0)]
-        if (half[4] == 0 or eps == 1) \
-                and lfunction._predicted_power_sum(c, S, 5) == S[4]:
-            out.append(eps)
-    return out
+    try:
+        c = lfunction._newton_coeffs(frobenius_traces(m, 5), 5)
+    except ValueError:  # non-integral c_5: no sign fits
+        return []
+    return [eps for eps in (1, -1) if (c[4] == 0 or eps == 1)
+            and eps * q ** 2 * c[3] == c[5]]
+
+
+def test_s5_cross_check_fires_on_a_wrong_sign(monkeypatch):
+    # c_3 != 0, so c_5 = eps q^2 c_3 of the functional equation fixes eps
+    F, rng = field_make(7), SplitMix64(0)
+    m = random_model(F, 1, rng, minimal=True, smooth=True)
+    while lfunction._newton_coeffs(frobenius_traces(m, 4), 4)[3] == 0:
+        m = random_model(F, 1, rng, minimal=True, smooth=True)
+    eps = localdata.root_number(m)
+    monkeypatch.setattr(localdata, "root_number", lambda *args: -eps)
+    with pytest.raises(ValueError, match="S_5 cross-check failed"):
+        l_polynomial(m)
 
 
 def test_root_number_matches_s5_sign_q7():

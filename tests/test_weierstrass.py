@@ -4,14 +4,15 @@ section searches."""
 import pytest
 
 from selmerfq import DomainError, ffpoly, weierstrass
-from selmerfq.ffpoly import BinaryForm, Place, UniPoly, field_make, ord_at
+from selmerfq.ffpoly import BinaryForm, Field, UniPoly, field_make
 from selmerfq.rng import SplitMix64
 from selmerfq.weierstrass import (GroupElement, WeierstrassModel, act,
                                   c4_form, c6_form, compose, discriminant,
                                   f7_example_model, is_minimal,
                                   minimality_bruteforce, minimality_of_forms,
                                   random_model, singular_surface_points,
-                                  stabilizer_order, torsion_section_search)
+                                  smoothness_of_forms, stabilizer_order,
+                                  torsion_section_search)
 
 
 def _model(F, d, a2, a4, a6):
@@ -106,6 +107,23 @@ def test_identity_action():
     rng = SplitMix64(14)
     m = random_model(F, 1, rng)
     assert act(GroupElement(BinaryForm.zero(F, 2), F.one), m) == m
+
+
+@pytest.mark.parametrize("p,k,d,seed,draws", [
+    (5, 1, 2, 0, 40), (7, 1, 2, 0, 40), (5, 2, 1, 501, 12), (7, 2, 1, 12, 8)])
+def test_smoothness_of_forms_matches_kodaira_route(p, k, d, seed, draws):
+    # the census criterion on one tuple against Tate's algorithm; each seed
+    # gives both outcomes (over F_49 about one minimal draw in 100 is
+    # singular, and the Kodaira route takes 0.2 s a draw)
+    F = Field(p, k)
+    rng = SplitMix64(seed)
+    seen = set()
+    for _ in range(draws):
+        m = random_model(F, d, rng, minimal=True)
+        smooth = smoothness_of_forms(F, d, m.a2, m.a4, m.a6)
+        assert smooth == weierstrass.is_smooth_surface(m)
+        seen.add(smooth)
+    assert seen == {False, True}
 
 
 def test_stabilizer_against_direct_count():
