@@ -11,6 +11,7 @@ any other failure, a failed cross-check included.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -158,6 +159,7 @@ def _cmd_model_gen(args):
 
 # --------------------------------------------------------------------------
 
+@functools.cache  # built on the first main() call, not at import
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="selmerfq",

@@ -149,8 +149,7 @@ class Field:
         return self._join(prod[:n])
 
     def pow(self, a, e):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
+        """a^e for e >= 0, by square and multiply."""
         out, base = self.one, a
         while e:
             if e & 1:

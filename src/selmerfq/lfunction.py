@@ -201,14 +201,14 @@ def surface_point_count_slow(m, e):
     return total
 
 
-def frobenius_traces(m, m_max, summary=None):
+def frobenius_traces(m, m_max):
     """S_e = #W(F_{q^e}) - (1 + 2q^e + q^{2e}) for e = 1..m_max; the
     subtracted term collects H^0, the two Tate classes (fiber and zero
-    section) in H^2, and H^4.  Smoothness is read off `summary`, as in
-    weierstrass.is_smooth_surface."""
+    section) in H^2, and H^4.  The total space must be smooth, as decided
+    by weierstrass.smooth_by_gcd."""
     if m.d < 1:
         raise DomainError("d >= 1 required")
-    if not weierstrass.is_smooth_surface(m, summary):
+    if not weierstrass.smooth_by_gcd(m):
         raise DomainError("smooth total space required: bad fibers I_1 or II")
     q = m.field.q
     out = []
@@ -326,20 +326,23 @@ def l_polynomial(m):
     c_1..c_4 come from Newton's identities on S_1..S_4.  The sign eps of
     the functional equation c_{8-i} = eps q^{8-2i} c_i is the global root
     number from Tate's algorithm (localdata.root_number), and fills in the
-    top half.  The one cross-check: Newton's c_5 from the counted S_1..S_5
-    must equal the c_5 of the functional equation.  LPolynomial then checks
+    top half; a fiber type there other than I_1 or II means that Tate's
+    algorithm and the gcd test of frobenius_traces disagree on smoothness.
+    The other cross-check: Newton's c_5 from the counted S_1..S_5 must
+    equal the c_5 of the functional equation.  LPolynomial then checks
     purity by exact cyclotomic division.  Point counts run over F_{q^e} for
-    e <= 5 only, so q^5 must fit the table budget (q <= 27).  Smoothness
-    and eps share one `summary` = localdata.global_summary(m).
+    e <= 5 only, so q^5 must fit the table budget (q <= 27).
     """
     if m.d != 1:
         raise DomainError("full L-polynomials are computed for d = 1 only")
     q = m.field.q
     table_size(q, 5)
-    summary = localdata.global_summary(m)
-    S = frobenius_traces(m, 5, summary)
+    S = frobenius_traces(m, 5)
     newton = _newton_coeffs(S, 5)
-    eps = localdata.root_number(m, summary)
+    try:
+        eps = localdata.root_number(m)
+    except DomainError as exc:
+        raise ValueError("smoothness routes disagree: %s" % exc)
     c = newton[:5] + [eps * q ** (8 - 2 * i) * newton[i]
                       for i in range(3, -1, -1)]
     if newton[5] != c[5]:
@@ -347,4 +350,3 @@ def l_polynomial(m):
                          "gives c_5 = %d, the functional equation %d"
                          % (newton[5], c[5]))
     return LPolynomial(q, c, eps)
-

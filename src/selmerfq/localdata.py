@@ -20,17 +20,14 @@ class PlaceData:
 
     __slots__ = ("place", "kodaira", "ord_disc", "f_v", "m_v", "c_v", "split")
 
-    def __init__(self, place, kodaira, ord_disc, f_v, m_v, c_v, split=None):
+    def __init__(self, place, kodaira, ord_disc, f_v, c_v, split=None):
         self.place = place
         self.kodaira = kodaira
         self.ord_disc = ord_disc
         self.f_v = f_v
-        self.m_v = m_v
+        self.m_v = ord_disc - f_v + 1  # Ogg
         self.c_v = c_v
         self.split = split
-        if ord_disc != f_v + m_v - 1:
-            raise ValueError("Ogg relation violated at %r: ord_disc %d != "
-                             "f_v %d + m_v %d - 1" % (place, ord_disc, f_v, m_v))
 
     def to_json(self):
         if self.place.is_infinity:
@@ -89,7 +86,7 @@ def local_data_at(m, v):
     disc = weierstrass.discriminant(m)
     delta = ord_at(disc, v)
     if delta == 0:
-        return PlaceData(v, "I_0", 0, 0, 1, 1)
+        return PlaceData(v, "I_0", 0, 0, 1)
 
     c4 = weierstrass.c4_form(m)
     vc4 = 10 ** 9 if c4.is_zero() else ord_at(c4, v)
@@ -102,9 +99,9 @@ def local_data_at(m, v):
             c = delta
         else:
             c = 2 if delta % 2 == 0 else 1
-        return PlaceData(v, "I_%d" % delta, delta, 1, delta, c, split)
+        return PlaceData(v, "I_%d" % delta, delta, 1, c, split)
 
-    # additive: f_v = 2, so Ogg gives m_v = delta - 1
+    # additive: f_v = 2
     if vc4 == 2 and delta >= 7:
         kodaira = "I_%d*" % (delta - 6)
         K, c6 = _c6_coeff(m, v, 3, kodaira)
@@ -126,7 +123,7 @@ def local_data_at(m, v):
         c = 1 + cubic.count_roots()
     else:
         raise DomainError("minimalize first")
-    return PlaceData(v, kodaira, delta, 2, delta - 1, c)
+    return PlaceData(v, kodaira, delta, 2, c)
 
 
 def _c6_coeff(m, v, j, kodaira):
@@ -149,15 +146,15 @@ def global_summary(m):
     return summary
 
 
-def root_number(m, summary=None):
+def root_number(m):
     """Global root number prod_v w_v of a smooth model, p >= 5 (Rohrlich,
     "Variation of the root number in families of elliptic curves", 1993).
     Its bad fibers are I_1, with w_v = -1 if split and +1 if not, and II,
-    with w_v = (-1 | kappa(v)) = ((-1)^((q-1)/2))^deg v; w_v read off
-    `summary` (default global_summary(m))."""
+    with w_v = (-1 | kappa(v)) = ((-1)^((q-1)/2))^deg v, read off
+    global_summary(m); raises DomainError at any other fiber type."""
     q = m.field.q
     w = 1
-    for pd in (summary or global_summary(m)).places:
+    for pd in global_summary(m).places:
         if pd.kodaira == "I_1":
             w *= -1 if pd.split else 1
         elif pd.kodaira == "II":

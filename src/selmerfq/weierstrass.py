@@ -104,12 +104,8 @@ def bad_places(m):
 
 def c4_form(m):
     """c4 = 16(a2^2 - 3 a4), a degree-4d form."""
-    return _c4_of_forms(m.a2, m.a4)
-
-
-def _c4_of_forms(a2, a4):
-    F = a2.field
-    return (a2 * a2 - a4.scale(F.from_int(3))).scale(F.from_int(16))
+    F = m.field
+    return (m.a2 * m.a2 - m.a4.scale(F.from_int(3))).scale(F.from_int(16))
 
 
 def c6_form(m):
@@ -142,18 +138,21 @@ def minimality_of_forms(field, d, a2, a4, a6):
     return False
 
 
-def smoothness_of_forms(field, d, a2, a4, a6):
-    """Smoothness of the total space on raw coefficient forms of a minimal
-    model, p >= 5: the smooth bit of census.classify on one tuple, False
-    when Delta = 0.  With g1 = gcd(Delta, D1 Delta), every finite bad fiber
-    is I_1 or II iff g1 shares no root with D2 Delta and g1 | c4; the fiber
-    at infinity is iff ord_inf Delta <= 1, or = 2 with c4 vanishing there."""
-    dt, c4 = _disc_form(a2, a4, a6).dehomog_t(), _c4_of_forms(a2, a4)
+def smooth_by_gcd(m):
+    """Smoothness of the total space, p >= 5, by the smooth bit of
+    census.classify; is_smooth_surface is its cross-check.  With g1 =
+    gcd(Delta, D1 Delta), every finite bad fiber is I_1 or II iff g1 shares
+    no root with D2 Delta and g1 | c4; the fiber at infinity is iff
+    ord_inf Delta <= 1, or = 2 with c4 vanishing there.  A model that is
+    not minimal at v has ord_v Delta >= 12, so it is never smooth."""
+    if m.field.characteristic < 5:
+        raise DomainError("smoothness by the gcd test needs p >= 5")
+    dt, c4 = discriminant(m).dehomog_t(), c4_form(m)
     g1 = dt.gcd(dt.hasse(1))
-    ord_inf = 12 * d - dt.degree()
+    ord_inf = 12 * m.d - dt.degree()
     return g1.gcd(dt.hasse(2)).degree() == 0 \
         and (c4.dehomog_t() % g1).is_zero() \
-        and (ord_inf <= 1 or ord_inf == 2 and c4.coeffs[-1] == field.zero)
+        and (ord_inf <= 1 or ord_inf == 2 and c4.coeffs[-1] == m.field.zero)
 
 
 def is_minimal(m):
@@ -255,12 +254,12 @@ def stabilizer_order(m):
     return count
 
 
-def is_smooth_surface(m, summary=None):
-    """True iff the total space is smooth, equivalently every bad fiber has
-    Kodaira type I_1 or II in `summary` (default global_summary(m))."""
+def is_smooth_surface(m):
+    """True iff every bad fiber has Kodaira type I_1 or II: the Kodaira
+    route, which cross-checks smooth_by_gcd in every l_polynomial."""
     from . import localdata
-    summary = summary or localdata.global_summary(m)
-    return all(pd.kodaira in ("I_1", "II") for pd in summary.places)
+    return all(pd.kodaira in ("I_1", "II")
+               for pd in localdata.global_summary(m).places)
 
 
 def singular_surface_points(m):
@@ -419,8 +418,8 @@ def _poly_sqrt(f, half_degree):
 
 def random_model(field, d, rng, minimal=False, smooth=False):
     """Seeded random model of height d; optionally resample until minimal
-    and/or smooth (smooth implies minimal, and is decided by
-    smoothness_of_forms).  rng is a SplitMix64."""
+    and/or smooth (smooth implies minimal, and is decided by smooth_by_gcd
+    on the built model, so Delta is computed once).  rng is a SplitMix64."""
     if d < 0:
         raise DomainError("height d must be >= 0, got %r" % (d,))
     while True:
@@ -429,12 +428,12 @@ def random_model(field, d, rng, minimal=False, smooth=False):
         a6 = BinaryForm(field, 6 * d, [field.random(rng) for _ in range(6 * d + 1)])
         if (minimal or smooth) and not minimality_of_forms(field, d, a2, a4, a6):
             continue
-        if smooth and not smoothness_of_forms(field, d, a2, a4, a6):
-            continue
         try:
-            return WeierstrassModel(field, d, a2, a4, a6)
+            m = WeierstrassModel(field, d, a2, a4, a6)
         except ValueError:  # singular generic fiber: draw again
             continue
+        if not smooth or smooth_by_gcd(m):
+            return m
 
 
 def f7_example_model():

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from selmerfq import cli, lfunction
+from selmerfq import cli, lfunction, localdata, weierstrass
 
 # a smooth minimal d = 1 model over F_29 (model-gen --seed 0): 29^5 is past
 # the 2^24 table budget of the S_5 point count
@@ -179,7 +179,7 @@ def test_computation_error_exits_1(tmp_path, capsys, monkeypatch):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
 
-    def failing_check(m, summary=None):
+    def failing_check(m):
         raise ValueError("S_5 check failed")
     monkeypatch.setattr(lfunction, "l_polynomial", failing_check)
     code = cli.main(["lfunction", "--model", str(path)])
@@ -187,6 +187,26 @@ def test_computation_error_exits_1(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert captured.out == ""
     assert "S_5 check failed" in captured.err
+
+
+def test_smoothness_routes_disagree_exits_1(tmp_path, capsys, monkeypatch):
+    # Tate's algorithm, run once for the sign, cross-checks the gcd test:
+    # an I_2 fiber on a model the gcd test finds smooth is a failed check
+    model = _first_model(["model-gen", "--q", "5", "--d", "1", "--minimal",
+                          "--smooth", "--seed", "3"], capsys)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+
+    def one_i2_fiber(m):
+        v = weierstrass.bad_places(m)[0]
+        pd = localdata.PlaceData(v, "I_2", 2, 1, 2, split=True)
+        return localdata.GlobalLocalSummary(m, [pd])
+    monkeypatch.setattr(localdata, "global_summary", one_i2_fiber)
+    code = cli.main(["lfunction", "--model", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "smoothness routes disagree" in captured.err
 
 
 def test_lfunction_outside_domain_exits_2(tmp_path, capsys):
@@ -198,6 +218,10 @@ def test_lfunction_outside_domain_exits_2(tmp_path, capsys):
         ("smooth total space", _first_model(
             ["model-gen", "--q", "5", "--d", "1", "--minimal", "--count",
              "40", "--seed", "3"], capsys)),
+        # (t^2, t^4, t^6): not minimal at t = 0, so not smooth there
+        ("smooth total space",
+         {"p": 5, "k": 1, "d": 1, "a2": [0, 0, 1], "a4": [0, 0, 0, 0, 1],
+          "a6": [0, 0, 0, 0, 0, 0, 1]}),
         # y^2 = x^3 + t^3: I_0* fibers at 0 and infinity
         ("smooth total space",
          {"p": 5, "k": 1, "d": 1, "a2": [0, 0, 0], "a4": [0, 0, 0, 0, 0],

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import sympy
 
-from selmerfq import lfunction, localdata, weierstrass
+from selmerfq import DomainError, lfunction, localdata, weierstrass
 from selmerfq.census import random_models
 from selmerfq.ffpoly import BinaryForm, Field, UniPoly, field_make
 from selmerfq.lfunction import (ExtField, frobenius_traces, l_polynomial,
@@ -171,6 +171,16 @@ def test_traces_require_smooth():
             break
     with pytest.raises(ValueError):
         frobenius_traces(m, 2)
+
+
+def test_traces_outside_p_at_least_5_raise_domain_error():
+    # p = 3 is outside the gcd test's domain: a DomainError on every draw,
+    # never the ZeroDivisionError of dividing by 48 in F_3
+    rng = SplitMix64(5)
+    for _ in range(20):
+        m = random_model(Field(3), 1, rng, minimal=True)
+        with pytest.raises(DomainError, match="p >= 5"):
+            frobenius_traces(m, 2)
 
 
 def test_trace_weight_bound_and_invariance():

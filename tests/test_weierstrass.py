@@ -11,7 +11,7 @@ from selmerfq.weierstrass import (GroupElement, WeierstrassModel, act,
                                   f7_example_model, is_minimal,
                                   minimality_bruteforce, minimality_of_forms,
                                   random_model, singular_surface_points,
-                                  smoothness_of_forms, stabilizer_order,
+                                  smooth_by_gcd, stabilizer_order,
                                   torsion_section_search)
 
 
@@ -112,18 +112,47 @@ def test_identity_action():
 @pytest.mark.parametrize("p,k,d,seed,draws", [
     (5, 1, 2, 0, 40), (7, 1, 2, 0, 40), (5, 2, 1, 501, 12), (7, 2, 1, 12, 8)])
 def test_smoothness_of_forms_matches_kodaira_route(p, k, d, seed, draws):
-    # the census criterion on one tuple against Tate's algorithm; each seed
-    # gives both outcomes (over F_49 about one minimal draw in 100 is
-    # singular, and the Kodaira route takes 0.2 s a draw)
+    # the census criterion on one model (smooth_by_gcd) against Tate's
+    # algorithm; each seed gives both outcomes (over F_49 about one minimal
+    # draw in 100 is singular, and the Kodaira route takes 0.2 s a draw)
     F = Field(p, k)
     rng = SplitMix64(seed)
     seen = set()
     for _ in range(draws):
         m = random_model(F, d, rng, minimal=True)
-        smooth = smoothness_of_forms(F, d, m.a2, m.a4, m.a6)
+        smooth = smooth_by_gcd(m)
         assert smooth == weierstrass.is_smooth_surface(m)
         seen.add(smooth)
     assert seen == {False, True}
+
+
+def test_smooth_draws_compute_the_discriminant_once(monkeypatch):
+    # minimality is tested on the raw forms, smoothness on the built model
+    # from its own Delta: one _disc_form call per model built
+    F = Field(5, 2)
+    calls = []
+    disc_form = weierstrass._disc_form
+
+    def counted(*forms):
+        calls.append(1)
+        return disc_form(*forms)
+    built = []
+    init = WeierstrassModel.__init__
+
+    def counted_init(self, *args):
+        built.append(1)
+        init(self, *args)
+    monkeypatch.setattr(weierstrass, "_disc_form", counted)
+    monkeypatch.setattr(WeierstrassModel, "__init__", counted_init)
+    rng = SplitMix64(0)
+    for _ in range(5):
+        random_model(F, 2, rng, smooth=True)
+    assert len(built) >= 5 and len(calls) == len(built)
+
+
+def test_gcd_smoothness_needs_p_at_least_5():
+    with pytest.raises(DomainError, match="p >= 5"):
+        random_model(Field(3), 1, SplitMix64(0), smooth=True)
 
 
 def test_stabilizer_against_direct_count():
