@@ -2,15 +2,14 @@
 reflections, and orbit decomposition of (Z/nZ)^r under the reflection
 group.  The orbit count realizes sigma(n) = sum of divisors.
 
-Exhaustive decomposition is a BFS over mixed-radix packed int32 vectors
-with numpy.  Each BFS level builds its digits once, as one r x m block, by
-floor division; audits the content invariant of every vector on that block;
-and writes each reflection image v - b w as the packed index minus b times
-w packed, plus one correction per digit on supp w, with b read from the
-digits on supp Gw.  Every reduction mod n is x - (x // n) * n.  Past the
-fixed budget n^r <= BUDGET a sampling mode checks the predicted invariant
-classes by exhibiting explicit reflection words between random same-class
-pairs.
+Exhaustive decomposition walks each orbit of mixed-radix packed int32
+vectors with numpy, one cursor per generator.  Each vector's digits are
+made once, by floor division, and audited for the content invariant; a
+reflection image v - b w is the packed index minus b times w packed, plus
+one correction per digit on supp w, with b read from the digits on supp
+Gw.  Every reduction mod n is x - (x // n) * n.  Past the fixed budget
+n^r <= BUDGET a sampling mode checks the predicted invariant classes by
+exhibiting explicit reflection words between random same-class pairs.
 """
 
 from math import gcd
@@ -21,6 +20,8 @@ from . import DomainError
 from .ffpoly import _prime_divisors
 
 BUDGET = 1 << 26
+# vectors one generator sweep reflects: bounds the sweep's temporaries
+BLOCK = 16384
 # bound on sigma(n) * pairs_per_class * rank, the certificates of one
 # sampling run times their vector length: on 2 CPUs a certificate takes
 # 0.25 ms at rank 20 and 1.7 ms at rank 188, so the largest accepted run
@@ -216,16 +217,18 @@ def orbit_decompose(module, generators):
     instead).
 
     Vectors are packed indices sum v_i n^i, held as int32: exact, since
-    n^r <= BUDGET = 2^26 < 2^31.  A level of m vectors makes its digits
-    once, as the r x m block floor(v / n^i) - n floor(v / n^(i+1)), and
-    reduces mod n as x - (x // n) * n, never with %.  Raises DomainError
-    where an intermediate could leave int32 (never for an n the CLI takes).
+    n^r <= BUDGET = 2^26 < 2^31.  Each has its digits made once, when it is
+    found, as floor(v / n^i) - n floor(v / n^(i+1)), int8 while n < 128
+    (so the content t0 <= n fits too).  Raises DomainError where an
+    intermediate could leave int32 (never for an n the CLI takes).
 
-    Every vector lies in exactly one BFS level.  Each level checks on the
-    digit block that its vectors carry the representative's content
-    invariant (t0, qbar0): t0 divides every digit; for each prime
-    p | n/t0, no vector has every digit divisible by t0 p; and
-    q(v/t0) = qbar0 mod n/t0, summed over the nonzero Gram terms.
+    Generator k has a cursor into the orbit's vectors in the order found: a
+    sweep reflects its next BLOCK vectors and appends the images not seen
+    before; the orbit is complete when every cursor reaches its end.  Every
+    BLOCK vectors found, and at the end, are checked to carry the
+    representative's content invariant (t0, qbar0): t0 divides every digit;
+    for each prime p | n/t0, no vector has every digit divisible by t0 p;
+    and q(v/t0) = qbar0 mod n/t0, summed over the nonzero Gram terms.
 
     r_w(v) = v - b w with b = B(v, w) q(w)^-1 mod n, a sum over the digits
     on supp Gw.  Digit i of v - b w is y_i = v_i - b w_i plus n c_i with
@@ -240,27 +243,29 @@ def orbit_decompose(module, generators):
     gram = module.gram
     # q(v) = sum_i (G_ii/2) v_i^2 + sum_{i<j} G_ij v_i v_j, nonzero terms
     half = np.triu(gram, 1) + np.diag(np.diag(gram) // 2)
-    qi, qj = np.nonzero(half)
-    qh = half[qi, qj, None].astype(np.int32)
+    qterms = [(np.int32(half[i, j]), i, j) for i, j in zip(*np.nonzero(half))]
     # widest intermediates: v - b w packed (< n^(r+1)), b and q(v/t) before
     # their reduction mod n (< (r + sum |terms|) n^2)
-    if max(n * total, (r + int(np.abs(qh).sum())) * n * n) >= 1 << 31:
-        raise DomainError("n = %d, rank %d: BFS arithmetic overflows int32"
+    if max(n * total, (r + int(np.abs(half).sum())) * n * n) >= 1 << 31:
+        raise DomainError("n = %d, rank %d: orbit arithmetic overflows int32"
                           % (n, r))
     pows = n ** np.arange(r, dtype=np.int32)
     # per generator: (j, q(w)^-1 (Gw)_j mod n) on supp Gw, (i, w_i, n^(i+1))
-    # on supp w, and w packed
-    refl = []
-    gen_qs = []
+    # on supp w, and w packed; int32 scalars, as in `qterms`, make their
+    # products with int8 digits int32
+    refl, gen_qs = [], []
     for w in _usable(module, generators):
         gen_qs.append(module.lattice.q(w))
         c = gram @ w % n * pow(module.q(w), -1, n) % n
-        refl.append(([(j, int(c[j])) for j in np.flatnonzero(c)],
-                     [(i, int(w[i]), int(pows[i]) * n)
+        refl.append(([(j, np.int32(c[j])) for j in np.flatnonzero(c)],
+                     [(i, np.int32(w[i]), int(pows[i]) * n)
                       for i in np.flatnonzero(w)],
                      int(w @ pows)))
 
     unseen = np.ones(total, dtype=bool)
+    # the vectors a cursor or the audit has yet to pass, and their digits
+    found = np.empty(0, dtype=np.int32)
+    store = np.empty((r, 0), dtype=np.int8 if n < 128 else np.int32)
     orbits = []
     start = 0
     while unseen[start]:
@@ -269,35 +274,52 @@ def orbit_decompose(module, generators):
         inv = t0, qbar0 = module.content_invariant(rep)
         nt = n // t0
         primes = _prime_divisors(nt)
-        frontier = np.array([start], dtype=np.int32)
-        size = 0
-        while frontier.size:
-            size += frontier.size
-            digits = frontier // pows[:, None]  # r x m
+        img = np.array([start], dtype=np.int32)  # appended first
+        cur = [0] * len(refl)  # generator k has swept vectors 0 .. cur[k]-1
+        base = size = audited = 0  # found[0] is vector `base` of the orbit
+        while True:
+            if size - base + img.size > found.size:
+                # keep what a cursor or the audit has not passed; double
+                lo, hi = min([audited, *cur]) - base, size - base
+                cap = max(found.size, 2 * (hi - lo + img.size)) - (hi - lo)
+                found = np.concatenate([found[lo:hi], np.empty(cap, np.int32)])
+                store = np.concatenate(
+                    [store[:, lo:hi], np.empty((r, cap), store.dtype)], axis=1)
+                base += lo
+            digits = img // pows[:, None]  # r x m
             digits[:-1] -= digits[1:] * n
-            prim = digits // t0
-            qv = (qh * prim[qi] * prim[qj]).sum(axis=0, dtype=np.int32)
-            qv -= qbar0
-            if not ((prim * t0 == digits).all()
-                    and all((prim // p * p != prim).any(axis=0).all()
-                            for p in primes)
-                    and (qv // nt * nt == qv).all()):
-                raise ValueError("orbit %d not invariant-homogeneous"
-                                 % len(orbits))
+            found[size - base:size - base + img.size] = img
+            store[:, size - base:size - base + img.size] = digits
+            size += img.size
+            least = min(cur, default=size)
+            if least == size or size - audited >= BLOCK:
+                digits = store[:, audited - base:size - base]
+                prim = digits // t0
+                qv = sum((h * prim[i] * prim[j] for h, i, j in qterms),
+                         np.int32(-qbar0))
+                if not ((prim * t0 == digits).all()
+                        and all((prim // p * p != prim).any(axis=0).all()
+                                for p in primes)
+                        and (qv // nt * nt == qv).all()):
+                    raise ValueError("orbit %d not invariant-homogeneous"
+                                     % len(orbits))
+                audited = size
+            if least == size:
+                break
+            k = cur.index(least)  # the generator furthest behind
+            bterms, wterms, wp = refl[k]
+            lo, hi = least - base, min(size, least + BLOCK) - base
+            cur[k] = hi + base
+            b = sum(cj * store[j, lo:hi] for j, cj in bterms)
+            b -= b // n * n
+            # v - b w packed, then n c_i added to each digit on supp w
+            img = found[lo:hi] - wp * b
+            for i, wi, pn in wterms:
+                img -= pn * ((store[i, lo:hi] - wi * b) // n)
             # an involution maps distinct vectors to distinct images, so
-            # marking `unseen` per generator is the whole dedup
-            nxt = []
-            for bterms, wterms, wp in refl:
-                b = sum(cj * digits[j] for j, cj in bterms)
-                b -= b // n * n
-                # v - b w packed, then n c_i added to each digit on supp w
-                img = frontier - wp * b
-                for i, wi, pn in wterms:
-                    img -= pn * ((digits[i] - wi * b) // n)
-                img = img[unseen.take(img)]
-                unseen[img] = False
-                nxt.append(img)
-            frontier = np.concatenate([frontier[:0], *nxt])
+            # marking `unseen` per sweep is the whole dedup
+            img = img[unseen.take(img)]
+            unseen[img] = False
         orbits.append((rep, size, inv))
         start += int(unseen[start:].argmax())
     if sum(s for _, s, _ in orbits) != total:
@@ -309,10 +331,8 @@ def orbit_decompose(module, generators):
 def weyl_e8_orbits(n):
     """Exhaustive orbit decomposition of (Z/nZ)^8 under the eight simple
     E8 reflections (sign convention immaterial to orbits)."""
-    lat = e8_lattice()
-    module = QuadraticModule(lat, n)
-    gens = [np.eye(8, dtype=np.int64)[i] for i in range(8)]
-    return orbit_decompose(module, gens)
+    return orbit_decompose(QuadraticModule(e8_lattice(), n),
+                           list(np.eye(8, dtype=np.int64)))
 
 
 def sampling_connectivity(module, rng, pairs_per_class=100):

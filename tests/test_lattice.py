@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -246,14 +246,16 @@ def test_orbit_decompose_matches_union_find_dense_generators():
 
 
 _BLOCKS = {"U": hyperbolic_gram(), "<2>": np.array([[2]])}
+_SMALL_MODULES = dict(
+    blocks=st.lists(st.sampled_from(sorted(_BLOCKS)), min_size=1,
+                    max_size=4).filter(
+        lambda bs: 2 <= sum(len(_BLOCKS[b]) for b in bs) <= 4),
+    n=st.integers(2, 7), count=st.integers(1, 3),
+    seed=st.integers(0, 2 ** 32))
 
 
 @settings(max_examples=40, deadline=None)
-@given(blocks=st.lists(st.sampled_from(sorted(_BLOCKS)), min_size=1,
-                       max_size=4).filter(
-           lambda bs: 2 <= sum(len(_BLOCKS[b]) for b in bs) <= 4),
-       n=st.integers(2, 7), count=st.integers(1, 3),
-       seed=st.integers(0, 2 ** 32))
+@given(**_SMALL_MODULES)
 def test_orbit_decompose_matches_union_find_property(blocks, n, count, seed):
     # n^r <= 7^4: U and <2> blocks give digits above and below b w_i (the
     # floor divisions see negative operands) and, for n >= 3, q(w) with an
@@ -265,6 +267,44 @@ def test_orbit_decompose_matches_union_find_property(blocks, n, count, seed):
     packed = [sum(x * n ** i for i, x in enumerate(rep))
               for rep, _, _ in report.orbits]
     assert packed == sorted(packed)
+
+
+# sweeps of 1 or 5 vectors end at every place in an orbit, and the audit
+# and the buffer compaction run every 1 or 5 vectors found
+@pytest.mark.parametrize("case", ["e8-mod-3", "u2-mod-6-dense"])
+def test_orbit_cursors_at_small_blocks(monkeypatch, case):
+    if case == "e8-mod-3":
+        module = QuadraticModule(e8_lattice(), 3)
+        gens = list(np.eye(8, dtype=np.int64))
+    else:
+        module = QuadraticModule(_block_lattice(hyperbolic_gram(),
+                                                hyperbolic_gram()), 6)
+        gens = _random_unit_generators(module, 3, seed=2)
+    expected = _union_find_orbits(module, gens)
+    for block in (1, 5):
+        monkeypatch.setattr(lattice, "BLOCK", block)
+        assert _report_set(orbit_decompose(module, gens)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(block=st.sampled_from([1, 5]), **_SMALL_MODULES)
+def test_orbit_cursors_at_small_blocks_property(block, blocks, n, count, seed):
+    module = QuadraticModule(_block_lattice(*(_BLOCKS[b] for b in blocks)), n)
+    gens = _random_unit_generators(module, count, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "BLOCK", block)
+        report = orbit_decompose(module, gens)
+    assert _report_set(report) == _union_find_orbits(module, gens)
+
+
+@pytest.mark.parametrize("n", [127, 128])
+def test_orbit_digit_store_around_int8(n):
+    # U mod n: digits are stored as int8 below n = 128, where the content
+    # t0 <= n fits int8 too, and as int32 from n = 128 on
+    module = QuadraticModule(IntegralLattice(hyperbolic_gram()), n)
+    gens = _random_unit_generators(module, 2, seed=n)
+    report = orbit_decompose(module, gens)
+    assert _report_set(report) == _union_find_orbits(module, gens)
 
 
 def test_orbit_decompose_rejects_int32_overflow():
@@ -359,6 +399,19 @@ E8_REPORT_SHA256 = {
     5: "1ed8a3d9516a94c6122f4981ab496ac3eaf979c7a2b463a1c960a6a6e86700ec",
     6: "743299b50d5dd09b8e185d3c5f2bbab6903f58f6d73b3501fdaccccc6181b4b5",
 }
+
+
+def test_weyl_e8_orbit_count_n7_haiman():
+    # the largest orbits of (Z/7)^8 hold 604800 vectors; for n prime to the
+    # Coxeter number 30 the count is prod (n + e_i) / |W(E8)| over the
+    # exponents e_i (Haiman 1994, 7.4)
+    exponents = [1, 7, 11, 13, 17, 19, 23, 29]
+    order = 696729600  # |W(E8)|
+    report = weyl_e8_orbits(7)
+    expected = prod(7 + e for e in exponents) // order
+    assert expected == 39
+    assert report.orbit_count == expected
+    assert sum(size for _, size, _ in report.orbits) == 7 ** 8
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
