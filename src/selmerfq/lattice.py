@@ -243,22 +243,24 @@ def orbit_decompose(module, generators):
     gram = module.gram
     # q(v) = sum_i (G_ii/2) v_i^2 + sum_{i<j} G_ij v_i v_j, nonzero terms
     half = np.triu(gram, 1) + np.diag(np.diag(gram) // 2)
-    qterms = [(np.int32(half[i, j]), i, j) for i, j in zip(*np.nonzero(half))]
+    qi, qj = np.nonzero(half)
+    qh = half[qi, qj, None].astype(np.int32)
     # widest intermediates: v - b w packed (< n^(r+1)), b and q(v/t) before
     # their reduction mod n (< (r + sum |terms|) n^2)
-    if max(n * total, (r + int(np.abs(half).sum())) * n * n) >= 1 << 31:
+    if max(n * total, (r + int(np.abs(qh).sum())) * n * n) >= 1 << 31:
         raise DomainError("n = %d, rank %d: orbit arithmetic overflows int32"
                           % (n, r))
     pows = n ** np.arange(r, dtype=np.int32)
     # per generator: (j, q(w)^-1 (Gw)_j mod n) on supp Gw, (i, w_i, n^(i+1))
-    # on supp w, and w packed; int32 scalars, as in `qterms`, make their
-    # products with int8 digits int32
-    refl, gen_qs = [], []
+    # on supp w, and w packed; each coefficient, like each row of `qh`, is a
+    # 1-element int32 array, so int8 digits times it are int32 on numpy 1 too
+    refl = []
+    gen_qs = []
     for w in _usable(module, generators):
         gen_qs.append(module.lattice.q(w))
-        c = gram @ w % n * pow(module.q(w), -1, n) % n
-        refl.append(([(j, np.int32(c[j])) for j in np.flatnonzero(c)],
-                     [(i, np.int32(w[i]), int(pows[i]) * n)
+        c = (gram @ w % n * pow(module.q(w), -1, n) % n).astype(np.int32)
+        refl.append(([(j, c[j, None]) for j in np.flatnonzero(c)],
+                     [(i, int(w[i]), int(pows[i]) * n)
                       for i in np.flatnonzero(w)],
                      int(w @ pows)))
 
@@ -295,8 +297,8 @@ def orbit_decompose(module, generators):
             if least == size or size - audited >= BLOCK:
                 digits = store[:, audited - base:size - base]
                 prim = digits // t0
-                qv = sum((h * prim[i] * prim[j] for h, i, j in qterms),
-                         np.int32(-qbar0))
+                qv = sum((h * prim[i] * prim[j]
+                          for h, i, j in zip(qh, qi, qj)), np.int32(-qbar0))
                 if not ((prim * t0 == digits).all()
                         and all((prim // p * p != prim).any(axis=0).all()
                                 for p in primes)
@@ -331,8 +333,10 @@ def orbit_decompose(module, generators):
 def weyl_e8_orbits(n):
     """Exhaustive orbit decomposition of (Z/nZ)^8 under the eight simple
     E8 reflections (sign convention immaterial to orbits)."""
-    return orbit_decompose(QuadraticModule(e8_lattice(), n),
-                           list(np.eye(8, dtype=np.int64)))
+    lat = e8_lattice()
+    module = QuadraticModule(lat, n)
+    gens = [np.eye(8, dtype=np.int64)[i] for i in range(8)]
+    return orbit_decompose(module, gens)
 
 
 def sampling_connectivity(module, rng, pairs_per_class=100):

@@ -216,15 +216,23 @@ def _report_set(report):
     return {(tuple(rep), size, tuple(inv)) for rep, size, inv in report.orbits}
 
 
-def test_orbit_decompose_matches_union_find_e8_mod3():
+# sweeps of 1 or 5 vectors end at every place in an orbit, and the audit
+# and the buffer compaction run every 1 or 5 vectors found
+_SMALL_BLOCKS = [1, 5]
+
+
+def test_orbit_decompose_matches_union_find_e8_mod3(monkeypatch):
     module = QuadraticModule(e8_lattice(), 3)
     gens = [np.eye(8, dtype=np.int64)[i] for i in range(8)]
-    report = orbit_decompose(module, gens)
-    assert report.orbit_count == 5
-    assert _report_set(report) == _union_find_orbits(module, gens)
+    expected = _union_find_orbits(module, gens)
+    for block in [lattice.BLOCK, *_SMALL_BLOCKS]:
+        monkeypatch.setattr(lattice, "BLOCK", block)
+        report = orbit_decompose(module, gens)
+        assert report.orbit_count == 5
+        assert _report_set(report) == expected
 
 
-def test_orbit_decompose_matches_union_find_composite_n():
+def test_orbit_decompose_matches_union_find_composite_n(monkeypatch):
     # U + U mod 6: dense generators with non-unit digits 2, 3, 4, and with
     # q(w) = 5, whose inverse is not 1
     module = QuadraticModule(_block_lattice(hyperbolic_gram(),
@@ -232,8 +240,10 @@ def test_orbit_decompose_matches_union_find_composite_n():
     gens = _random_unit_generators(module, 3, seed=2)
     assert any(int(x) in (2, 3, 4) for w in gens for x in w)
     assert {module.q(w) for w in gens} == {1, 5}
-    report = orbit_decompose(module, gens)
-    assert _report_set(report) == _union_find_orbits(module, gens)
+    expected = _union_find_orbits(module, gens)
+    for block in [lattice.BLOCK, *_SMALL_BLOCKS]:
+        monkeypatch.setattr(lattice, "BLOCK", block)
+        assert _report_set(orbit_decompose(module, gens)) == expected
 
 
 def test_orbit_decompose_matches_union_find_dense_generators():
@@ -246,55 +256,29 @@ def test_orbit_decompose_matches_union_find_dense_generators():
 
 
 _BLOCKS = {"U": hyperbolic_gram(), "<2>": np.array([[2]])}
-_SMALL_MODULES = dict(
-    blocks=st.lists(st.sampled_from(sorted(_BLOCKS)), min_size=1,
-                    max_size=4).filter(
-        lambda bs: 2 <= sum(len(_BLOCKS[b]) for b in bs) <= 4),
-    n=st.integers(2, 7), count=st.integers(1, 3),
-    seed=st.integers(0, 2 ** 32))
 
 
 @settings(max_examples=40, deadline=None)
-@given(**_SMALL_MODULES)
+@given(blocks=st.lists(st.sampled_from(sorted(_BLOCKS)), min_size=1,
+                       max_size=4).filter(
+           lambda bs: 2 <= sum(len(_BLOCKS[b]) for b in bs) <= 4),
+       n=st.integers(2, 7), count=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32))
 def test_orbit_decompose_matches_union_find_property(blocks, n, count, seed):
     # n^r <= 7^4: U and <2> blocks give digits above and below b w_i (the
     # floor divisions see negative operands) and, for n >= 3, q(w) with an
     # inverse other than 1; at n = 2 a <2> coordinate can have Gw = 0
     module = QuadraticModule(_block_lattice(*(_BLOCKS[b] for b in blocks)), n)
     gens = _random_unit_generators(module, count, seed)
-    report = orbit_decompose(module, gens)
-    assert _report_set(report) == _union_find_orbits(module, gens)
-    packed = [sum(x * n ** i for i, x in enumerate(rep))
-              for rep, _, _ in report.orbits]
-    assert packed == sorted(packed)
-
-
-# sweeps of 1 or 5 vectors end at every place in an orbit, and the audit
-# and the buffer compaction run every 1 or 5 vectors found
-@pytest.mark.parametrize("case", ["e8-mod-3", "u2-mod-6-dense"])
-def test_orbit_cursors_at_small_blocks(monkeypatch, case):
-    if case == "e8-mod-3":
-        module = QuadraticModule(e8_lattice(), 3)
-        gens = list(np.eye(8, dtype=np.int64))
-    else:
-        module = QuadraticModule(_block_lattice(hyperbolic_gram(),
-                                                hyperbolic_gram()), 6)
-        gens = _random_unit_generators(module, 3, seed=2)
     expected = _union_find_orbits(module, gens)
-    for block in (1, 5):
-        monkeypatch.setattr(lattice, "BLOCK", block)
-        assert _report_set(orbit_decompose(module, gens)) == expected
-
-
-@settings(max_examples=40, deadline=None)
-@given(block=st.sampled_from([1, 5]), **_SMALL_MODULES)
-def test_orbit_cursors_at_small_blocks_property(block, blocks, n, count, seed):
-    module = QuadraticModule(_block_lattice(*(_BLOCKS[b] for b in blocks)), n)
-    gens = _random_unit_generators(module, count, seed)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lattice, "BLOCK", block)
-        report = orbit_decompose(module, gens)
-    assert _report_set(report) == _union_find_orbits(module, gens)
+    for block in [lattice.BLOCK, *_SMALL_BLOCKS]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice, "BLOCK", block)
+            report = orbit_decompose(module, gens)
+        assert _report_set(report) == expected
+        packed = [sum(x * n ** i for i, x in enumerate(rep))
+                  for rep, _, _ in report.orbits]
+        assert packed == sorted(packed)
 
 
 @pytest.mark.parametrize("n", [127, 128])
@@ -353,6 +337,29 @@ def test_orbit_audit_fires_at_composite_n(monkeypatch, target, fake, k):
     with pytest.raises(ValueError,
                        match="orbit %d not invariant-homogeneous" % k):
         weyl_e8_orbits(6)
+
+
+def test_orbit_audit_covers_vectors_every_cursor_passed(monkeypatch):
+    # U mod 3 under e + f with q = 1 read as 2: v - 2 B(v, w) w is no
+    # isometry and sends (1, 0), of q = 0, to (2, 1), of q = 2.  For BLOCK > 1
+    # the orbit of (1, 0) is audited once, at its end, after a compaction
+    # made room past (1, 0), which every cursor had swept; the audit must
+    # still cover every vector found since the one before.
+    orig = QuadraticModule.q
+
+    def wrong(self, v):
+        if tuple(int(x) % self.n for x in v) == (1, 1):
+            return 2
+        return orig(self, v)
+
+    monkeypatch.setattr(QuadraticModule, "q", wrong)
+    module = QuadraticModule(IntegralLattice(hyperbolic_gram()), 3)
+    gens = [np.array([1, 1]), np.array([1, 2])]
+    for block in [lattice.BLOCK, *_SMALL_BLOCKS]:
+        monkeypatch.setattr(lattice, "BLOCK", block)
+        with pytest.raises(ValueError,
+                           match="orbit 1 not invariant-homogeneous"):
+            orbit_decompose(module, gens)
 
 
 def test_orbit_audit_survives_python_O():
