@@ -147,6 +147,13 @@ def _cmd_average_table(args):
             rep = lattice.weyl_e8_orbits(n)
             rows.append({"n": n, "d": args.d, "average": rep.orbit_count,
                          "provenance": "orbit count [computed]"})
+    if args.out is not None and args.out.endswith(".json"):
+        # TSV mirror, written first: a failed write leaves no report
+        with open(args.out[:-5] + ".tsv", "w") as fh:
+            fh.write("n\td\taverage\tprovenance\n")
+            for r in rows:
+                fh.write("%d\t%d\t%d\t%s\n"
+                         % (r["n"], r["d"], r["average"], r["provenance"]))
     return {"rows": rows}
 
 
@@ -231,21 +238,13 @@ def _config_of(args):
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _emit(report, out, command):
+def _emit(report, out):
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out is None:
         sys.stdout.write(text)
         return
     with open(out, "w") as fh:
         fh.write(text)
-    if command == "average-table" and out.endswith(".json"):
-        # TSV mirror for the headline table
-        rows = report["result"]["rows"]
-        with open(out[:-5] + ".tsv", "w") as fh:
-            fh.write("n\td\taverage\tprovenance\n")
-            for r in rows:
-                fh.write("%d\t%d\t%d\t%s\n"
-                         % (r["n"], r["d"], r["average"], r["provenance"]))
 
 
 def main(argv=None):
@@ -274,7 +273,7 @@ def main(argv=None):
         "wall_clock_seconds": time.time() - t0,
         "result": result,
     }
-    _emit(report, args.out, args.command)
+    _emit(report, args.out)
     return 0
 
 

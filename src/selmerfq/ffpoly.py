@@ -172,16 +172,11 @@ class Field:
         return 1 if self.pow(a, (self.q - 1) // 2) == self.one else -1
 
     def sqrt(self, a):
-        """A square root of a, or None: a^((q+1)/4) when q % 4 == 3, else the
-        least root, read off the linear factors of x^2 - a."""
-        if a == 0:
-            return 0
-        if self.chi(a) != 1:
-            return None
-        if self.q % 4 == 3:
-            return self.pow(a, (self.q + 1) // 4)
-        return min(self.neg(g.coeffs[0])
-                   for g, _ in factor(UniPoly(self, [self.neg(a), 0, 1])))
+        """The least square root of a, read off the linear factors of
+        x^2 - a; None if a is not a square."""
+        return min((self.neg(g.coeffs[0]) for g, _ in
+                    factor(UniPoly(self, [self.neg(a), 0, 1]))
+                    if g.degree() == 1), default=None)
 
     def from_int(self, n):
         """The image of the integer n."""

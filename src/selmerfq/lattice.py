@@ -397,7 +397,7 @@ def _random_class_vector(module, t, qbar, rng):
     normalized so the primitive part has q = qbar mod n (the first
     hyperbolic coordinate pair absorbs the adjustment)."""
     n = module.n
-    prim = np.array([rng.below(n) for _ in range(module.rank)], dtype=np.int64)
+    prim = rng.below_array(n, module.rank)
     prim[:2] = 1, 0  # primitive, and then q(prim + c f) = c + q(prim)
     prim[1] = (qbar - module.q(prim)) % n
     v = (t * prim) % n

@@ -65,8 +65,8 @@ def _primitive_modulus(p, e):
 
 
 class ExtField:
-    """Vectorized arithmetic for F_{p^e} over the least primitive modulus
-    (F: its scalar Field), and h[k, b] = h_eps(b) for eps = (0, 1, x)[k]."""
+    """Vectorized arithmetic for F_{p^e} over the least primitive modulus,
+    and h[k, b] = h_eps(b) for eps = (0, 1, x)[k]."""
 
     _cache = {}
 
@@ -80,10 +80,8 @@ class ExtField:
 
     def _build(self, p, e):
         Q = table_size(p, e)
-        base = ffpoly.Field(p)  # validates p
-        tail, times_gn = _primitive_modulus(p, e)
-        self.F = ffpoly.Field.extension(
-            ffpoly.UniPoly(base, tail.tolist() + [1]))
+        ffpoly.Field(p)  # validates p
+        _, times_gn = _primitive_modulus(p, e)
         self.p = p
         self.Q = Q
         pows = p ** np.arange(e, dtype=np.int64)
@@ -102,7 +100,6 @@ class ExtField:
         self.log = log
         chi = np.where(log % 2 == 0, 1, -1).astype(np.int8)
         chi[0] = 0
-        self.chi_table = chi
         self._pows = pows
         # h_eps is the cross-correlation of chi with the value counts of
         # v^3 + eps v over the index grid (Z/p)^e
@@ -191,14 +188,7 @@ def surface_point_count_slow(m, e):
     # each t in F_{p^e}, then infinity, where a form is its t^D coefficient
     pts = [[f.evaluate(t) for f in forms] for t in F.elements()]
     pts.append([f.coeffs[-1] for f in (m.a2, m.a4, m.a6)])
-    total = 0
-    for a2, a4, a6 in pts:
-        cnt = 1
-        for x in F.elements():
-            val = F.add(F.mul(F.add(F.mul(F.add(x, a2), x), a4), x), a6)
-            cnt += 1 + F.chi(val)
-        total += cnt
-    return total
+    return sum(localdata.cubic_point_count(F, *a) for a in pts)
 
 
 def frobenius_traces(m, m_max):

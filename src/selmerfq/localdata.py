@@ -1,7 +1,7 @@
 """Kodaira types, conductor exponents, component counts, and Tamagawa
 numbers at places of bad reduction, for p >= 5 (tame reduction), plus
-global consistency sums, the root number of a smooth model, and a
-fiber-point-count oracle.
+global consistency sums, the root number of a smooth model, and the naive
+chi-sum point count of a fiber, which lfunction's slow count shares.
 
 Types and Tamagawa numbers come from a table on c4, c6 and Delta: one
 quadratic character or one root count in kappa(v) per type (Tate,
@@ -165,18 +165,24 @@ def root_number(m):
     return w
 
 
+def cubic_point_count(K, a2, a4, a6):
+    """#{y^2 = x^3 + a2 x^2 + a4 x + a6} over the finite field K, with its
+    one point at infinity: for each x in K, 1 + chi(cubic(x)) points."""
+    count = 1
+    for x in K.elements():
+        val = K.add(K.mul(K.add(K.mul(K.add(x, a2), x), a4), x), a6)
+        count += 1 + K.chi(val)
+    return count
+
+
 def fiber_point_count(m, v):
     """#W(kappa(v)) for the (possibly singular) Weierstrass fiber at v.
 
-    Independent of the classification tables: one point at infinity plus,
-    for each x in kappa(v), 1 + chi(cubic(x)) points.  Oracle values:
-    good fiber within the Hasse bound; I_n split Q, nonsplit Q + 2; additive
-    types exactly Q + 1.  The cross-check of the Kodaira type and split flag
-    that local_data_at reads off the classification tables.
+    Independent of the classification tables.  Oracle values: good fiber
+    within the Hasse bound; I_n split Q, nonsplit Q + 2; additive types
+    exactly Q + 1.  The cross-check of the Kodaira type and split flag that
+    local_data_at reads off the classification tables.
     """
     cubic = weierstrass.fiber_cubic(m, v)
-    K = cubic.field
-    count = 1
-    for x in K.elements():
-        count += 1 + K.chi(cubic.evaluate(x))
-    return count
+    a6, a4, a2, _ = cubic.coeffs
+    return cubic_point_count(cubic.field, a2, a4, a6)

@@ -140,10 +140,11 @@ def minimality_of_forms(field, d, a2, a4, a6):
 
 def smooth_by_gcd(m):
     """Smoothness of the total space, p >= 5, by the smooth bit of
-    census.classify; is_smooth_surface is its cross-check.  With g1 =
-    gcd(Delta, D1 Delta), every finite bad fiber is I_1 or II iff g1 shares
-    no root with D2 Delta and g1 | c4; the fiber at infinity is iff
-    ord_inf Delta <= 1, or = 2 with c4 vanishing there.  A model that is
+    census.classify; Tate's algorithm cross-checks it in every l_polynomial,
+    where localdata.root_number raises at a fiber other than I_1 or II.
+    With g1 = gcd(Delta, D1 Delta), every finite bad fiber is I_1 or II iff
+    g1 shares no root with D2 Delta and g1 | c4; the fiber at infinity is
+    iff ord_inf Delta <= 1, or = 2 with c4 vanishing there.  A model that is
     not minimal at v has ord_v Delta >= 12, so it is never smooth."""
     if m.field.characteristic < 5:
         raise DomainError("smoothness by the gcd test needs p >= 5")
@@ -153,10 +154,6 @@ def smooth_by_gcd(m):
     return g1.gcd(dt.hasse(2)).degree() == 0 \
         and (c4.dehomog_t() % g1).is_zero() \
         and (ord_inf <= 1 or ord_inf == 2 and c4.coeffs[-1] == m.field.zero)
-
-
-def is_minimal(m):
-    return minimality_of_forms(m.field, m.d, m.a2, m.a4, m.a6)
 
 
 def minimality_bruteforce(field, d, a2, a4, a6):
@@ -256,7 +253,8 @@ def stabilizer_order(m):
 
 def is_smooth_surface(m):
     """True iff every bad fiber has Kodaira type I_1 or II: the Kodaira
-    route, which cross-checks smooth_by_gcd in every l_polynomial."""
+    route to smoothness, the oracle of smooth_by_gcd in the tests and the
+    benchmark self-test."""
     from . import localdata
     return all(pd.kodaira in ("I_1", "II")
                for pd in localdata.global_summary(m).places)

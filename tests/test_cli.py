@@ -89,6 +89,18 @@ def test_average_table_tsv_mirror(tmp_path, capsys):
     assert tsv[2].startswith("6\t2\t12")
 
 
+def test_average_table_unwritable_mirror_exits_1(tmp_path, capsys):
+    # the mirror X.tsv is a directory: an error line, exit 1, no report file
+    (tmp_path / "table.tsv").mkdir()
+    out_path = tmp_path / "table.json"
+    code = cli.main(["average-table", "--n", "2", "--d", "2",
+                     "--out", str(out_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "table.tsv" in err
+    assert not out_path.exists()
+
+
 def test_model_gen_tate_lfunction_pipeline(tmp_path, capsys):
     code, out = _run(["model-gen", "--q", "5", "--d", "1", "--count", "1",
                       "--minimal", "--smooth", "--seed", "3"], capsys)

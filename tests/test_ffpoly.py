@@ -69,8 +69,10 @@ def test_extension_field_properties():
 
 
 def test_sqrt_of_squares():
-    # q = 1 mod 4 in each field: the root is the least x with x^2 = a
-    for F in (field_make(5), field_make(13), Field(5, 2), Field(5, 3)):
+    # the root is the least x with x^2 = a, for q = 1 and q = 3 mod 4 alike
+    # (F_7: sqrt 2 is 3, not 2^((7+1)/4) = 4)
+    for F in (field_make(5), field_make(13), Field(5, 2), Field(5, 3),
+              field_make(7), field_make(11), Field(7, 3)):
         least = {}
         for x in range(F.q - 1, -1, -1):
             least[F.mul(x, x)] = x

@@ -430,3 +430,46 @@ def test_weyl_e8_orbit_sizes_pinned(n):
     assert sum(sizes) == n ** 8
     text = json.dumps(report.to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == E8_REPORT_SHA256[n]
+
+
+# generator sweeps of orbit_decompose under the module's BLOCK = 16384
+E8_SWEEPS = {2: 128, 3: 286, 5: 1144, 6: 2437}
+
+
+def _record_sweeps(monkeypatch):
+    """The length of every `unseen.take` in orbit_decompose, one per
+    generator sweep: the vectors that sweep reflects."""
+    lengths = []
+
+    class Unseen(np.ndarray):
+        def take(self, indices):
+            lengths.append(len(indices))
+            return np.asarray(self).take(indices)
+
+    class Numpy:  # numpy, but `ones` (the `unseen` mask) counts its takes
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def ones(self, *args, **kwargs):
+            return np.ones(*args, **kwargs).view(Unseen)
+
+    monkeypatch.setattr(lattice, "np", Numpy())
+    return lengths
+
+
+@pytest.mark.parametrize("n", sorted(E8_SWEEPS))
+def test_weyl_e8_orbit_sweeps_pinned(monkeypatch, n):
+    # each vector meets each of the 8 simple reflections exactly once: a
+    # cursor that re-sweeps or skips a vector changes the sum
+    lengths = _record_sweeps(monkeypatch)
+    weyl_e8_orbits(n)
+    assert (len(lengths), sum(lengths)) == (E8_SWEEPS[n], 8 * n ** 8)
+
+
+def test_exhaustive_d2_orbit_sweeps_pinned(monkeypatch):
+    lat, gens = standard_generators(2)
+    module = QuadraticModule(lat, 2)
+    assert len(lattice._usable(module, gens)) == 36
+    lengths = _record_sweeps(monkeypatch)
+    orbit_decompose(module, gens)
+    assert (len(lengths), sum(lengths)) == (2456, 36 * 2 ** 20)

@@ -45,30 +45,39 @@ def _const_model(F, a6_val):
         BinaryForm(F, 0, [F.from_int(a6_val)]))
 
 
+def _scalar_field(p, e):
+    """The scalar Field over ExtField(p, e)'s modulus, the least primitive."""
+    tail, _ = lfunction._primitive_modulus(p, e)
+    return Field.extension(UniPoly(Field(p), tail.tolist() + [1]))
+
+
 def test_extfield_tables():
     E = ExtField(5, 2)
     assert E.Q == 25
     # exp/log are inverse on nonzero elements
     for k in range(24):
         assert E.log[E.exp[k]] == k
-    # chi: squares of nonzero elements have chi = +1
+    # chi off the parity of log: +1 exactly on the squares of nonzero
+    # elements, as the scalar field's character says
+    F = _scalar_field(5, 2)
     sq = set(int(E.exp[(2 * k) % 24]) for k in range(24))
     for a in range(1, 25):
-        assert E.chi_table[a] == (1 if a in sq else -1)
+        chi = 1 if E.log[a] % 2 == 0 else -1
+        assert chi == (1 if a in sq else -1) == F.chi(a)
 
 
 @pytest.mark.parametrize("p,e", [(5, 1), (5, 3), (5, 4), (7, 2), (3, 5)])
 def test_extfield_tables_match_scalar_powers(p, e):
     # the generator is x, whose code is p, or -c_0 when the modulus is
     # x + c_0; the doubling build against x^i by repeated scalar Field.mul
-    E = ExtField(p, e)
-    x = p if e > 1 else -E.F.modulus.coeffs[0] % p
+    E, F = ExtField(p, e), _scalar_field(p, e)
+    x = p if e > 1 else -F.modulus.coeffs[0] % p
     assert E.exp[1] == x
-    cur = E.F.one
+    cur = F.one
     for i in range(E.Q - 1):
         assert E.exp[i] == cur and E.log[cur] == i
-        cur = E.F.mul(cur, x)
-    assert cur == E.F.one and E.log[0] == 0
+        cur = F.mul(cur, x)
+    assert cur == F.one and E.log[0] == 0
 
 
 @pytest.mark.parametrize("p,e", [(3, e) for e in range(1, 7)]
@@ -88,7 +97,7 @@ def test_extfield_modulus_is_least_primitive(p, e):
         if K.pow(x, Q - 1) == 1 and all(K.pow(x, (Q - 1) // ell) != 1
                                         for ell in sympy.primefactors(Q - 1)):
             break
-    modulus = ExtField(p, e).F.modulus
+    modulus = _scalar_field(p, e).modulus
     assert list(modulus.coeffs) == tail + [1]
     T = sympy.Symbol("T")
     assert sympy.Poly(list(reversed(modulus.coeffs)), T,
@@ -98,8 +107,7 @@ def test_extfield_modulus_is_least_primitive(p, e):
 @pytest.mark.parametrize("p,e", [(5, 1), (5, 2), (7, 1), (7, 2), (11, 1)])
 def test_extfield_character_sums(p, e):
     # h_eps(b) = sum_v chi(v^3 + eps v + b), summed with scalar Field ops
-    E = ExtField(p, e)
-    F = E.F
+    E, F = ExtField(p, e), _scalar_field(p, e)
     for k, eps in enumerate((0, 1, int(E.exp[1]))):
         for b in F.elements():
             h = sum(F.chi(F.add(F.mul(F.add(F.mul(v, v), eps), v), b))

@@ -8,11 +8,10 @@ from selmerfq.ffpoly import BinaryForm, Field, UniPoly, field_make
 from selmerfq.rng import SplitMix64
 from selmerfq.weierstrass import (GroupElement, WeierstrassModel, act,
                                   c4_form, c6_form, compose, discriminant,
-                                  f7_example_model, is_minimal,
-                                  minimality_bruteforce, minimality_of_forms,
-                                  random_model, singular_surface_points,
-                                  smooth_by_gcd, stabilizer_order,
-                                  torsion_section_search)
+                                  f7_example_model, minimality_bruteforce,
+                                  minimality_of_forms, random_model,
+                                  singular_surface_points, smooth_by_gcd,
+                                  stabilizer_order, torsion_section_search)
 
 
 def _model(F, d, a2, a4, a6):
@@ -203,7 +202,7 @@ def test_minimality_matches_bruteforce(F, d):
     # force a non-minimal model: (a2, a4, a6) scaled by (t^2, t^4, t^6)
     t = UniPoly.x(F)
     m = _model(F, 1, t * t, t * t * t * t, (t * t * t) * (t * t * t))
-    assert not is_minimal(m)
+    assert not minimality_of_forms(F, 1, m.a2, m.a4, m.a6)
     assert not minimality_bruteforce(F, 1, m.a2, m.a4, m.a6)
 
 
@@ -222,7 +221,7 @@ def test_smoothness_routes_agree():
 def test_f7_example_structure():
     m = f7_example_model()
     assert m.field.p == 7 and m.d == 1
-    assert is_minimal(m)
+    assert minimality_of_forms(m.field, m.d, m.a2, m.a4, m.a6)
 
 
 def test_f7_three_torsion_section():
