@@ -258,22 +258,21 @@ def main(argv=None):
         if args.out is not None:
             _check_out(args.out)
         result = args.func(args)
+        _emit({
+            "schema_version": SCHEMA_VERSION,
+            "tool_version": __version__,
+            "command": args.command,
+            "config": _config_of(args),
+            "seed": getattr(args, "seed", None),
+            "wall_clock_seconds": time.time() - t0,
+            "result": result,
+        }, args.out)
     except DomainError as exc:
         print("domain error: %s" % exc, file=sys.stderr)
         return 2
     except (ValueError, ZeroDivisionError, OSError, AssertionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "command": args.command,
-        "config": _config_of(args),
-        "seed": getattr(args, "seed", None),
-        "wall_clock_seconds": time.time() - t0,
-        "result": result,
-    }
-    _emit(report, args.out)
     return 0
 
 

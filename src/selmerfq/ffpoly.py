@@ -545,7 +545,9 @@ class BinaryForm:
     """Homogeneous form of degree D in (s, t); coeffs[j] multiplies t^j s^(D-j).
 
     All D+1 coefficients are stored, zeros included, so the intended degree
-    survives vanishing top coefficients.
+    survives vanishing top coefficients.  A form holds its coefficients,
+    degree and jets; arithmetic runs on f(1, t) as a UniPoly, and
+    from_unipoly wraps the result.
     """
 
     __slots__ = ("field", "degree", "coeffs")
@@ -598,34 +600,6 @@ class BinaryForm:
             out.append(cs.pop(0) if cs else K.zero)
         return K, out
 
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch in form addition")
-        F = self.field
-        return BinaryForm(F, self.degree,
-                          [F.add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        F = self.field
-        return BinaryForm(F, self.degree, [F.neg(c) for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        F = self.field
-        D = self.degree + other.degree
-        out = [F.zero] * (D + 1)
-        for i, a in enumerate(self.coeffs):
-            if a != F.zero:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return BinaryForm(F, D, out)
-
-    def scale(self, c):
-        F = self.field
-        return BinaryForm(F, self.degree, [F.mul(c, x) for x in self.coeffs])
-
     def __eq__(self, other):
         return (
             isinstance(other, BinaryForm)
@@ -633,9 +607,6 @@ class BinaryForm:
             and self.degree == other.degree
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash((self.field, self.degree, self.coeffs))
 
     def __repr__(self):
         return "BinaryForm(deg=%d, %r)" % (self.degree, list(self.coeffs))

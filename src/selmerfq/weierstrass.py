@@ -37,9 +37,6 @@ class WeierstrassModel:
             and (self.a2, self.a4, self.a6) == (other.a2, other.a4, other.a6)
         )
 
-    def __hash__(self):
-        return hash((self.field, self.d, self.a2, self.a4, self.a6))
-
     def __repr__(self):
         return "WeierstrassModel(d=%d over %r)" % (self.d, self.field)
 
@@ -72,17 +69,16 @@ class WeierstrassModel:
 
 
 def _disc_form(a2, a4, a6):
-    """-16(4 a2^3 a6 - a2^2 a4^2 + 4 a4^3 + 27 a6^2 - 18 a2 a4 a6)."""
+    """Delta = -16(a6(4 a2^3 + 27 a6 - 18 a2 a4) + a4^2(4 a4 - a2^2)), the
+    grouping of census._disc_rows: 6 products in t."""
     F = a2.field
     c = F.from_int
-    a2sq = a2 * a2
-    t1 = (a2sq * a2 * a6).scale(c(4))
-    t2 = a2sq * (a4 * a4)
-    t3 = (a4 * a4 * a4).scale(c(4))
-    t4 = (a6 * a6).scale(c(27))
-    t5 = (a2 * a4 * a6).scale(c(18))
-    inner = t1 - t2 + t3 + t4 - t5
-    return inner.scale(F.neg(c(16)))
+    A2, A4, A6 = (f.dehomog_t() for f in (a2, a4, a6))
+    a2sq = A2 * A2
+    inner = A6 * ((a2sq * A2).scale(c(4)) + A6.scale(c(27))
+                  - (A2 * A4).scale(c(18))) \
+        + A4 * A4 * (A4.scale(c(4)) - a2sq)
+    return BinaryForm.from_unipoly(inner.scale(F.neg(c(16))), 3 * a4.degree)
 
 
 def discriminant(m):
@@ -105,15 +101,18 @@ def bad_places(m):
 def c4_form(m):
     """c4 = 16(a2^2 - 3 a4), a degree-4d form."""
     F = m.field
-    return (m.a2 * m.a2 - m.a4.scale(F.from_int(3))).scale(F.from_int(16))
+    A2, A4 = m.a2.dehomog_t(), m.a4.dehomog_t()
+    c4 = (A2 * A2 - A4.scale(F.from_int(3))).scale(F.from_int(16))
+    return BinaryForm.from_unipoly(c4, 4 * m.d)
 
 
 def c6_form(m):
-    """c6 = -32(2 a2^3 - 9 a2 a4 + 27 a6), a degree-6d form."""
+    """c6 = -32(a2(2 a2^2 - 9 a4) + 27 a6), a degree-6d form: 2 products."""
     F = m.field
-    inner = (m.a2 * m.a2 * m.a2).scale(F.from_int(2)) \
-        - (m.a2 * m.a4).scale(F.from_int(9)) + m.a6.scale(F.from_int(27))
-    return inner.scale(F.neg(F.from_int(32)))
+    c = F.from_int
+    A2, A4, A6 = (f.dehomog_t() for f in (m.a2, m.a4, m.a6))
+    inner = A2 * ((A2 * A2).scale(c(2)) - A4.scale(c(9))) + A6.scale(c(27))
+    return BinaryForm.from_unipoly(inner.scale(F.neg(c(32))), 6 * m.d)
 
 
 def minimality_of_forms(field, d, a2, a4, a6):
@@ -194,25 +193,21 @@ class GroupElement:
         self.r = r
         self.lam = lam
 
-    def __eq__(self, other):
-        return isinstance(other, GroupElement) and (self.r, self.lam) == (other.r, other.lam)
-
-    def __hash__(self):
-        return hash((self.r, self.lam))
-
 
 def act_on_forms(g, a2, a4, a6):
     """Coefficient transform of the equation under g = (r, lambda): x -> x + r
-    gives a2 + 3r, a4 + 2 r a2 + 3 r^2, a6 + r a4 + r^2 a2 + r^3, which then
-    scale by l^2, l^4, l^6.  Works on bare forms (no discriminant
-    recomputation), which the census orbit enumeration needs."""
-    F, r = a2.field, g.r
+    gives a2 + 3r, a4 + r(2 a2 + 3r), a6 + r(a4 + r(a2 + r)), by Horner in 3
+    products, which then scale by l^2, l^4, l^6.  Works on bare forms (no
+    discriminant recomputation), which the census orbit enumeration needs."""
+    F = a2.field
     c = F.from_int
-    r2 = r * r
+    r, A2, A4, A6 = (f.dehomog_t() for f in (g.r, a2, a4, a6))
     l2 = F.mul(g.lam, g.lam)
-    return ((a2 + r.scale(c(3))).scale(l2),
-            (a4 + (r * a2).scale(c(2)) + r2.scale(c(3))).scale(F.mul(l2, l2)),
-            (a6 + r * a4 + r2 * a2 + r2 * r).scale(F.pow(l2, 3)))
+    moved = ((A2 + r.scale(c(3))).scale(l2),
+             (A4 + r * (A2.scale(c(2)) + r.scale(c(3)))).scale(F.mul(l2, l2)),
+             (A6 + r * (A4 + r * (A2 + r))).scale(F.pow(l2, 3)))
+    return tuple(BinaryForm.from_unipoly(f, form.degree)
+                 for f, form in zip(moved, (a2, a4, a6)))
 
 
 def act(g, m):
@@ -226,28 +221,27 @@ def compose(g2, g1):
     the cross-check that act is a group action."""
     F = g1.r.field
     lam1_inv2 = F.inv(F.mul(g1.lam, g1.lam))
-    r = g1.r + g2.r.scale(lam1_inv2)
-    return GroupElement(r, F.mul(g1.lam, g2.lam))
+    r = g1.r.dehomog_t() + g2.r.dehomog_t().scale(lam1_inv2)
+    return GroupElement(BinaryForm.from_unipoly(r, g1.r.degree),
+                        F.mul(g1.lam, g2.lam))
 
 
 def stabilizer_order(m):
     """Order of the stabilizer of m in G(F_q) = G_a^{2d+1} x| G_m.
 
-    For fixed lambda the a2-equation forces r uniquely (r = 0 when
-    a2 = 0), so it suffices to loop over lambda and verify."""
+    For fixed lambda the a2-equation l^2 (a2 + 3r) = a2 forces
+    r = (l^-2 - 1) a2 / 3, so it suffices to loop over lambda and compare
+    the moved forms with the model's."""
     F = m.field
     three_inv = F.inv(F.from_int(3))
+    forms = (m.a2, m.a4, m.a6)
     count = 0
     for lam in F.elements():
         if lam == F.zero:
             continue
-        lam_inv2 = F.inv(F.mul(lam, lam))
-        if m.a2.is_zero():
-            r = BinaryForm.zero(F, 2 * m.d)
-        else:
-            r = m.a2.scale(F.mul(F.sub(lam_inv2, F.one), three_inv))
-        if act(GroupElement(r, lam), m) == m:
-            count += 1
+        u = F.mul(F.sub(F.inv(F.mul(lam, lam)), F.one), three_inv)
+        r = BinaryForm.from_unipoly(m.a2.dehomog_t().scale(u), 2 * m.d)
+        count += act_on_forms(GroupElement(r, lam), *forms) == forms
     return count
 
 

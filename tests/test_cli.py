@@ -1,5 +1,6 @@
 """CLI dispatch, report schema, exit codes, and reproducibility."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -137,6 +138,49 @@ def test_reports_bit_identical_except_timing(capsys):
     r1 = _strip_timing(json.loads(out1))
     r2 = _strip_timing(json.loads(out2))
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+
+
+def test_report_write_failure_exits_1(tmp_path, capsys, monkeypatch):
+    # a report that cannot be written (a full disk) is an error line and
+    # exit 1, not a traceback; the target passes _check_out
+    def full_disk(report, out):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(cli, "_emit", full_disk)
+    code = cli.main(["weyl-e8", "--n", "2", "--out", str(tmp_path / "r.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: [Errno 28] No space left on device"]
+
+
+# model-gen over F_25 at d = 2, timing stripped, and the tate result of each
+# model it writes: over F_{p^k} random_model accepts a draw by the model's
+# own Delta and c4, so their arithmetic decides these bytes
+MODEL_GEN_F25_SHA256 = \
+    "c9b7c97e8f7bc647223e3f01059686dfb41f3100bf5e72f077b4d32d42435a52"
+TATE_F25_SHA256 = \
+    "cd1602111eb01ca1e7f4c5ea3079ccb7d7da2f2da0eb43b9fca97f6bbc11caa0"
+
+
+def _sha256(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def test_model_gen_and_tate_over_f25_pinned(tmp_path, capsys):
+    code, out = _run(["model-gen", "--q", "5^2", "--d", "2", "--count", "5",
+                      "--smooth", "--seed", "3"], capsys)
+    assert code == 0
+    report = _strip_timing(json.loads(out))
+    assert _sha256(report) == MODEL_GEN_F25_SHA256
+    tate = []
+    for i, model in enumerate(report["result"]["models"]):
+        path = tmp_path / ("model%d.json" % i)
+        path.write_text(json.dumps(model))
+        code, out = _run(["tate", "--model", str(path)], capsys)
+        assert code == 0
+        tate.append(json.loads(out)["result"])
+    assert _sha256(tate) == TATE_F25_SHA256
 
 
 def test_orbits_sample_mode(capsys):

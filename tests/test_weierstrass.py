@@ -3,7 +3,7 @@ section searches."""
 
 import pytest
 
-from selmerfq import DomainError, ffpoly, weierstrass
+from selmerfq import DomainError, census, ffpoly, weierstrass
 from selmerfq.ffpoly import BinaryForm, Field, UniPoly, field_make
 from selmerfq.rng import SplitMix64
 from selmerfq.weierstrass import (GroupElement, WeierstrassModel, act,
@@ -51,19 +51,35 @@ def test_discriminant_degree_and_formula():
             assert discriminant(m).coeffs[0] == expected
 
 
-def test_c4_c6_disc_identity():
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_c4_c6_disc_identity(d):
     # 1728 disc = c4^3 - c6^2 for the short form derived from (0, a2, a4, a6);
     # over F_{p^k} the integer constants must be their images, not codes
     for F in (field_make(7), field_make(5, 2), field_make(7, 3)):
         rng = SplitMix64(10)
         for _ in range(20):
-            m = random_model(F, 1, rng)
+            m = random_model(F, d, rng)
             c4 = c4_form(m).dehomog_t()
             c6 = c6_form(m).dehomog_t()
             disc = discriminant(m).dehomog_t()
             lhs = disc.scale(F.from_int(1728))
             rhs = c4 * c4 * c4 - c6 * c6
             assert lhs == rhs, F
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_disc_form_matches_disc_rows(p, d):
+    # the scalar Delta against the batched one row for row; at p = 3, where
+    # the q = 3 locus reads _disc_rows, 1728 Delta = c4^3 - c6^2 says nothing
+    F = Field(p)
+    l2, l4, _ = census.coeff_lengths(d)
+    rows = SplitMix64(p + d).below_array(p, 40 * (12 * d + 3))
+    rows = rows.reshape(40, 12 * d + 3)
+    a2, a4, a6 = rows[:, :l2], rows[:, l2:l2 + l4], rows[:, l2 + l4:]
+    for row, f2, f4, f6 in zip(census._disc_rows(a2, a4, a6, p), a2, a4, a6):
+        forms = (BinaryForm(F, len(f) - 1, f.tolist()) for f in (f2, f4, f6))
+        assert weierstrass._disc_form(*forms).coeffs == tuple(row.tolist())
 
 
 def test_json_roundtrip():
