@@ -612,24 +612,29 @@ class BinaryForm:
         return "BinaryForm(deg=%d, %r)" % (self.degree, list(self.coeffs))
 
 
-def ord_at(f, v):
-    """Valuation of a nonzero binary form at a place of P^1.
+def leading_at(f, v):
+    """(ord_v f, c) for a binary form f at a place v of P^1, by one division
+    loop.  At a finite place, c is the first nonzero digit of f(1, t) in
+    base P, the place polynomial, as a kappa(v) code: the Taylor coefficient
+    of that order (BinaryForm.jet) over P'(tau)^ord.  At infinity, ord_v f =
+    D - deg_t f(1, t) and c is the top coefficient of f(1, t).  The zero
+    form gives (inf, 0)."""
+    ft = f.dehomog_t()
+    if ft.is_zero():
+        return math.inf, f.field.zero
+    if v.is_infinity:
+        return f.degree - ft.degree(), ft.leading()
+    for n in range(ft.degree() + 1):  # ord_v f <= deg f(1, t)
+        ft, rem = ft.divmod(v.poly)
+        if not rem.is_zero():
+            return n, sum(c * f.field.q ** i for i, c in enumerate(rem.coeffs))
 
-    Finite place: the exact power of the place polynomial dividing f(1, t).
-    Infinity: D - deg_t f(1, t).
-    """
+
+def ord_at(f, v):
+    """Valuation of a nonzero binary form at a place of P^1 (leading_at)."""
     if f.is_zero():
         raise ValueError("valuation of the zero form is undefined")
-    ft = f.dehomog_t()
-    if v.is_infinity:
-        return f.degree - ft.degree()
-    n = 0
-    while True:
-        quot, rem = ft.divmod(v.poly)
-        if not rem.is_zero():
-            return n
-        ft = quot
-        n += 1
+    return leading_at(f, v)[0]
 
 
 # ---------------------------------------------------------------------------

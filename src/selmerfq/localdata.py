@@ -3,15 +3,16 @@ numbers at places of bad reduction, for p >= 5 (tame reduction), plus
 global consistency sums, the root number of a smooth model, and the naive
 chi-sum point count of a fiber, which lfunction's slow count shares.
 
-Types and Tamagawa numbers come from a table on c4, c6 and Delta: one
-quadratic character or one root count in kappa(v) per type (Tate,
-"Algorithm for determining the type of a singular fiber in an elliptic
-pencil", LNM 476, 1975; see local_data_at).  Component counts come from
-Ogg's relation ord_disc = f_v + m_v - 1.
+Types and Tamagawa numbers come from a table on the valuations and
+leading coefficients of c4, c6 and Delta at the place: one quadratic
+character or one root count in kappa(v) per type, each of even total
+order (Tate, "Algorithm for determining the type of a singular fiber in
+an elliptic pencil", LNM 476, 1975; see local_data_at).  Component
+counts come from Ogg's relation ord_disc = f_v + m_v - 1.
 """
 
 from . import DomainError, weierstrass
-from .ffpoly import UniPoly, ord_at
+from .ffpoly import UniPoly, leading_at
 from .weierstrass import bad_places
 
 
@@ -69,71 +70,67 @@ _FIXED = {2: ("II", 1), 3: ("III", 2), 9: ("III*", 2), 10: ("II*", 1)}
 
 
 def local_data_at(m, v):
-    """PlaceData at v for a model minimal at v, p >= 5 (Tate 1975).  I_n is
-    split iff -c6 is a square in kappa(v).  An additive type is fixed by
-    delta = ord_v Delta and ord_v c4, and c_v by f_j, the j-th Taylor
-    coefficient at v (BinaryForm.jet) of f among c4, c6, Delta:
-      I_n*, ord c4 = 2, delta = 6 + n >= 7: c = 4 iff chi(Delta_delta) = 1
-        for even n, chi(c6_3 Delta_delta) = 1 for odd n; else c = 2;
+    """PlaceData at v for a model minimal at v, p >= 5 (Tate 1975).  With
+    (delta, D), (ord c4, C4) and (ord c6, C6) the valuations and leading
+    coefficients in kappa(v) of Delta, c4 and c6 (ffpoly.leading_at), I_n
+    is split iff chi(-C6) = 1; an additive type is fixed by delta and
+    ord c4, and c_v by one test:
+      I_n*, ord c4 = 2, delta = 6 + n >= 7: c = 4 iff chi(D) = 1 for even
+        n, chi(C6 D) = 1 for odd n; else c = 2;
       II, III, III*, II* (delta = 2, 3, 9, 10): c = 1, 2, 2, 1;
-      IV, IV* (delta = 4, 8): c = 3 iff chi(-6 c6_(delta/2)) = 1, else 1;
-      I_0* (delta = 6): c = 1 + #kappa-roots of X^3 - 27 c4_2 X - 54 c6_3.
+      IV, IV* (delta = 4, 8): c = 3 iff chi(-6 C6) = 1, else 1;
+      I_0* (delta = 6): c = 1 + #kappa-roots of X^3 - 27 C4 X - 54 C6,
+        reading C4 as 0 unless ord c4 = 2 and C6 as 0 unless ord c6 = 3.
+    A coefficient of order k is the Taylor one (BinaryForm.jet) over mu^k,
+    mu = P'(tau), and every test has even total order (0; 2, 4; 6 + n,
+    9 + n; the cubic is homogeneous under X -> mu X), so both give one c.
     I_n* is tested first, as I_2*, I_3*, I_4* have delta = 8, 9, 10.
     Non-minimality at v (ord_v a2, a4, a6 >= 2, 4, 6) gives delta >= 12 and
     ord_v c4 >= 4, which no row matches: "minimalize first" fires."""
     if m.field.characteristic < 5:
         raise DomainError("local classification needs p >= 5")
-    disc = weierstrass.discriminant(m)
-    delta = ord_at(disc, v)
+    delta, D = leading_at(weierstrass.discriminant(m), v)
     if delta == 0:
         return PlaceData(v, "I_0", 0, 0, 1)
-
-    c4 = weierstrass.c4_form(m)
-    vc4 = 10 ** 9 if c4.is_zero() else ord_at(c4, v)
+    vc4, C4 = leading_at(weierstrass.c4_form(m), v)
+    vc6, C6 = leading_at(weierstrass.c6_form(m), v)
+    K = m.field if v.is_infinity else v.residue_field()[0]
 
     if vc4 == 0:
-        # multiplicative: split iff -c6 is a square in kappa(v)
-        K, (c6res,) = weierstrass.c6_form(m).jet(v, 1)
-        split = K.chi(K.neg(c6res)) == 1
-        if split:
-            c = delta
-        else:
-            c = 2 if delta % 2 == 0 else 1
-        return PlaceData(v, "I_%d" % delta, delta, 1, c, split)
+        kodaira = "I_%d" % delta
+        split = K.chi(K.neg(_forced_c6(kodaira, v, vc6, C6, 0))) == 1
+        c = delta if split else 2 - delta % 2
+        return PlaceData(v, kodaira, delta, 1, c, split)
 
     # additive: f_v = 2
     if vc4 == 2 and delta >= 7:
         kodaira = "I_%d*" % (delta - 6)
-        K, c6 = _c6_coeff(m, v, 3, kodaira)
-        _, D = disc.jet(v, delta + 1)
-        test = K.mul(c6, D[delta]) if delta % 2 else D[delta]
-        c = 4 if K.chi(test) == 1 else 2
+        C6 = _forced_c6(kodaira, v, vc6, C6, 3)
+        c = 4 if K.chi(K.mul(C6, D) if delta % 2 else D) == 1 else 2
     elif delta in _FIXED:
         kodaira, c = _FIXED[delta]
     elif delta in (4, 8):
         kodaira = "IV" if delta == 4 else "IV*"
-        K, c6 = _c6_coeff(m, v, delta // 2, kodaira)
-        c = 3 if K.chi(K.mul(K.from_int(-6), c6)) == 1 else 1
+        C6 = _forced_c6(kodaira, v, vc6, C6, delta // 2)
+        c = 3 if K.chi(K.mul(K.from_int(-6), C6)) == 1 else 1
     elif delta == 6:
         kodaira = "I_0*"
-        K, (_, _, c4_2) = c4.jet(v, 3)
-        _, (_, _, _, c6_3) = weierstrass.c6_form(m).jet(v, 4)
-        cubic = UniPoly(K, [K.mul(K.from_int(-54), c6_3),
-                            K.mul(K.from_int(-27), c4_2), K.zero, K.one])
+        cubic = UniPoly(K, [K.mul(K.from_int(-54), C6 if vc6 == 3 else 0),
+                            K.mul(K.from_int(-27), C4 if vc4 == 2 else 0),
+                            K.zero, K.one])
         c = 1 + cubic.count_roots()
     else:
         raise DomainError("minimalize first")
     return PlaceData(v, kodaira, delta, 2, c)
 
 
-def _c6_coeff(m, v, j, kodaira):
-    """(kappa(v), c6_j).  1728 Delta = c4^3 - c6^2 forces ord_v c6 = j at the
-    IV, I_n* and IV* places that read it; chi(0) would give a wrong c."""
-    K, c6 = weierstrass.c6_form(m).jet(v, j + 1)
-    if c6[j] == K.zero:
-        raise ValueError("%s at %r: c6 coefficient %d vanishes"
-                         % (kodaira, v, j))
-    return K, c6[j]
+def _forced_c6(kodaira, v, vc6, C6, j):
+    """C6, once ord_v c6 = j is checked: 1728 Delta = c4^3 - c6^2 forces it
+    where I_n, IV, I_n* and IV* read C6, and another order gives a wrong c."""
+    if vc6 != j:
+        raise ValueError("%s at %r: c6 coefficient %d is not leading "
+                         "(ord_v c6 = %s)" % (kodaira, v, j, vc6))
+    return C6
 
 
 def global_summary(m):

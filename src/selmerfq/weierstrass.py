@@ -8,7 +8,7 @@ action on equations and its stabilizers, torsion-section search at levels
 """
 
 from . import DomainError, ffpoly
-from .ffpoly import BinaryForm, Place, UniPoly, factor, ord_at
+from .ffpoly import BinaryForm, Place, UniPoly, factor, leading_at
 
 
 class WeierstrassModel:
@@ -93,7 +93,7 @@ def bad_places(m):
     dt = disc.dehomog_t()
     if not dt.is_constant():
         out.extend(Place(f) for f, _ in factor(dt))
-    if ord_at(disc, Place.infinity()) > 0:
+    if leading_at(disc, Place.infinity())[0] > 0:
         out.append(Place.infinity())
     return out
 
@@ -121,7 +121,10 @@ def minimality_of_forms(field, d, a2, a4, a6):
     ord_v(a6) >= 6 (vanishing forms count as infinitely divisible).  As in
     census.classify, v^k | f iff v divides D^(0..k-1) f: no finite v
     qualifies iff gcd(D^(0..1) a2, D^(0..3) a4, D^(0..5) a6) is a nonzero
-    constant, and infinity does not iff a top 2, 4, 6 coefficient is not 0."""
+    constant, and infinity does not iff a top 2, 4, 6 coefficient is not 0.
+    At d = 0 every tuple is minimal by convention, (0, 0, 0) included,
+    although its vanishing forms would count as infinitely divisible: so
+    `census --q 5 --d 0 --mode exhaustive` reports all 125 tuples minimal."""
     if d == 0:
         return True
     pattern = ((a2, 2), (a4, 4), (a6, 6))
@@ -161,24 +164,17 @@ def minimality_bruteforce(field, d, a2, a4, a6):
     test the divisibility pattern directly.  Slower but assumption-free."""
     if d == 0:
         return True
-    forms = [f for f in (a2, a4, a6) if not f.is_zero()]
-    if not forms:
-        return False
     places = set()
-    for f in forms:
+    for f in (a2, a4, a6):
         ft = f.dehomog_t()
         if not ft.is_constant():
             for fac, _ in factor(ft):
                 if fac.degree() <= d:
                     places.add(Place(fac))
     places.add(Place.infinity())
-    for v in places:
-        ok2 = a2.is_zero() or ord_at(a2, v) >= 2
-        ok4 = a4.is_zero() or ord_at(a4, v) >= 4
-        ok6 = a6.is_zero() or ord_at(a6, v) >= 6
-        if ok2 and ok4 and ok6:
-            return False
-    return True
+    return not any(all(leading_at(f, v)[0] >= k
+                       for f, k in ((a2, 2), (a4, 4), (a6, 6)))
+                   for v in places)
 
 
 class GroupElement:

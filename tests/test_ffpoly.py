@@ -1,5 +1,7 @@
 """Finite field, polynomial, and place arithmetic."""
 
+import math
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -201,6 +203,50 @@ def test_jet_matches_shift():
     for s in L.elements():
         assert UniPoly(L, cs).evaluate(s) \
             == UniPoly(L, form.coeffs[::-1]).evaluate(s)  # f(s, 1)
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (7, 1), (5, 2)])
+def test_leading_at_reads_the_first_jet_coefficient(p, k):
+    # (ord_v f, c) from the division loop: ord_v f is the index of the first
+    # nonzero Taylor coefficient, and the base-v digit c times P'(tau)^ord
+    # is that coefficient; the two agree at degree-1 places and at infinity.
+    # Forms are P^e g (t-degree 12 - e at infinity), g random and nonzero.
+    F = field_make(p, k)
+    rng = SplitMix64(31)
+    D = 12
+    for degree in (1, 2, 3, 0):
+        for _ in range(6):
+            e, head = rng.below(4), UniPoly.const(F, F.one)
+            if degree == 0:
+                v, n_g = Place.infinity(), D - e
+            else:
+                while True:
+                    P = UniPoly(F, [F.random(rng) for _ in range(degree)]
+                                + [F.one])
+                    if P.is_irreducible():
+                        break
+                v = Place(P)
+                for _ in range(e):
+                    head = head * P
+                n_g = D - e * degree
+            g = UniPoly(F, [F.random(rng) for _ in range(n_g)]
+                        + [1 + rng.below(F.q - 1)])
+            form = BinaryForm.from_unipoly(head * g, D)
+            K, cs = form.jet(v, D + 1)
+            n, c = ffpoly.leading_at(form, v)
+            assert n == ord_at(form, v) \
+                == next(j for j, x in enumerate(cs) if x != K.zero)
+            assert n >= e and c != K.zero
+            if degree <= 1:
+                assert c == cs[n]
+            else:
+                _, tau = v.residue_field()
+                mu = UniPoly(K, v.poly.hasse(1).coeffs).evaluate(tau)
+                assert K.mul(c, K.pow(mu, n)) == cs[n]
+        zero = BinaryForm.zero(F, D)
+        assert ffpoly.leading_at(zero, v) == (math.inf, F.zero)
+        with pytest.raises(ValueError):
+            ord_at(zero, v)
 
 
 # sympy's factorization over GF(p) as an independent oracle

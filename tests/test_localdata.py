@@ -222,15 +222,16 @@ def _random_place(F, degree, rng):
             return Place(f)
 
 
-def _forced_additive_grid(per_cell):
-    """Seeded (model, place) pairs over F_5, F_7, F_13 and F_25 at degree-1
-    places, degree-2 places and infinity, with v^(1..2) | a2, v^(1..5) | a4,
-    v^(1..8) | a6; d = 2 at degree-2 places, else d = 1."""
+def _forced_additive_grid(per_cell, degrees=(1, 2, 0)):
+    """Seeded (model, place) pairs over F_5, F_7, F_13 and F_25 at places of
+    the given degrees (0 for infinity), with v^(1..2) | a2, v^(1..5) | a4,
+    v^(1..8) | a6; d = 2 at degree-2 places, d = 3 at degree-3 places, else
+    d = 1."""
     rng = SplitMix64(16)
     out = []
     for F in (field_make(5), field_make(7), field_make(13), field_make(5, 2)):
-        for degree in (1, 2, 0):
-            d = 2 if degree == 2 else 1
+        for degree in degrees:
+            d = max(degree, 1)
             for _ in range(per_cell):
                 v = _random_place(F, degree, rng)
                 exps = (1 + rng.below(2), 1 + rng.below(5), 1 + rng.below(8))
@@ -277,6 +278,28 @@ def test_forced_additive_grid_pinned():
     assert tally == FORCED_TALLY
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() \
         == FORCED_SHA256
+
+
+# the same record on _forced_additive_grid(50, degrees=(3,)), d = 3, as
+# computed by Tate's algorithm from Taylor coefficients (BinaryForm.jet)
+# before the leading-coefficient table replaced them
+FORCED3_TALLY = {
+    "II 1": 25, "III 2": 28, "IV 1": 12, "IV 3": 10, "I_0* 1": 7,
+    "I_0* 2": 29, "I_0* 4": 17, "I_1* 2": 2, "I_1* 4": 2, "I_2* 2": 3,
+    "I_2* 4": 11, "I_3* 4": 3, "I_4* 4": 5, "IV* 1": 8, "IV* 3": 4,
+    "III* 2": 11, "II* 1": 1, "minimalize first": 11}
+FORCED3_SHA256 = \
+    "ef4b1e40f3ec57af168d0ecc232eb18cb62351eb66c364e009868b9f97ee7514"
+
+
+def test_forced_additive_grid_at_degree_3_places_pinned():
+    rows = [_local_row(m, v)
+            for m, v in _forced_additive_grid(50, degrees=(3,))]
+    tally = collections.Counter(k if c is None else "%s %s" % (k, c)
+                                for k, c, _ in rows)
+    assert tally == FORCED3_TALLY
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() \
+        == FORCED3_SHA256
 
 
 def test_c6_guard_survives_python_O():
