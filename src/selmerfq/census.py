@@ -4,15 +4,15 @@ and orbit-stabilizer audits for the change-of-coordinates group.
 
 Coefficient tuples are encoded as mixed-radix integers with a_{2,0} the
 fastest digit.  The census classifies chunks of tuples, held as int64 rows,
-by array passes of ffpoly's batched F_p[t] kernel.  For p >= 5, with D^(j)
-the Hasse derivatives and ord_inf f = deg(form) - deg f(1, t): minimal iff
-d = 0, or gcd(D^(0..1) a2, D^(0..3) a4, D^(0..5) a6) is a nonzero constant
-and the top 2, 4, 6 coefficients do not all vanish; squarefree_disc iff
-g1 = gcd(Delta, D1 Delta) is constant and ord_inf Delta <= 1; smooth (bad
-fibers I_1 or II) iff minimal, gcd(g1, D2 Delta) is constant, g1 | c4, and
-ord_inf Delta <= 1, or = 2 with c4 vanishing at infinity.  The model
-sampler `random_models` keeps the rows these bits accept, in draw order,
-and so returns what a loop of weierstrass.random_model returns.
+by array passes of ffpoly's batched F_p[t] kernel, each gcd only on the rows
+it can still decide.  For p >= 5, with D^(j) the Hasse derivatives and
+ord_inf f = deg(form) - deg f(1, t): minimal iff d = 0, or gcd(D^(0..1) a2,
+D^(0..3) a4, D^(0..5) a6) is a nonzero constant and the top 2, 4, 6
+coefficients do not all vanish; squarefree_disc iff g1 = gcd(Delta,
+D1 Delta) is constant and ord_inf Delta <= 1; smooth (bad fibers I_1 or II)
+iff minimal, gcd(g1, D2 Delta) is constant, g1 | c4, and ord_inf Delta <= 1,
+or = 2 with c4 vanishing at infinity.  `random_models` keeps the rows these
+bits accept, in draw order: what a loop of weierstrass.random_model returns.
 
 The direct singularity test `singular_branches` runs on the same kernel and
 is exact for every odd p.  With A, B, C = a2, a4, a6 and ' = d/dt, put
@@ -42,10 +42,10 @@ from .ffpoly import BinaryForm, UniPoly
 from .rng import SplitMix64
 
 _EXHAUSTIVE_BUDGET = 1 << 28
-# most direct samples of singular_divisor_count: about 17 s on 2 CPUs
+# most direct samples of singular_divisor_count: about 7 s on 2 CPUs
 _MAX_DIRECT_SAMPLES = 3 * 10 ** 5
-# tuples per array pass, a few MB of int64 rows at d = 1: enough to amortize
-# each numpy call (rows_gcd's Euclid steps); counts do not depend on it
+# tuples per array pass: enough to amortize each numpy call of rows_gcd's
+# Euclid steps, at a 1.5 MB rows_gcd peak at d = 1; counts do not depend on it
 _CLASSIFY_CHUNK = 4096
 
 
@@ -115,21 +115,28 @@ def classify(digits, q, d):
     gcd = functools.partial(ffpoly.rows_gcd, p=q)
     minimal = np.ones(len(digits), dtype=bool)
     if d > 0:
-        g = functools.reduce(gcd, (hasse(f, j, q) for f, k in
-                                   ((a2, 2), (a4, 4), (a6, 6)) for j in range(k)))
-        minimal_at_inf = a2[:, -2:].any(1) | a4[:, -4:].any(1) | a6[:, -6:].any(1)
-        minimal = (deg(g) == 0) & minimal_at_inf
+        g, rows = a2, np.arange(len(digits))
+        for f, js in ((a2, [1]), (a4, range(4)), (a6, range(6))):
+            for j in js:  # on the rows whose running gcd is no unit
+                g = gcd(g, hasse(f[rows], j, q))
+                keep = deg(g) != 0
+                rows, g = rows[keep], g[keep]
+        minimal[rows] = False
+        minimal &= a2[:, -2:].any(1) | a4[:, -4:].any(1) | a6[:, -6:].any(1)
 
     disc = _disc_rows(a2, a4, a6, q)
     ord_inf = 12 * d - deg(disc)
     g1 = gcd(disc, hasse(disc, 1, q))
-    g2 = gcd(g1, hasse(disc, 2, q))
     c4 = 16 * (ffpoly.rows_mul(a2, a2, q) - 3 * a4) % q
+    singular = deg(g1) != 0
+    g1, fibers_ok = g1[singular], ~singular
+    fibers_ok[singular] = (deg(gcd(g1, hasse(disc[singular], 2, q))) == 0) \
+        & (deg(gcd(c4[singular], g1)) == deg(g1))
     return {
         "minimal": minimal,
-        "smooth": minimal & (deg(g2) == 0) & (deg(gcd(c4, g1)) == deg(g1))
+        "smooth": minimal & fibers_ok
         & ((ord_inf <= 1) | ((ord_inf == 2) & (c4[:, -1] == 0))),
-        "squarefree_disc": (deg(g1) == 0) & (ord_inf <= 1),
+        "squarefree_disc": ~singular & (ord_inf <= 1),
         "disc_zero": ~disc.any(1),
     }
 

@@ -24,11 +24,11 @@ from .rng import SplitMix64
 
 SCHEMA_VERSION = 5
 # largest height --d of census, orbits and model-gen: on 2 CPUs a 10^4-model
-# census takes about 30 s at d = 16 and 140 s at d = 32; at d = 10^5 the
+# census takes about 5 s at d = 16 and 21 s at d = 32; at d = 10^5 the
 # census and the orbit Gram fail to allocate and model-gen runs for minutes
 MAX_HEIGHT = 16
 # largest model-gen --count: on 2 CPUs, 10^4 smooth minimal models take about
-# 2 s at q = 5, d = 1 and 4 min at d = 16; 10^11 would take 8 months at d = 1
+# 1 s at q = 5, d = 1 and 50 s at d = 16; 10^11 would take 3 months at d = 1
 MAX_MODELS = 10 ** 4
 
 

@@ -639,14 +639,19 @@ def ord_at(f, v):
 
 # ---------------------------------------------------------------------------
 # batched F_p[t]: one polynomial per row of an int64 array, low degree first,
-# entries in [0, p) with p < 2^31 so that products fit in int64
+# entries in [0, p), p < 2^31 (rows_mul and rows_gcd give their dtype rules)
 
 def rows_mul(A, B, p):
-    """Row-wise product of two polynomial batches."""
+    """Row-wise product of two polynomial batches.  Each column of A adds a
+    product below (p - 1)^2 to the int64 sums, so they are reduced mod p
+    only every K = floor((2^63 - p) / (p - 1)^2) >= 2 columns, and last."""
     out = np.zeros((A.shape[0], A.shape[1] + B.shape[1] - 1), dtype=np.int64)
+    K = (2 ** 63 - p) // (p - 1) ** 2
     for i in range(A.shape[1]):
-        out[:, i:i + B.shape[1]] += A[:, i:i + 1] * B % p
-    return out % p
+        if i and i % K == 0:
+            out -= out // p * p
+        out[:, i:i + B.shape[1]] += A[:, i:i + 1] * B
+    return out - out // p * p
 
 
 def rows_hasse(A, j, p):
@@ -662,26 +667,53 @@ def rows_degree(A):
     return np.where(A != 0, np.arange(A.shape[1]), -1).max(axis=1)
 
 
+def _shift_up(X, k):
+    """X with column i moved up by k[i] rows, zeros below."""
+    return np.take_along_axis(np.concatenate([X, np.zeros_like(X)]),
+                              k + np.arange(len(X))[:, None], 0)
+
+
 def rows_gcd(A, B, p):
-    """Row-wise gcd up to a unit, by Euclid on every row at once.  A step
-    orders each pair so that deg a >= deg b and sets a to lead(b) a -
-    lead(a) t^(deg a - deg b) b, which needs no inverses mod p.  A row is
-    done once b is zero (the gcd is a) or a nonzero constant (a unit)."""
+    """Row-wise gcd up to a unit, by inverse-free Euclid on a transposed
+    copy held leading coefficient first: row k of a holds the t^(da - k)
+    coefficients, da >= deg a.  The step a <- lead(b) a + (p - lead(a))
+    t^(da - db) b drops row 0 and lowers da by one; when da < db the pair
+    swaps and b is shifted up to its leading coefficient.  The step runs in
+    uint32 if 2 (p - 1)^2 < 2^32 (p <= 46337), else in uint64, never beside
+    int64 (numpy would give float64); x mod p is x - x // p * p, faster in
+    numpy than x % p.  A row is done once b is 0 (the gcd is a) or a unit."""
+    dtype = np.uint32 if 2 * (p - 1) ** 2 < 2 ** 32 else np.uint64
     width = max(A.shape[1], B.shape[1])
-    a = np.pad(A, ((0, 0), (0, width - A.shape[1])))
-    b = np.pad(B, ((0, 0), (0, width - B.shape[1])))
-    out = np.empty_like(a)
-    rows = np.arange(a.shape[0])
-    while rows.size:
-        da, db = rows_degree(a), rows_degree(b)
-        swap = da < db
-        a[swap], b[swap] = b[swap], a[swap]
-        da, db = np.maximum(da, db), np.minimum(da, db)
+    out = np.zeros((len(A), width), dtype=np.int64)
+    a, b = (np.zeros((width, len(A)), dtype) for _ in range(2))
+    a[:A.shape[1]], b[:B.shape[1]] = A[:, ::-1].T, B[:, ::-1].T
+    da, db = (np.full(len(A), X.shape[1] - 1) for X in (A, B))
+    rows = np.arange(len(A))
+    while True:
+        s = da < db
+        if 2 * s.sum() > len(s):  # swap the names, then the rows that stay
+            a, b, da, db, s = b, a, db, da, ~s
+        s = np.flatnonzero(s)
+        a[:, s], b[:, s], da[s], db[s] = b[:, s], a[:, s], db[s], da[s]
+        z = np.flatnonzero(b[0] == 0)
+        if z.size:
+            shift = (b[:, z] != 0).argmax(0)  # 0 on a zero column
+            db[z] = np.where(b[shift, z] != 0, db[z] - shift, -1)
+            b[:, z] = _shift_up(b[:, z], shift)
         done = db <= 0
-        out[rows[done]] = np.where(db[done, None] == 0, b[done], a[done])
-        rows, a, b, da, db = (x[~done] for x in (rows, a, b, da, db))
-        r = np.arange(rows.size)[:, None]
-        # t^(da - db) b: the entries that wrap around are above deg b, so 0
-        shifted = b[r, (np.arange(width) - (da - db)[:, None]) % width]
-        a = (b[r, db[:, None]] * a - a[r, da[:, None]] * shifted) % p
-    return out
+        if done.any():
+            zero = db[done] < 0
+            g = np.where(zero, a[:, done], b[:, done])[::-1]
+            out[rows[done], :width] = _shift_up(
+                g, width - 1 - zero * da[done]).T
+            rows, da, db, a, b = (np.compress(~done, x, axis=-1)
+                                  for x in (rows, da, db, a, b))
+        if not rows.size:
+            return out
+        width = da.max() + 1
+        a, b = a[:width], b[:width]
+        minus_lead = (p - a[0]) % p  # 0, not p, where row 0 of a is 0
+        a[:-1] = a[1:] * b[0] + minus_lead * b[1:]
+        a[-1] = 0
+        a -= a // p * p
+        da -= 1

@@ -331,6 +331,11 @@ def test_classify_matches_single_model_routes(q, d, count):
     assert (True, False, False) in seen  # minimal, disc nonzero, not smooth
 
 
+def test_classify_on_no_rows():
+    bits = classify(np.zeros((0, 15), dtype=np.int64), 5, 1)
+    assert all(v.shape == (0,) for v in bits.values())
+
+
 def test_run_census_sample_size_floor():
     with pytest.raises(ValueError):
         run_census(5, 1, mode="sample", n=100)

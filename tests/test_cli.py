@@ -183,6 +183,38 @@ def test_model_gen_and_tate_over_f25_pinned(tmp_path, capsys):
     assert _sha256(tate) == TATE_F25_SHA256
 
 
+# reports decided by census.classify and singular_branches, timing stripped:
+# the batched F_p[t] kernel decides these bytes
+KERNEL_REPORT_SHA256 = {
+    "census --q 5 --d 1 --seed 0":
+        "4c6d75b396547f59fa12aba4bcc8dccb34308863e15071b2c4affdc285fa9752",
+    "census --q 5 --d 2 --seed 0":
+        "a7ee02ba93f9b50696c12cf39ccf0d9c796088136ce5f12dd34865c42603462f",
+    "census --q 7 --d 1 --seed 0":
+        "591d59eb26806bc25e3ac4cac5050caae58f94f3bb32f0d5f84af199fdf1897c",
+    "census --q 7 --d 2 --seed 0":
+        "01cc1c6171eeaf6e97fbe224c0d9377ea1d9b2809c8d819c2d6c84987bb3fc10",
+    "census --q 13 --d 1 --seed 0":
+        "afbb3c96f1d53e4089d3c1ecf1d2a5caa995cb75d87bbbef480837f4640af024",
+    "census --q 13 --d 2 --seed 0":
+        "c74979619d4bff5164bfcb61c70ca7b78dde4106ffc5554a79502e70f2d150c9",
+    "census --q 5 --d 0 --mode exhaustive":
+        "aed10c2fc3d71c8228846a67df35c9b6bf1cb610ac41b4c0fac85148caaf195a",
+    "model-gen --q 7 --d 2 --count 40 --minimal --smooth --seed 5":
+        "5115b14ba94d0fbbb05c979cd4e0f02bfc548174004f6b65910f90aefaef0ab8",
+    "divisor-count --q 3 --samples 4000 --seed 1":
+        "83d14f1401d18d6485759b332379fde904debf579b28ee81f686fdf1eb95008a",
+}
+
+
+@pytest.mark.parametrize("command", sorted(KERNEL_REPORT_SHA256))
+def test_kernel_reports_pinned(command, capsys):
+    code, out = _run(command.split(), capsys)
+    assert code == 0
+    assert _sha256(_strip_timing(json.loads(out))) \
+        == KERNEL_REPORT_SHA256[command]
+
+
 def test_orbits_sample_mode(capsys):
     code, out = _run(["orbits", "--n", "2", "--d", "2", "--mode", "sample",
                       "--pairs", "10", "--seed", "5"], capsys)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -315,3 +316,61 @@ def test_field_axioms(F, i, j, k):
     assert F.chi(F.mul(a, b)) == F.chi(a) * F.chi(b)
     p = F.characteristic
     assert F.pow(F.add(a, b), p) == F.add(F.pow(a, p), F.pow(b, p))
+
+
+# the batched F_p[t] kernel against the scalar UniPoly oracle: p = 46337 is
+# the last prime whose Euclid step fits uint32, 46349 the first in uint64,
+# and 2^31 - 1 the edge of the domain, where rows_mul may add only K = 2
+# products between reductions
+
+KERNEL_PRIMES = (5, 7, 46337, 46349, 2 ** 31 - 1)
+
+
+def _kernel_rows(p, wa, wb):
+    """Seeded row pairs of widths wa, wb: uniform rows, zero rows, nonzero
+    constants, pairs with a planted common factor of degree 1 to 3, rows of
+    p - 1 (the largest partial sums of rows_mul), and t^2 - 1 beside
+    -(t - 1)^2, both ways round, whose Euclid step reaches 2 (p - 1)^2."""
+    F = Field(p)
+    rng = np.random.default_rng([p, wa, wb])
+    A, B = rng.integers(0, p, (48, wa)), rng.integers(0, p, (48, wb))
+    A[0] = B[1] = A[2] = B[2] = 0
+    A[3, 1:] = B[4, 1:] = A[5, 1:] = B[5, 1:] = 0
+    A[3, 0], B[4, 0], A[5, 0], B[5, 0] = rng.integers(1, p, 4)
+    A[6], B[6] = p - 1, p - 1
+    for i, k in enumerate((1, 1, 2, 2, 3, 3, 3)):
+        if k < min(wa, wb):
+            f = UniPoly(F, rng.integers(0, p, k).tolist()
+                        + [int(rng.integers(1, p))])
+            for X, w in ((A, wa), (B, wb)):
+                cofactor = UniPoly(F, rng.integers(0, p, w - k).tolist())
+                cs = (f * cofactor).coeffs
+                X[7 + i] = list(cs) + [0] * (w - len(cs))
+    if min(wa, wb) >= 3:
+        A[14:16, :3] = [[p - 1, 0, 1], [p - 1, 2, p - 1]]
+        B[14:16, :3] = [[p - 1, 2, p - 1], [p - 1, 0, 1]]
+        A[14:16, 3:] = B[14:16, 3:] = 0
+    return A, B
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@pytest.mark.parametrize("wa, wb", [(13, 12), (3, 5), (25, 13)])
+def test_batched_kernel_matches_unipoly(p, wa, wb):
+    F = Field(p)
+    A, B = _kernel_rows(p, wa, wb)
+    G, M = ffpoly.rows_gcd(A, B, p), ffpoly.rows_mul(A, B, p)
+    assert G.dtype == M.dtype == np.int64
+    assert G.shape == (len(A), max(wa, wb))
+    assert M.shape == (len(A), wa + wb - 1)
+    assert ((0 <= G) & (G < p)).all() and ((0 <= M) & (M < p)).all()
+    for a, b, g, m in zip(A, B, G, M):
+        fa, fb, fg = (UniPoly(F, row.tolist()) for row in (a, b, g))
+        assert UniPoly(F, m.tolist()) == fa * fb
+        assert fg.degree() == fa.gcd(fb).degree()
+        assert fg.is_zero() or ((fa % fg).is_zero() and (fb % fg).is_zero())
+
+
+def test_batched_kernel_on_no_rows():
+    A, B = np.zeros((0, 13), dtype=np.int64), np.zeros((0, 12), dtype=np.int64)
+    assert ffpoly.rows_gcd(A, B, 5).shape == (0, 13)
+    assert ffpoly.rows_mul(A, B, 5).shape == (0, 24)
