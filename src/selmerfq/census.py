@@ -199,9 +199,12 @@ def random_models(F, d, rng, count, minimal=False, smooth=False):
     minimal, smooth), leaving rng in the same state; smooth implies minimal.
     Over prime fields with p < 2^31 the draws are decided by `classify` in
     chunks, and rng is then replayed up to the last accepted row; over
-    F_{p^k} with k > 1, or p >= 2^31, each model comes from random_model."""
+    F_{p^k} with k > 1, or p >= 2^31, each model comes from random_model.
+    As there, smooth needs p >= 5; here that is checked before any draw."""
     if d < 0:
         raise DomainError("height d must be >= 0, got %r" % (d,))
+    if smooth and F.characteristic < 5:
+        raise DomainError("smoothness by the gcd test needs p >= 5")
     minimal = minimal or smooth
     if F.k != 1 or F.q >= 1 << 31:
         return [weierstrass.random_model(F, d, rng, minimal, smooth)

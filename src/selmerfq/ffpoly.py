@@ -171,13 +171,6 @@ class Field:
             return 0
         return 1 if self.pow(a, (self.q - 1) // 2) == self.one else -1
 
-    def sqrt(self, a):
-        """The least square root of a, read off the linear factors of
-        x^2 - a; None if a is not a square."""
-        return min((self.neg(g.coeffs[0]) for g, _ in
-                    factor(UniPoly(self, [self.neg(a), 0, 1]))
-                    if g.degree() == 1), default=None)
-
     def from_int(self, n):
         """The image of the integer n."""
         return n % self.p

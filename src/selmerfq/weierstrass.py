@@ -4,7 +4,9 @@ over the projective t-line, with homogeneous coefficient forms of degrees
 
 Covers the discriminant, minimality, the (r, lambda) coordinate-change
 action on equations and its stabilizers, torsion-section search at levels
-2 and 3, and smoothness of the total space.
+2 and 3, and smoothness of the total space.  Roots in F_q[t], the x and
+the y of a torsion section, come from one rational-root search,
+_roots_in_t; roots over a residue field from ffpoly.factor.
 """
 
 from . import DomainError, ffpoly
@@ -283,29 +285,21 @@ def fiber_cubic(m, v):
 
 def _fiber_multiple_root(m, v):
     """The multiple root x0 of the reduced fiber cubic at v, in kappa(v);
-    None if the fiber is smooth (good reduction)."""
+    None if the fiber is smooth (good reduction).  kappa(v) is perfect, so
+    a repeated factor of the cubic is linear, and factor finds it also
+    where the cubic is a cube x^3 - x0^3 in characteristic 3."""
     cubic = fiber_cubic(m, v)
-    K = cubic.field
-    g = cubic.gcd(cubic.hasse(1))
-    if g.is_constant():
-        return None
-    if g.degree() == 1:
-        return K.neg(K.mul(g.coeffs[0], K.inv(g.coeffs[1])))
-    if g.degree() == 3:
-        # char 3 with vanishing derivative: the cubic is x^3 - x0^3, and
-        # cube roots are the inverse Frobenius y -> y^(q/3)
-        return K.pow(K.neg(g.coeffs[0]), K.q // 3)
-    # triple root: g = (x - x0)^2
-    return K.neg(K.mul(g.coeffs[1], K.inv(K.mul(K.from_int(2), g.coeffs[2]))))
+    return next((cubic.field.neg(g.coeffs[0]) for g, mult in factor(cubic)
+                 if mult > 1), None)
 
 
 def torsion_section_search(m, n):
     """Polynomial torsion sections of level n in {2, 3}, for p >= 5.
 
-    Level 2: homogeneous degree-2d roots r of the fiber cubic; sections
-    (r, 0).  Level 3: degree-2d roots r of the 3-division polynomial whose
-    y^2 = r^3 + a2 r^2 + a4 r + a6 has a degree-3d square root y; both
-    y-signs returned.
+    The x are the homogeneous degree-2d roots r of the fiber cubic
+    (level 2) or of the 3-division polynomial (level 3); the y are the
+    degree-3d roots of Y^2 - (r^3 + a2 r^2 + a4 r + a6): y = 0 at level 2,
+    and a +- pair at level 3 where the cubic at r is a nonzero square.
     """
     if n not in (2, 3):
         raise DomainError("torsion search supports n in {2, 3}")
@@ -314,20 +308,14 @@ def torsion_section_search(m, n):
         raise DomainError("torsion search needs p >= 5")
     d = m.d
     A2t, A4t, A6t = (m.a2.dehomog_t(), m.a4.dehomog_t(), m.a6.dehomog_t())
-    cubic = [A6t, A4t, A2t, UniPoly.const(F, F.one)]
-    if n == 2:
-        return [(BinaryForm.from_unipoly(r, 2 * d), BinaryForm.zero(F, 3 * d))
-                for r in _roots_in_t(cubic, 2 * d)]
-    sections = []
-    for r in _roots_in_t(_psi3_in_x(F, A2t, A4t, A6t), 2 * d):
-        y = _poly_sqrt(_subst_x(cubic, r), 3 * d)
-        if y is None:
-            continue
-        r_form = BinaryForm.from_unipoly(r, 2 * d)
-        sections.append((r_form, BinaryForm.from_unipoly(y, 3 * d)))
-        if not y.is_zero():
-            sections.append((r_form, BinaryForm.from_unipoly(-y, 3 * d)))
-    return sections
+    one = UniPoly.const(F, F.one)
+    cubic = [A6t, A4t, A2t, one]
+    division = cubic if n == 2 else _psi3_in_x(F, A2t, A4t, A6t)
+    return [(BinaryForm.from_unipoly(r, 2 * d),
+             BinaryForm.from_unipoly(y, 3 * d))
+            for r in _roots_in_t(division, 2 * d)
+            for y in _roots_in_t([-_subst_x(cubic, r), UniPoly.zero(F), one],
+                                 3 * d)]
 
 
 def _roots_in_t(coeffs_in_x, max_degree):
@@ -338,7 +326,8 @@ def _roots_in_t(coeffs_in_x, max_degree):
     of the monic divisors of c_k of degree <= max_degree.  A root takes
     each tau in F_q to a root of the specialization at t = tau, so there is
     none unless every specialization has one, and a candidate goes to the
-    exact check only if its values are such roots."""
+    exact check only if its values are such roots.  On Y^2 - f this finds
+    the square roots of f, and the prefilter is the test chi(f(tau)) >= 0."""
     F = coeffs_in_x[0].field
     specs = []
     for tau in F.elements():
@@ -383,25 +372,6 @@ def _subst_x(coeffs_in_x, r):
     for c in reversed(coeffs_in_x):
         out = out * r + c
     return out
-
-
-def _poly_sqrt(f, half_degree):
-    """Square root of f as a polynomial of degree <= half_degree, or None."""
-    F = f.field
-    if f.is_zero():
-        return UniPoly.zero(F)
-    if f.degree() % 2 or f.degree() > 2 * half_degree:
-        return None
-    lead_root = F.sqrt(f.leading())
-    if lead_root is None:
-        return None
-    root = UniPoly.const(F, lead_root)
-    for fac, mult in factor(f):
-        if mult % 2:
-            return None
-        for _ in range(mult // 2):
-            root = root * fac
-    return root if root * root == f else None
 
 
 def random_model(field, d, rng, minimal=False, smooth=False):

@@ -380,6 +380,25 @@ def test_random_models_match_random_model(q, d, flags, monkeypatch):
                 assert rng.state == states[count]
 
 
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_random_models_at_p3(d):
+    # batched draws match the oracle, and smooth ones raise as it does,
+    # but before any draw: the classify smooth bit is proved only for p >= 5
+    for flags in ({}, {"minimal": True}):
+        rng, oracle = SplitMix64(d), SplitMix64(d)
+        assert census.random_models(Field(3), d, rng, 20, **flags) == \
+            [weierstrass.random_model(Field(3), d, oracle, **flags)
+             for _ in range(20)]
+        assert rng.state == oracle.state
+    for F in (Field(3), Field(3, 2)):
+        with pytest.raises(DomainError, match="needs p >= 5"):
+            weierstrass.random_model(F, d, SplitMix64(0), smooth=True)
+        rng = SplitMix64(0)
+        with pytest.raises(DomainError, match="needs p >= 5"):
+            census.random_models(F, d, rng, 3, smooth=True)
+        assert rng.state == SplitMix64(0).state
+
+
 def test_random_models_prime_power_field():
     # classify works mod p, so F_25 takes the random_model path
     F = Field(5, 2)

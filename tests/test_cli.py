@@ -356,6 +356,18 @@ def test_non_model_json_exits_2(tmp_path, capsys, command):
     assert "not a model file" in captured.err
 
 
+@pytest.mark.parametrize("command", ["tate", "lfunction"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    # json.load once raised a RecursionError traceback here
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    code = cli.main([command, "--model", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "not a model file (RecursionError" in captured.err
+
+
 def test_missing_model_file_exits_1(capsys):
     code, _ = _run(["tate", "--model", "/nonexistent/model.json"], capsys)
     assert code == 1
@@ -436,6 +448,9 @@ def test_model_gen_minimal_smooth_over_f25(capsys):
     ["model-gen", "--q", "65537^4", "--d", "1"],
     ["model-gen", "--q", "1000003^4", "--d", "1"],
     ["model-gen", "--q", "4294967311^2", "--d", "1"],
+    # a scalar-path run past count * (k d)^2 = 10^5, before any draw
+    ["model-gen", "--q", "5^16", "--d", "16", "--count", "10000", "--smooth"],
+    ["model-gen", "--q", "5^2", "--d", "16", "--count", "10000"],
     # sampling past its budget, checked before any draw
     ["orbits", "--d", "2", "--mode", "sample", "--n", "10000000000",
      "--pairs", "1"],

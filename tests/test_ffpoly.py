@@ -71,18 +71,6 @@ def test_extension_field_properties():
             assert F.chi(F.mul(a, b)) == F.chi(a) * F.chi(b)
 
 
-def test_sqrt_of_squares():
-    # the root is the least x with x^2 = a, for q = 1 and q = 3 mod 4 alike
-    # (F_7: sqrt 2 is 3, not 2^((7+1)/4) = 4)
-    for F in (field_make(5), field_make(13), Field(5, 2), Field(5, 3),
-              field_make(7), field_make(11), Field(7, 3)):
-        least = {}
-        for x in range(F.q - 1, -1, -1):
-            least[F.mul(x, x)] = x
-        assert [F.sqrt(a) for a in F.elements()] == \
-            [least.get(a) for a in F.elements()]
-
-
 def test_unipoly_divmod_and_gcd():
     F = field_make(5)
     rng = SplitMix64(1)

@@ -164,6 +164,11 @@ def test_fiber_count_oracle_small_places(F):
             Q = F.q ** v.degree()
             if Q > 625:
                 continue
+            # the reduced cubic is singular at v, with its double root at x0
+            x0 = weierstrass._fiber_multiple_root(m, v)
+            cubic = weierstrass.fiber_cubic(m, v)
+            assert cubic.evaluate(x0) == cubic.hasse(1).evaluate(x0) \
+                == cubic.field.zero
             pd = local_data_at(m, v)
             n = fiber_point_count(m, v)
             if pd.kodaira == "I_0":

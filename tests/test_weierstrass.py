@@ -297,11 +297,13 @@ def test_torsion_search_rejects_small_characteristic():
 def _sections_by_enumeration(m, n):
     """Every x of degree <= 2 substituted into x^3 + a2 x^2 + a4 x + a6
     (n = 2) or into psi3 = 3x^4 + 4 a2 x^3 + 6 a4 x^2 + 12 a6 x
-    + 4 a2 a6 - a4^2 (n = 3); y from the square root of the cubic."""
+    + 4 a2 a6 - a4^2 (n = 3); at n = 3 every y of degree <= 3 with
+    y^2 equal to the cubic."""
     import itertools
     F = m.field
     a2, a4, a6 = (f.dehomog_t() for f in (m.a2, m.a4, m.a6))
     c = lambda k: UniPoly.const(F, F.from_int(k))
+    ys = [UniPoly(F, cs) for cs in itertools.product(F.elements(), repeat=4)]
     out = []
     for coeffs in itertools.product(F.elements(), repeat=3):
         x = UniPoly(F, coeffs)
@@ -313,9 +315,8 @@ def _sections_by_enumeration(m, n):
         psi3 = (c(3) * x * x * x * x + c(4) * a2 * x * x * x
                 + c(6) * a4 * x * x + c(12) * a6 * x
                 + c(4) * a2 * a6 - a4 * a4)
-        y = weierstrass._poly_sqrt(cubic, 3) if psi3.is_zero() else None
-        if y is not None:
-            out.extend({(x, y), (x, -y)})
+        if psi3.is_zero():
+            out.extend((x, y) for y in ys if y * y == cubic)
     return sorted((BinaryForm.from_unipoly(x, 2).coeffs,
                    BinaryForm.from_unipoly(y, 3).coeffs) for x, y in out)
 
