@@ -159,17 +159,27 @@ class Field:
         return out
 
     def inv(self, a):
+        """a^-1; over F[x]/(f) by extended Euclid on f and a's digits."""
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self.base is None:
+        if self.base is None or a == 1:  # 1: monic divisors
             return pow(a, self.p - 2, self.p)
-        return a if a == 1 else self.pow(a, self.q - 2)  # monic divisors
+        F = self.base
+        r0, r1 = self.modulus, UniPoly(F, self._split(a))
+        s0, s1 = UniPoly.zero(F), UniPoly.const(F, F.one)
+        while r1.degree() > 0:
+            quot, rem = r0.divmod(r1)
+            r0, r1, s0, s1 = r1, rem, s1, s0 - quot * s1
+        return self._join(s1.scale(F.inv(r1.coeffs[0])).coeffs)
 
     def chi(self, a):
-        """Quadratic character: 0 on zero, +1 on squares, -1 otherwise."""
+        """Quadratic character: 0 on zero, +1 on squares, -1 otherwise.  F_p
+        by Euler's criterion; over F[x]/(f) the Jacobi symbol (a | f)."""
         if a == 0:
             return 0
-        return 1 if self.pow(a, (self.q - 1) // 2) == self.one else -1
+        if self.base is None:
+            return 1 if pow(a, (self.p - 1) // 2, self.p) == 1 else -1
+        return jacobi(UniPoly(self.base, self._split(a)), self.modulus)
 
     def from_int(self, n):
         """The image of the integer n."""
@@ -372,6 +382,25 @@ class UniPoly:
         first distinct-degree pair of factor."""
         g, d = next(_distinct_degree(self), (None, 0))
         return g.degree() if d == 1 else 0
+
+
+def jacobi(a, b):
+    """The Jacobi symbol (a | b) in F[t], b monic: prod chi_P(a mod P)^e over
+    the factors P^e of b (Rosen, Number Theory in Function Fields, ch. 3).
+    Euclid, with (c a | b) = chi(c)^deg b (a | b) for a unit c, and for
+    monic a, b reciprocity: (a | b) = (b | a) (-1)^((|F|-1)/2 deg a deg b)."""
+    F = b.field
+    out = 1
+    while b.degree() > 0:  # b = 1 ends it before a is reduced mod 1
+        a = a % b
+        if a.is_zero():
+            return 0
+        if b.degree() % 2:
+            out *= F.chi(a.leading())
+        if (F.q - 1) // 2 * a.degree() * b.degree() % 2:
+            out = -out
+        a, b = b, a.monic()
+    return out
 
 
 def _prime_divisors(n):

@@ -7,8 +7,8 @@ Mordell-Weil lattice as q times an isometry of finite order.  So
 P(T) = L(T/q) is +-prod Phi_k^m_k with phi(k) <= 8, the sign of the
 functional equation is the global root number prod_v w_v of the local
 data, and the analytic rank is m_1.  L follows from S_1..S_4 and that
-sign; S_5 cross-checks it, and exact division checks the factorization,
-from which selmer_bounds reads the bracket m_1 <= dim Sel_ell <= hi.
+sign, which quadratic reciprocity checks; exact division checks the
+factorization, from which selmer_bounds reads m_1 <= dim Sel_ell <= hi.
 
 Each F_{q^e} = F_p[x]/(f), f the least monic primitive polynomial of degree
 e, gets log/exp tables over the generator x (multiplication and the
@@ -313,30 +313,30 @@ def _newton_coeffs(power_sums, k_max):
 def l_polynomial(m):
     """Integral L-polynomial of a smooth d = 1 model.
 
-    c_1..c_4 come from Newton's identities on S_1..S_4.  The sign eps of
-    the functional equation c_{8-i} = eps q^{8-2i} c_i is the global root
-    number from Tate's algorithm (localdata.root_number), and fills in the
-    top half; a fiber type there other than I_1 or II means that Tate's
-    algorithm and the gcd test of frobenius_traces disagree on smoothness.
-    The other cross-check: Newton's c_5 from the counted S_1..S_5 must
-    equal the c_5 of the functional equation.  LPolynomial then checks
-    purity by exact cyclotomic division.  Point counts run over F_{q^e} for
-    e <= 5 only, so q^5 must fit the table budget (q <= 27).
+    c_1..c_4 come from Newton's identities on S_1..S_4, and the sign eps
+    of the functional equation c_{8-i} = eps q^{8-2i} c_i fills in the top
+    half.  eps is the root number from Tate's algorithm (localdata.
+    root_number), where a fiber type other than I_1 or II means that it and
+    the gcd test of frobenius_traces disagree on smoothness; the root number
+    by quadratic reciprocity must equal it, and eps = -1 forces c_4 = 0.
+    LPolynomial then checks purity by exact cyclotomic division.  Counts run
+    over F_{q^e}, e <= 4, and the domain is q^5 <= 2^24 (q <= 27).
     """
     if m.d != 1:
         raise DomainError("full L-polynomials are computed for d = 1 only")
     q = m.field.q
-    table_size(q, 5)
-    S = frobenius_traces(m, 5)
-    newton = _newton_coeffs(S, 5)
+    table_size(q, 5)  # q <= 27; a wider domain needs a measured memory bound
+    c = _newton_coeffs(frobenius_traces(m, 4), 4)
     try:
         eps = localdata.root_number(m)
     except DomainError as exc:
         raise ValueError("smoothness routes disagree: %s" % exc)
-    c = newton[:5] + [eps * q ** (8 - 2 * i) * newton[i]
-                      for i in range(3, -1, -1)]
-    if newton[5] != c[5]:
-        raise ValueError("S_5 cross-check failed: Newton on the point counts "
-                         "gives c_5 = %d, the functional equation %d"
-                         % (newton[5], c[5]))
-    return LPolynomial(q, c, eps)
+    w = localdata.root_number_by_reciprocity(m)
+    if w != eps:
+        raise ValueError("root number routes disagree: Tate's algorithm "
+                         "gives %d, quadratic reciprocity %d" % (eps, w))
+    if eps == -1 and c[4]:
+        raise ValueError("functional equation check failed: eps = -1 forces "
+                         "c_4 = 0, Newton gives c_4 = %d" % c[4])
+    return LPolynomial(q, c + [eps * q ** (8 - 2 * i) * c[i]
+                               for i in range(3, -1, -1)], eps)

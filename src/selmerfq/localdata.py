@@ -1,7 +1,7 @@
 """Kodaira types, conductor exponents, component counts, and Tamagawa
 numbers at places of bad reduction, for p >= 5 (tame reduction), plus
-global consistency sums, the root number of a smooth model, and the naive
-chi-sum point count of a fiber, which lfunction's slow count shares.
+global consistency sums, the root number of a smooth model two ways, and
+the naive chi-sum point count of a fiber, which lfunction's slow count shares.
 
 Types and Tamagawa numbers come from a table on the valuations and
 leading coefficients of c4, c6 and Delta at the place: one quadratic
@@ -12,7 +12,7 @@ counts come from Ogg's relation ord_disc = f_v + m_v - 1.
 """
 
 from . import DomainError, weierstrass
-from .ffpoly import UniPoly, leading_at
+from .ffpoly import UniPoly, jacobi, leading_at
 from .weierstrass import bad_places
 
 
@@ -160,6 +160,26 @@ def root_number(m):
             raise DomainError("root number needs I_1 or II fibers, found %s"
                              % pd.kodaira)
     return w
+
+
+def root_number_by_reciprocity(m):
+    """root_number's cross-check in l_polynomial: one Jacobi symbol in F_q[t]
+    and no factoring.  For Delta(1, t) = c Delta1 Delta2^2, Delta2 = gcd(
+    Delta, D1 Delta) (the II places), Delta1 monic (the I_1 places) of degree
+    n, w = (-1)^n chi(-1)^(n(n-1)/2 + deg Delta2) (-c6 Delta1' | Delta1) w_inf,
+    w_inf = -chi(-c6(0, 1)) if ord_inf Delta = 1, chi(-1) if 2, else 1: the
+    w_v of root_number (Rohrlich), as prod chi_v(-c6) over the I_1 places v
+    is (-c6 | Delta1) and their number r has (-1)^r = (-1)^n chi(disc
+    Delta1) = (-1)^n chi(-1)^(n(n-1)/2) (Delta1' | Delta1) (Stickelberger)."""
+    F = m.field
+    dt, c6 = weierstrass.discriminant(m).dehomog_t(), weierstrass.c6_form(m)
+    delta2 = dt.gcd(dt.hasse(1))
+    delta1 = (dt // (delta2 * delta2)).monic()
+    n, chi_minus_one = delta1.degree(), F.chi(F.neg(F.one))
+    w_inf = {1: -F.chi(F.neg(c6.coeffs[-1])), 2: chi_minus_one}
+    return (-1) ** n * chi_minus_one ** (n * (n - 1) // 2 + delta2.degree()) \
+        * jacobi(-c6.dehomog_t() * delta1.hasse(1), delta1) \
+        * w_inf.get(12 * m.d - dt.degree(), 1)
 
 
 def cubic_point_count(K, a2, a4, a6):

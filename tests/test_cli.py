@@ -12,7 +12,7 @@ import pytest
 from selmerfq import cli, lfunction, localdata, weierstrass
 
 # a smooth minimal d = 1 model over F_29 (model-gen --seed 0): 29^5 is past
-# the 2^24 table budget of the S_5 point count
+# the 2^24 table budget, so outside lfunction's domain q^5 <= 2^24
 Q29_MODEL = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          "model_q29.json")
 

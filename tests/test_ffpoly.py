@@ -306,6 +306,79 @@ def test_field_axioms(F, i, j, k):
     assert F.pow(F.add(a, b), p) == F.add(F.pow(a, p), F.pow(b, p))
 
 
+# chi, inv and jacobi against oracles: Euler's criterion and Fermat's a^(q-2)
+# by square and multiply, and Euler's criterion on each factor of b
+
+def _euler_chi(F, a):
+    """Quadratic character by Euler's criterion, a^((q-1)/2) by Field.pow."""
+    if a == F.zero:
+        return 0
+    return 1 if F.pow(a, (F.q - 1) // 2) == F.one else -1
+
+
+def _extension(F, n):
+    """F[x]/(f) for the least monic f of degree n = 2 or 3 with no root in
+    F, so irreducible: found by evaluation alone, with no inverse."""
+    for code in range(F.q ** n):
+        f = UniPoly(F, [code // F.q ** i % F.q for i in range(n)] + [F.one])
+        if all(f.evaluate(x) != F.zero for x in F.elements()):
+            return Field.extension(f)
+
+
+_F25 = Field(5, 2)
+
+
+@pytest.mark.parametrize("F", [_F25, Field(7, 2), Field(5, 3),
+                               _extension(_F25, 2)], ids=repr)
+def test_chi_matches_euler_criterion(F):
+    assert [F.chi(a) for a in F.elements()] \
+        == [_euler_chi(F, a) for a in F.elements()]
+
+
+@pytest.mark.parametrize("F,samples", [(_F25, None), (Field(7, 2), None),
+                                       (Field(5, 7), 300),
+                                       (_extension(_F25, 3), 300)],
+                         ids=repr)
+def test_inv_matches_fermat(F, samples):
+    # every nonzero element, or a seeded sample of them
+    rng = SplitMix64(F.q)
+    elements = range(1, F.q) if samples is None \
+        else [1 + rng.below(F.q - 1) for _ in range(samples)]
+    for a in elements:
+        assert F.inv(a) == F.pow(a, F.q - 2)
+        assert F.mul(a, F.inv(a)) == F.one
+
+
+@pytest.mark.parametrize("F", [Field(5), Field(7), Field(11), _F25],
+                         ids=repr)
+def test_jacobi_is_the_product_over_the_factors(F):
+    # (a | 1) = 1, (a | b) = 0 on a common factor, and otherwise the
+    # product of Euler's criterion in F[x]/(P) over the factors P^e of b
+    rng = SplitMix64(F.q + 1)
+
+    def poly(degree, monic=False):
+        cs = [F.random(rng) for _ in range(degree)]
+        return UniPoly(F, cs + [F.one if monic else F.random(rng)])
+
+    one = UniPoly.const(F, F.one)
+    signs = set()
+    for _ in range(60):
+        a, b = poly(rng.below(8)), poly(1 + rng.below(3), monic=True)
+        b = b * b * poly(rng.below(4), monic=True) if rng.below(3) == 0 \
+            else b * poly(rng.below(4), monic=True)
+        assert ffpoly.jacobi(a, one) == 1
+        g = poly(1 + rng.below(2), monic=True)
+        assert ffpoly.jacobi(a * g, b * g) == 0
+        expected = 1
+        for P, e in factor(b):
+            K = Field.extension(P)
+            code = sum(c * F.q ** i for i, c in enumerate((a % P).coeffs))
+            expected *= _euler_chi(K, code) ** e
+        assert ffpoly.jacobi(a, b) == expected, (a, b)
+        signs.add(expected)
+    assert signs == {-1, 0, 1}
+
+
 # the batched F_p[t] kernel against the scalar UniPoly oracle: p = 46337 is
 # the last prime whose Euclid step fits uint32, 46349 the first in uint64,
 # and 2^31 - 1 the edge of the domain, where rows_mul may add only K = 2

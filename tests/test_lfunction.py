@@ -1,5 +1,7 @@
 """Extension-field point counts, Frobenius traces, and L-polynomials."""
 
+import collections
+import json
 import os
 import subprocess
 import sys
@@ -8,7 +10,8 @@ import numpy as np
 import pytest
 import sympy
 
-from selmerfq import DomainError, lfunction, localdata, weierstrass
+from selmerfq import (DomainError, cli, lfunction, localdata,
+                      weierstrass)
 from selmerfq.census import random_models
 from selmerfq.ffpoly import BinaryForm, Field, UniPoly, field_make
 from selmerfq.lfunction import (ExtField, frobenius_traces, l_polynomial,
@@ -395,16 +398,71 @@ def _signs_from_s5(m):
             and eps * q ** 2 * c[3] == c[5]]
 
 
-def test_s5_cross_check_fires_on_a_wrong_sign(monkeypatch):
-    # c_3 != 0, so c_5 = eps q^2 c_3 of the functional equation fixes eps
-    F, rng = field_make(7), SplitMix64(0)
-    m = random_model(F, 1, rng, minimal=True, smooth=True)
-    while lfunction._newton_coeffs(frobenius_traces(m, 4), 4)[3] == 0:
-        m = random_model(F, 1, rng, minimal=True, smooth=True)
+@pytest.mark.parametrize("model", [SIGN_BY_S6, SIGN_BY_S7, ALL_TRACES_ZERO],
+                         ids=["S6", "S7", "zero"])
+def test_root_number_routes_disagree_on_a_wrong_sign(model, monkeypatch,
+                                                     tmp_path, capsys):
+    # c_3 = 0 on all three models, so S_5 could not see a wrong sign: the
+    # root number by reciprocity does, and lfunction exits 1
+    m = WeierstrassModel.from_json(model)
     eps = localdata.root_number(m)
     monkeypatch.setattr(localdata, "root_number", lambda *args: -eps)
-    with pytest.raises(ValueError, match="S_5 cross-check failed"):
+    with pytest.raises(ValueError, match="root number routes disagree"):
         l_polynomial(m)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    capsys.readouterr()
+    assert cli.main(["lfunction", "--model", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "root number routes disagree" in captured.err
+
+
+def test_minus_sign_needs_c4_zero(monkeypatch):
+    # eps = -1 forces c_4 = -c_4 in the functional equation
+    F, rng = field_make(5), SplitMix64(3)
+    m = random_model(F, 1, rng, minimal=True, smooth=True)
+    while lfunction._newton_coeffs(frobenius_traces(m, 4), 4)[4] == 0:
+        m = random_model(F, 1, rng, minimal=True, smooth=True)
+    for route in ("root_number", "root_number_by_reciprocity"):
+        monkeypatch.setattr(localdata, route, lambda *args: -1)
+    with pytest.raises(ValueError, match="eps = -1 forces c_4 = 0"):
+        l_polynomial(m)
+
+
+def test_root_number_routes_agree_on_a_grid():
+    # 1008 smooth models; q = 7 and 11 are 3 mod 4, where the reciprocity
+    # sign (-1)^((q-1)/2 deg a deg b) of ffpoly.jacobi can be -1
+    seen = collections.Counter()
+    for q in (5, 7, 11, 13):
+        for d in (1, 2, 3):
+            models = random_models(field_make(q), d, SplitMix64(10 * q + d),
+                                   84, minimal=True, smooth=True)
+            assert len(models) == 84
+            for m in models:
+                w = localdata.root_number(m)
+                assert localdata.root_number_by_reciprocity(m) == w, (q, d, m)
+                dt = weierstrass.discriminant(m).dehomog_t()
+                seen[q % 4, "w", w] += 1
+                seen[q % 4, "II", dt.gcd(dt.hasse(1)).degree() % 2] += 1
+                seen["ord_inf", 12 * d - dt.degree()] += 1
+    # both signs, II places in odd and even total degree for both classes
+    # of q mod 4, and I_1, II and good fibers at infinity
+    assert len(seen) == 4 * 2 + 3, seen
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("model", [SEED0_MODEL, SIGN_BY_S6, SIGN_BY_S7,
+                                   ALL_TRACES_ZERO],
+                         ids=["seed0", "S6", "S7", "zero"])
+def test_s5_check_of_the_returned_l(model):
+    # S_5 as a named check off the per-call path: Newton's c_5 from the
+    # counted S_1..S_5 is eps q^2 c_3, the c_5 of the functional equation
+    m = WeierstrassModel.from_json(model)
+    L = l_polynomial(m)
+    c = lfunction._newton_coeffs(frobenius_traces(m, 5), 5)
+    assert c[:5] == L.coeffs[:5]
+    assert c[5] == L.coeffs[5] == L.epsilon * 5 ** 2 * L.coeffs[3]
 
 
 def test_root_number_matches_s5_sign_q7():
@@ -432,7 +490,7 @@ def test_q11_model_past_the_s7_budget():
     assert (L.epsilon, L.factorization) == (1, {1: 2, 7: 1})
 
 
-def test_l_polynomial_counts_through_s5_only(monkeypatch):
+def test_l_polynomial_counts_through_s4_only(monkeypatch):
     seen = []
     count = lfunction.surface_point_count
 
@@ -441,7 +499,7 @@ def test_l_polynomial_counts_through_s5_only(monkeypatch):
         return count(m, e)
     monkeypatch.setattr(lfunction, "surface_point_count", spy)
     l_polynomial(WeierstrassModel.from_json(SIGN_BY_S7))
-    assert seen == [1, 2, 3, 4, 5]
+    assert seen == [1, 2, 3, 4]
 
 
 def test_cyclotomic_factorization_of_seed0():
