@@ -44,6 +44,9 @@ from .rng import SplitMix64
 _EXHAUSTIVE_BUDGET = 1 << 28
 # most direct samples of singular_divisor_count: about 7 s on 2 CPUs
 _MAX_DIRECT_SAMPLES = 3 * 10 ** 5
+# largest census work N (12d+3)^2: on 2 CPUs a unit takes 1.3-3.1 * 10^-8 s,
+# slowest at d <= 1, so the largest accepted run ends within about a minute
+_MAX_CENSUS_WORK = 2 * 10 ** 9
 # tuples per array pass: enough to amortize each numpy call of rows_gcd's
 # Euclid steps, at a 1.5 MB rows_gcd peak at d = 1; counts do not depend on it
 _CLASSIFY_CHUNK = 4096
@@ -143,8 +146,9 @@ def classify(digits, q, d):
 
 def run_census(q, d, mode="sample", n=10 ** 4, seed=0):
     """Statistics over coefficient tuples, classified by `classify` in
-    chunks; p >= 5, where its predicates are exact, and p < 2^31.  It
-    raises DomainError only on inputs outside these bounds, before any draw."""
+    chunks; p >= 5, where its predicates are exact, p < 2^31, and N (12d+3)^2
+    <= _MAX_CENSUS_WORK.  It raises DomainError only on inputs outside these
+    bounds, before any draw."""
     ffpoly.field_make(q)  # rejects p in {2, 3} and composite q
     if q >= 1 << 31:
         raise DomainError("census runs over prime fields with p < 2^31")
@@ -163,6 +167,10 @@ def run_census(q, d, mode="sample", n=10 ** 4, seed=0):
         seed_out = seed
     else:
         raise DomainError("mode must be 'exhaustive' or 'sample'")
+    work = n_models * width ** 2
+    if work > _MAX_CENSUS_WORK:
+        raise DomainError("census work N (12d+3)^2 = %d is past %d"
+                          % (work, _MAX_CENSUS_WORK))
 
     counts = {"total": n_models, "minimal": 0, "smooth": 0,
               "squarefree_disc": 0, "disc_zero": 0}
@@ -284,7 +292,7 @@ def exhaustive_minimality(q):
     # subspaces {a2 = c2 v^2, a4 = c4 v^4, a6 = c6 v^6}
     F = ffpoly.Field(q, 1)
     oracle = set()
-    vs = [UniPoly(F, [F.sub(F.zero, F.from_int(a)), F.one]) for a in range(q)]
+    vs = [UniPoly(F, [F.neg(F.from_int(a)), F.one]) for a in range(q)]
     for v in vs + [None]:  # None marks the place at infinity
         if v is None:
             pows = [UniPoly.const(F, F.one)] * 3
@@ -317,29 +325,6 @@ def exhaustive_minimality(q):
 
 # ---------------------------------------------------------------------------
 # the singular-surface locus: incidence marking and the direct Jacobian test
-
-class SingularDivisorReport:
-    def __init__(self, q, image_count, image_ratio, direct_mode,
-                 direct_count, direct_detail, elapsed):
-        self.q = q
-        self.image_count = image_count
-        self.image_ratio = image_ratio
-        self.direct_mode = direct_mode
-        self.direct_count = direct_count
-        self.direct_detail = direct_detail
-        self.elapsed = elapsed
-
-    def to_json(self):
-        return {
-            "q": self.q, "d": 1,
-            "image_count": self.image_count,
-            "image_ratio": self.image_ratio,
-            "direct_mode": self.direct_mode,
-            "direct_count": self.direct_count,
-            "direct_detail": dict(self.direct_detail),
-            "elapsed_seconds": self.elapsed,
-        }
-
 
 def _locus_space(q):
     """q^15 tuples in the d = 1 space of the locus, for an odd prime q."""
@@ -426,7 +411,7 @@ def singular_branches(digits, q, d):
 
 
 def singular_divisor_count(q, seed=0, direct_samples=4000):
-    """(image_count, direct_count) for the d = 1 singular-surface locus.
+    """Report on the d = 1 singular-surface locus: image_count, direct_count.
 
     image_count is exact: the tuples `incidence_mask` marks, by one table
     lookup per t-point over the a6 block.  direct_count is a sampling
@@ -471,9 +456,10 @@ def singular_divisor_count(q, seed=0, direct_samples=4000):
         "sampled_marked": sampled_marked,
         "containment_violations": containment_violations,
     }
-    return SingularDivisorReport(
-        q, image_count, image_count / q ** (width - 1), "sample",
-        direct_count, detail, time.time() - t0)
+    return {"q": q, "d": 1, "image_count": image_count,
+            "image_ratio": image_count / q ** (width - 1),
+            "direct_mode": "sample", "direct_count": direct_count,
+            "direct_detail": detail, "elapsed_seconds": time.time() - t0}
 
 
 # ---------------------------------------------------------------------------

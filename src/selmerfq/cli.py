@@ -97,7 +97,7 @@ def _cmd_census(args):
 
 def _cmd_divisor_count(args):
     return census.singular_divisor_count(
-        args.q, seed=args.seed, direct_samples=args.samples).to_json()
+        args.q, seed=args.seed, direct_samples=args.samples)
 
 
 def _cmd_orbits(args):

@@ -128,9 +128,6 @@ class Field:
             return (-a) % self.p
         return self._join([F.neg(x) for x in self._split(a)])
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         F = self.base
         if F is None:
@@ -325,8 +322,9 @@ class UniPoly:
             c = F.mul(rem[-1], inv_lead)
             k = len(rem) - 1 - d
             quot[k] = c
+            minus_c = F.neg(c)
             for i, oc in enumerate(other.coeffs):
-                rem[k + i] = F.sub(rem[k + i], F.mul(c, oc))
+                rem[k + i] = F.add(rem[k + i], F.mul(minus_c, oc))
             while rem and rem[-1] == F.zero:
                 rem.pop()
         return UniPoly(F, quot), UniPoly(F, rem)

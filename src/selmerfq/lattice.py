@@ -79,10 +79,6 @@ def selmer_lattice(d):
     return IntegralLattice(g)
 
 
-def e8_lattice():
-    return IntegralLattice(e8_gram())
-
-
 class QuadraticModule:
     """(Z/nZ)^r with q(v) = v.Gv/2 mod n from an even integral Gram."""
 
@@ -333,8 +329,7 @@ def orbit_decompose(module, generators):
 def weyl_e8_orbits(n):
     """Exhaustive orbit decomposition of (Z/nZ)^8 under the eight simple
     E8 reflections (sign convention immaterial to orbits)."""
-    lat = e8_lattice()
-    module = QuadraticModule(lat, n)
+    module = QuadraticModule(IntegralLattice(e8_gram()), n)
     gens = [np.eye(8, dtype=np.int64)[i] for i in range(8)]
     return orbit_decompose(module, gens)
 

@@ -31,14 +31,6 @@ _TABLE_BUDGET = 1 << 24
 _MODULUS_BLOCK = 32  # codes per order test; at 5^5 one in 11 is primitive
 
 
-def table_size(q, e):
-    """q^e, the entries of an F_{q^e} table; raises past the 2^24 budget."""
-    Q = q ** e
-    if Q > _TABLE_BUDGET:
-        raise DomainError("q^e = %d exceeds table budget 2^24" % Q)
-    return Q
-
-
 def _primitive_modulus(p, e):
     """Digits c_0..c_(e-1) of the least monic primitive x^e + sum c_i x^i by
     code sum c_i p^i, and x's matrix on base-p digit rows; primitive means
@@ -79,7 +71,9 @@ class ExtField:
         return cls._cache[key]
 
     def _build(self, p, e):
-        Q = table_size(p, e)
+        Q = p ** e
+        if Q > _TABLE_BUDGET:
+            raise DomainError("q^e = %d exceeds table budget 2^24" % Q)
         ffpoly.Field(p)  # validates p
         _, times_gn = _primitive_modulus(p, e)
         self.p = p
@@ -325,7 +319,9 @@ def l_polynomial(m):
     if m.d != 1:
         raise DomainError("full L-polynomials are computed for d = 1 only")
     q = m.field.q
-    table_size(q, 5)  # q <= 27; a wider domain needs a measured memory bound
+    if q ** 5 > _TABLE_BUDGET:  # a wider domain needs a measured memory bound
+        raise DomainError("lfunction needs q^5 <= 2^24 (q <= 27), got q = %d"
+                          % q)
     c = _newton_coeffs(frobenius_traces(m, 4), 4)
     try:
         eps = localdata.root_number(m)

@@ -237,7 +237,7 @@ def stabilizer_order(m):
     for lam in F.elements():
         if lam == F.zero:
             continue
-        u = F.mul(F.sub(F.inv(F.mul(lam, lam)), F.one), three_inv)
+        u = F.mul(F.add(F.inv(F.mul(lam, lam)), F.neg(F.one)), three_inv)
         r = BinaryForm.from_unipoly(m.a2.dehomog_t().scale(u), 2 * m.d)
         count += act_on_forms(GroupElement(r, lam), *forms) == forms
     return count
@@ -264,8 +264,6 @@ def singular_surface_points(m):
     witnesses = []
     for v in bad_places(m):
         x0 = _fiber_multiple_root(m, v)
-        if x0 is None:
-            continue
         # d/du of the chart equation at (x0, y=0, u=0): the u^1 jet terms
         (K, (_, d2)), (_, (_, d4)), (_, (_, d6)) = (
             f.jet(v, 2) for f in (m.a2, m.a4, m.a6))
@@ -284,13 +282,14 @@ def fiber_cubic(m, v):
 
 
 def _fiber_multiple_root(m, v):
-    """The multiple root x0 of the reduced fiber cubic at v, in kappa(v);
-    None if the fiber is smooth (good reduction).  kappa(v) is perfect, so
-    a repeated factor of the cubic is linear, and factor finds it also
-    where the cubic is a cube x^3 - x0^3 in characteristic 3."""
+    """The multiple root x0 in kappa(v) of the reduced fiber cubic at a place
+    v dividing Delta, infinity included: as forms Delta = 16 disc(x^3 + a2
+    x^2 + a4 x + a6), so the cubic has one.  kappa(v) is perfect, so its
+    repeated factor is linear, and factor finds it also where the cubic is
+    a cube x^3 - x0^3 in characteristic 3."""
     cubic = fiber_cubic(m, v)
-    return next((cubic.field.neg(g.coeffs[0]) for g, mult in factor(cubic)
-                 if mult > 1), None)
+    return next(cubic.field.neg(g.coeffs[0]) for g, mult in factor(cubic)
+                if mult > 1)
 
 
 def torsion_section_search(m, n):

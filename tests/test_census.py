@@ -166,11 +166,11 @@ def test_squarefree_disc_not_marked():
 def test_singular_divisor_count_window():
     import math
     rep = singular_divisor_count(3, seed=7, direct_samples=600)
-    assert 13.5 < math.log(rep.image_count, 3) < 14.5
-    assert 0.3 <= rep.image_ratio <= 3.0
-    assert rep.direct_detail["containment_violations"] == 0
+    assert 13.5 < math.log(rep["image_count"], 3) < 14.5
+    assert 0.3 <= rep["image_ratio"] <= 3.0
+    assert rep["direct_detail"]["containment_violations"] == 0
     # the direct count dominates the rational-point image count
-    assert rep.direct_count >= rep.image_count
+    assert rep["direct_count"] >= rep["image_count"]
 
 
 @pytest.mark.parametrize("q,samples,message", [
@@ -191,9 +191,9 @@ def test_singular_divisor_count_checks_before_the_mask(monkeypatch, q, samples,
 def test_singular_divisor_count_seed0():
     # the values of the earlier per-model Jacobian search and combos @ B mask
     rep = singular_divisor_count(3, seed=0, direct_samples=4000)
-    assert rep.image_count == 5389497
-    assert rep.direct_count == 5969145
-    assert rep.direct_detail == {"samples": 4000, "seed": 0,
+    assert rep["image_count"] == 5389497
+    assert rep["direct_count"] == 5969145
+    assert rep["direct_detail"] == {"samples": 4000, "seed": 0,
                                  "sampled_singular": 1664,
                                  "sampled_marked": 1541,
                                  "containment_violations": 0}
@@ -346,6 +346,17 @@ def test_run_census_sample_size_ceiling():
         run_census(5, 1, mode="sample", n=2 * 10 ** 10)
 
 
+def test_run_census_work_ceiling(monkeypatch):
+    def no_classify(digits, q, d):
+        raise AssertionError("tuples classified")
+    monkeypatch.setattr(census, "classify", no_classify)
+    with pytest.raises(DomainError, match="census work N \\(12d\\+3\\)\\^2 "
+                       "= 10207258214400 is past 2000000000"):
+        run_census(5, 16, mode="sample", n=2 ** 28)
+    # N = 2 10^5 at every d <= 6 stays inside the bound
+    assert 2 * 10 ** 5 * (12 * 6 + 3) ** 2 <= census._MAX_CENSUS_WORK
+
+
 def test_counts_do_not_depend_on_the_chunk(monkeypatch):
     # draws are consumed in one order whatever the chunk size
     seen = []
@@ -353,7 +364,7 @@ def test_counts_do_not_depend_on_the_chunk(monkeypatch):
         monkeypatch.setattr(census, "_CLASSIFY_CHUNK", chunk)
         rep = run_census(5, 1, mode="sample", n=10 ** 4, seed=3)
         div = singular_divisor_count(3, seed=5, direct_samples=3000)
-        seen.append((rep.counts, div.direct_detail, div.image_count))
+        seen.append((rep.counts, div["direct_detail"], div["image_count"]))
     assert seen[0] == seen[1] == seen[2]
 
 

@@ -298,6 +298,8 @@ def test_smoothness_routes_disagree_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_lfunction_outside_domain_exits_2(tmp_path, capsys):
+    with open(Q29_MODEL) as fh:
+        q29 = json.load(fh)
     cases = [
         # d = 2: a K3 surface, whose L-polynomial is not computed
         ("d = 1 only", _first_model(["model-gen", "--q", "5", "--d", "2",
@@ -318,6 +320,8 @@ def test_lfunction_outside_domain_exits_2(tmp_path, capsys):
         ("prime base field", _first_model(
             ["model-gen", "--q", "5^2", "--d", "1", "--minimal", "--smooth"],
             capsys)),
+        # smooth, but q^5 is past the table budget
+        ("lfunction needs q^5 <= 2^24 (q <= 27), got q = 29", q29),
     ]
     for message, model in cases:
         path = tmp_path / "model.json"
@@ -462,6 +466,8 @@ def test_model_gen_minimal_smooth_over_f25(capsys):
     # more samples than the 3^15 tuples, and than the 3 * 10^5 cap
     ["divisor-count", "--q", "3", "--samples", "1000000000000"],
     ["divisor-count", "--q", "3", "--samples", "300001"],
+    # census work N (12d+3)^2 past its bound: about 37 h of classifying
+    ["census", "--q", "5", "--d", "16", "--n", "268435456"],
 ])
 def test_invalid_arguments_exit_2(argv):
     # a fresh process under a timeout: one of these used to hang

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from selmerfq import DomainError, lattice
 from selmerfq.lattice import (IntegralLattice, QuadraticModule, e8_gram,
-                              e8_lattice, hyperbolic_gram, orbit_decompose,
+                              hyperbolic_gram, orbit_decompose,
                               sampling_connectivity, selmer_lattice,
                               standard_generators, weyl_e8_orbits)
 from selmerfq.rng import SplitMix64
@@ -222,7 +222,7 @@ _SMALL_BLOCKS = [1, 5]
 
 
 def test_orbit_decompose_matches_union_find_e8_mod3(monkeypatch):
-    module = QuadraticModule(e8_lattice(), 3)
+    module = QuadraticModule(IntegralLattice(e8_gram()), 3)
     gens = [np.eye(8, dtype=np.int64)[i] for i in range(8)]
     expected = _union_find_orbits(module, gens)
     for block in [lattice.BLOCK, *_SMALL_BLOCKS]:
@@ -360,6 +360,33 @@ def test_orbit_audit_covers_vectors_every_cursor_passed(monkeypatch):
         with pytest.raises(ValueError,
                            match="orbit 1 not invariant-homogeneous"):
             orbit_decompose(module, gens)
+
+
+def test_orbit_sizes_check_fires_on_a_stale_mark(monkeypatch):
+    # the seen-bitmap starts with its last vector marked, so the orbit that
+    # holds it comes out one short, and so does the sum of the sizes
+    class StaleMark:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def ones(self, shape, dtype):
+            out = np.ones(shape, dtype)
+            out[-1] = False
+            return out
+
+    monkeypatch.setattr(lattice, "np", StaleMark())
+    with pytest.raises(ValueError,
+                       match="orbit sizes do not sum to n\\^r = 256"):
+        weyl_e8_orbits(2)
+
+
+def test_reflection_word_check_fires(monkeypatch):
+    # the empty word leaves x where it is, not at y
+    monkeypatch.setattr(lattice, "_connect", lambda module, x, y, rng: [])
+    module = QuadraticModule(selmer_lattice(2), 3)
+    with pytest.raises(ValueError, match="reflection word maps .* not to .* "
+                       "mod 3"):
+        sampling_connectivity(module, SplitMix64(0), pairs_per_class=2)
 
 
 def test_orbit_audit_survives_python_O():

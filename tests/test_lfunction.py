@@ -154,8 +154,50 @@ def test_fft_rounding_residual_rejected(monkeypatch):
     ifftn = np.fft.ifftn
     monkeypatch.setattr(lfunction.np.fft, "ifftn", lambda a: ifftn(a) + 0.3)
     m = WeierstrassModel.from_json(SEED0_MODEL)
-    with pytest.raises(ValueError, match="residual"):
+    with pytest.raises(ValueError, match="FFT rounding residual 0.3 "
+                       "exceeds 0.25 at q\\^e = 25"):
         surface_point_count(m, 2)
+
+
+# y^2 = x^3 + t^3: cusps at t = 0 and infinity, where c4 = c6 = 0 and the
+# fiber count reads h_0(0); every other fiber is good
+CUSPS = {"p": 5, "k": 1, "d": 1, "a2": [0, 0, 0], "a4": [0, 0, 0, 0, 0],
+         "a6": [0, 0, 0, 1, 0, 0, 0]}
+
+
+@pytest.mark.parametrize("entries,message", [
+    (np.s_[:, :], "Hasse bound violated at q\\^e = 5"),
+    (np.s_[0, 0], "singular fiber count out of range at q\\^e = 5"),
+], ids=["every-entry", "cusp-entry"])
+def test_fiber_count_checks_fire_on_a_wrong_table(monkeypatch, entries,
+                                                  message):
+    # h off by 2 q^e: at every entry the good fibers leave the Hasse bound,
+    # at h_0(0) alone only the cusps leave [q^e - 1, q^e + 2]
+    E = ExtField(5, 1)
+    h = E.h.copy()
+    h[entries] += 2 * E.Q
+    monkeypatch.setattr(E, "h", h)
+    with pytest.raises(ValueError, match=message):
+        surface_point_count(WeierstrassModel.from_json(CUSPS), 1)
+
+
+def test_weight_bound_check_fires(monkeypatch):
+    monkeypatch.setattr(lfunction, "surface_point_count", lambda m, e: 10 ** 6)
+    with pytest.raises(ValueError, match="weight bound violated: \\|S_1\\|"):
+        frobenius_traces(WeierstrassModel.from_json(SEED0_MODEL), 4)
+
+
+def test_non_integral_newton_coefficient_exits_1(monkeypatch, tmp_path,
+                                                 capsys):
+    # power sums 1, 0, 0, 0 give c_2 = 1/2, which no L-polynomial has
+    monkeypatch.setattr(lfunction, "frobenius_traces",
+                        lambda m, k: [1, 0, 0, 0])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(SEED0_MODEL))
+    assert cli.main(["lfunction", "--model", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-integral Newton coefficient c_2 = 1/2" in captured.err
 
 
 def test_table_budget_rejected():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from selmerfq import DomainError, localdata, weierstrass
+from selmerfq import DomainError, cli, localdata, weierstrass
 from selmerfq.ffpoly import BinaryForm, Place, UniPoly, field_make
 from selmerfq.localdata import (bad_places, fiber_point_count,
                                 global_summary, local_data_at)
@@ -136,6 +136,18 @@ def test_global_summary_disc_bookkeeping():
         assert s.disc_degree_check
         total = sum(pd.ord_disc * pd.place.degree() for pd in s.places)
         assert total == 12
+
+
+def test_valuation_sum_check_exits_1(monkeypatch, tmp_path, capsys):
+    # a place lost from bad_places leaves the valuations short of 12d
+    places = localdata.bad_places
+    monkeypatch.setattr(localdata, "bad_places", lambda m: places(m)[1:])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(f7_example_model().to_json()))
+    assert cli.main(["tate", "--model", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad-place valuations must sum to 12d" in captured.err
 
 
 def test_f7_example_local_data():
