@@ -11,8 +11,10 @@ D^(0..3) a4, D^(0..5) a6) is a nonzero constant and the top 2, 4, 6
 coefficients do not all vanish; squarefree_disc iff g1 = gcd(Delta,
 D1 Delta) is constant and ord_inf Delta <= 1; smooth (bad fibers I_1 or II)
 iff minimal, gcd(g1, D2 Delta) is constant, g1 | c4, and ord_inf Delta <= 1,
-or = 2 with c4 vanishing at infinity.  `random_models` keeps the rows these
-bits accept, in draw order: what a loop of weierstrass.random_model returns.
+or = 2 with c4 vanishing at infinity; c4 and Delta come from
+`_invariant_rows`, weierstrass._invariant_forms on rows.  `random_models`
+keeps the rows these bits accept, in draw order: what a loop of
+weierstrass.random_model returns.
 
 The direct singularity test `singular_branches` runs on the same kernel and
 is exact for every odd p.  With A, B, C = a2, a4, a6 and ' = d/dt, put
@@ -47,6 +49,9 @@ _MAX_DIRECT_SAMPLES = 3 * 10 ** 5
 # largest census work N (12d+3)^2: on 2 CPUs a unit takes 1.3-3.1 * 10^-8 s,
 # slowest at d <= 1, so the largest accepted run ends within about a minute
 _MAX_CENSUS_WORK = 2 * 10 ** 9
+# largest random_models count * (k d)^2 drawn one model at a time (k > 1 or
+# p >= 2^31): a unit takes 1-5 * 10^-4 s on 2 CPUs, so a minute at most
+_MAX_SCALAR_WORK = 10 ** 5
 # tuples per array pass: enough to amortize each numpy call of rows_gcd's
 # Euclid steps, at a 1.5 MB rows_gcd peak at d = 1; counts do not depend on it
 _CLASSIFY_CHUNK = 4096
@@ -100,13 +105,14 @@ class CensusReport:
         }
 
 
-def _disc_rows(a2, a4, a6, p):
-    """Delta = -16 (a6 (4 a2^3 + 27 a6 - 18 a2 a4) + a4^2 (4 a4 - a2^2))."""
+def _invariant_rows(a2, a4, a6, p):
+    """(c4, Delta) of weierstrass._invariant_forms, row by row."""
     mul = functools.partial(ffpoly.rows_mul, p=p)
     a2sq = mul(a2, a2)
-    inner = mul(a6, (4 * mul(a2sq, a2) + 27 * a6 - 18 * mul(a2, a4)) % p) \
+    X = mul(a2, (2 * a2sq - 9 * a4) % p)
+    inner = mul(a6, (2 * X + 27 * a6) % p) \
         + mul(mul(a4, a4), (4 * a4 - a2sq) % p)
-    return -16 * inner % p
+    return 16 * (a2sq - 3 * a4) % p, -16 * inner % p
 
 
 def classify(digits, q, d):
@@ -127,10 +133,9 @@ def classify(digits, q, d):
         minimal[rows] = False
         minimal &= a2[:, -2:].any(1) | a4[:, -4:].any(1) | a6[:, -6:].any(1)
 
-    disc = _disc_rows(a2, a4, a6, q)
+    c4, disc = _invariant_rows(a2, a4, a6, q)
     ord_inf = 12 * d - deg(disc)
     g1 = gcd(disc, hasse(disc, 1, q))
-    c4 = 16 * (ffpoly.rows_mul(a2, a2, q) - 3 * a4) % q
     singular = deg(g1) != 0
     g1, fibers_ok = g1[singular], ~singular
     fibers_ok[singular] = (deg(gcd(g1, hasse(disc[singular], 2, q))) == 0) \
@@ -160,8 +165,8 @@ def run_census(q, d, mode="sample", n=10 ** 4, seed=0):
         n_models = exhaustive_space(q, d)
         seed_out = rng = None
     elif mode == "sample":
-        if not 10 ** 4 <= n <= _EXHAUSTIVE_BUDGET:  # one cap on models per run
-            raise DomainError("sampling needs 10^4 <= N <= 2^28, got %d" % n)
+        if n < 10 ** 4:  # the work bound below caps N
+            raise DomainError("sampling needs N >= 10^4, got %d" % n)
         rng = SplitMix64(seed)
         n_models = n
         seed_out = seed
@@ -207,14 +212,18 @@ def random_models(F, d, rng, count, minimal=False, smooth=False):
     minimal, smooth), leaving rng in the same state; smooth implies minimal.
     Over prime fields with p < 2^31 the draws are decided by `classify` in
     chunks, and rng is then replayed up to the last accepted row; over
-    F_{p^k} with k > 1, or p >= 2^31, each model comes from random_model.
-    As there, smooth needs p >= 5; here that is checked before any draw."""
+    F_{p^k}, k > 1, or p >= 2^31, each from random_model, if count (k d)^2
+    <= _MAX_SCALAR_WORK.  Smooth needs p >= 5.  Both raise before any draw."""
     if d < 0:
         raise DomainError("height d must be >= 0, got %r" % (d,))
     if smooth and F.characteristic < 5:
         raise DomainError("smoothness by the gcd test needs p >= 5")
     minimal = minimal or smooth
     if F.k != 1 or F.q >= 1 << 31:
+        work = count * (F.k * d) ** 2
+        if work > _MAX_SCALAR_WORK:
+            raise DomainError("one model at a time over %r: count * (k d)^2 "
+                              "= %d is past %d" % (F, work, _MAX_SCALAR_WORK))
         return [weierstrass.random_model(F, d, rng, minimal, smooth)
                 for _ in range(count)]
     q, width = F.q, 12 * d + 3
@@ -391,7 +400,7 @@ def singular_branches(digits, q, d):
     forms = digits[:, :l2], digits[:, l2:l2 + l4], digits[:, l2 + l4:]
     deg = ffpoly.rows_degree
     gcd = functools.partial(ffpoly.rows_gcd, p=q)
-    disc = _disc_rows(*forms, q)
+    disc = _invariant_rows(*forms, q)[1]
     M, G, H = _jacobian_rows(*forms, q)
     # h has a root off M iff deg gcd(h, M^k) < deg h, for k >= deg h;
     # gcd(h, g^2) for g = gcd(h, M^k) is gcd(h, M^2k), of width at most h's

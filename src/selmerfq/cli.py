@@ -30,11 +30,6 @@ MAX_HEIGHT = 16
 # largest model-gen --count: on 2 CPUs, 10^4 smooth minimal models take about
 # 1 s at q = 5, d = 1 and 50 s at d = 16; 10^11 would take 3 months at d = 1
 MAX_MODELS = 10 ** 4
-# largest model-gen --count * (k d)^2 where each model is drawn on its own
-# (over F_{p^k} with k > 1, or p >= 2^31): on 2 CPUs a unit takes 1-5 * 10^-4
-# s, worst over F_25 with --smooth, so the largest accepted run ends within
-# about a minute; 10^4 smooth models over F_{5^16} at d = 16 would take 26 h
-MAX_SCALAR_WORK = 10 ** 5
 
 
 def _sigma(n):
@@ -164,11 +159,6 @@ def _cmd_average_table(args):
 
 def _cmd_model_gen(args):
     F = ffpoly.field_from_spec(args.q)
-    work = args.count * (F.k * args.d) ** 2
-    if (F.k != 1 or F.q >= 1 << 31) and work > MAX_SCALAR_WORK:
-        raise DomainError("model-gen over %r draws one model at a time: "
-                          "count * (k d)^2 = %d is past %d"
-                          % (F, work, MAX_SCALAR_WORK))
     models = census.random_models(F, args.d, SplitMix64(args.seed), args.count,
                                   minimal=args.minimal, smooth=args.smooth)
     return {"models": [m.to_json() for m in models]}

@@ -58,9 +58,14 @@ class Field:
         if not 1 <= k <= 16:
             raise DomainError("extension degree must be in [1, 16]")
         # below 2^64, so that SplitMix64.below can draw elements
-        if not (p ** k < 2 ** 64 and _is_prime(p)):
-            raise DomainError("q = p^k must be a prime power below 2^64, "
-                              "got p = %r, k = %d" % (p, k))
+        if not p ** k < 2 ** 64:
+            raise DomainError("q = %r^%d is not below 2^64" % (p, k))
+        if not _is_prime(p):
+            hint = next((", and F_%d is written %d^%d" % (p, r, j) for j in
+                         range(2, 64) for r in [round(max(p, 0) ** (1 / j))]
+                         if r ** j == p and _is_prime(r)), "")
+            raise DomainError("p = %r is not prime: a field is p or p^k with "
+                              "p prime%s" % (p, hint))
         self.p = self.characteristic = self.q = p
         self.k = 1
         self.base = self.modulus = None

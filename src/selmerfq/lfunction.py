@@ -149,7 +149,7 @@ def surface_point_count(m, e):
         return np.append(acc, form.coeffs[-1])
 
     F1 = m.field
-    C4, C6 = evaluate(weierstrass.c4_form(m)), evaluate(weierstrass.c6_form(m))
+    C4, C6 = evaluate(m.c4), evaluate(m.c6)
     A = E.mul(C4, np.int64(F1.neg(F1.inv(F1.from_int(48)))))
     B = E.mul(C6, np.int64(F1.neg(F1.inv(F1.from_int(864)))))
 

@@ -92,8 +92,8 @@ def local_data_at(m, v):
     delta, D = leading_at(weierstrass.discriminant(m), v)
     if delta == 0:
         return PlaceData(v, "I_0", 0, 0, 1)
-    vc4, C4 = leading_at(weierstrass.c4_form(m), v)
-    vc6, C6 = leading_at(weierstrass.c6_form(m), v)
+    vc4, C4 = leading_at(m.c4, v)
+    vc6, C6 = leading_at(m.c6, v)
     K = m.field if v.is_infinity else v.residue_field()[0]
 
     if vc4 == 0:
@@ -172,7 +172,7 @@ def root_number_by_reciprocity(m):
     is (-c6 | Delta1) and their number r has (-1)^r = (-1)^n chi(disc
     Delta1) = (-1)^n chi(-1)^(n(n-1)/2) (Delta1' | Delta1) (Stickelberger)."""
     F = m.field
-    dt, c6 = weierstrass.discriminant(m).dehomog_t(), weierstrass.c6_form(m)
+    dt, c6 = weierstrass.discriminant(m).dehomog_t(), m.c6
     delta2 = dt.gcd(dt.hasse(1))
     delta1 = (dt // (delta2 * delta2)).monic()
     n, chi_minus_one = delta1.degree(), F.chi(F.neg(F.one))

@@ -14,10 +14,10 @@ from .ffpoly import BinaryForm, Place, UniPoly, factor, leading_at
 
 
 class WeierstrassModel:
-    """Immutable model of height d.  The discriminant must not vanish
-    identically (the generic fiber is a smooth elliptic curve)."""
+    """Immutable model of height d with its forms c4, c6 and Delta; Delta
+    must not vanish identically (the generic fiber is a smooth curve)."""
 
-    __slots__ = ("field", "d", "a2", "a4", "a6", "_disc")
+    __slots__ = ("field", "d", "a2", "a4", "a6", "c4", "c6", "_disc")
 
     def __init__(self, field, d, a2, a4, a6):
         if (a2.degree, a4.degree, a6.degree) != (2 * d, 4 * d, 6 * d):
@@ -27,7 +27,7 @@ class WeierstrassModel:
         self.a2 = a2
         self.a4 = a4
         self.a6 = a6
-        self._disc = _disc_form(a2, a4, a6)
+        self.c4, self.c6, self._disc = _invariant_forms(a2, a4, a6)
         if self._disc.is_zero():
             raise DomainError("singular generic fiber (discriminant is zero)")
 
@@ -70,17 +70,20 @@ class WeierstrassModel:
         return cls(F, d, *forms)
 
 
-def _disc_form(a2, a4, a6):
-    """Delta = -16(a6(4 a2^3 + 27 a6 - 18 a2 a4) + a4^2(4 a4 - a2^2)), the
-    grouping of census._disc_rows: 6 products in t."""
-    F = a2.field
-    c = F.from_int
+def _invariant_forms(a2, a4, a6):
+    """(c4, c6, Delta) of raw forms, Delta possibly 0, in any characteristic:
+    with X = a2(2 a2^2 - 9 a4), c4 = 16(a2^2 - 3 a4), c6 = -32(X + 27 a6)
+    and Delta = -16(a6(2X + 27 a6) + a4^2(4 a4 - a2^2)), 5 products in t."""
+    c = a2.field.from_int
     A2, A4, A6 = (f.dehomog_t() for f in (a2, a4, a6))
     a2sq = A2 * A2
-    inner = A6 * ((a2sq * A2).scale(c(4)) + A6.scale(c(27))
-                  - (A2 * A4).scale(c(18))) \
-        + A4 * A4 * (A4.scale(c(4)) - a2sq)
-    return BinaryForm.from_unipoly(inner.scale(F.neg(c(16))), 3 * a4.degree)
+    X = A2 * (a2sq.scale(c(2)) - A4.scale(c(9)))
+    c4 = (a2sq - A4.scale(c(3))).scale(c(16))
+    c6 = (X + A6.scale(c(27))).scale(c(-32))
+    disc = (A6 * (X.scale(c(2)) + A6.scale(c(27)))
+            + A4 * A4 * (A4.scale(c(4)) - a2sq)).scale(c(-16))
+    return tuple(BinaryForm.from_unipoly(f, D) for f, D in (
+        (c4, a4.degree), (c6, a6.degree), (disc, 3 * a4.degree)))
 
 
 def discriminant(m):
@@ -98,23 +101,6 @@ def bad_places(m):
     if leading_at(disc, Place.infinity())[0] > 0:
         out.append(Place.infinity())
     return out
-
-
-def c4_form(m):
-    """c4 = 16(a2^2 - 3 a4), a degree-4d form."""
-    F = m.field
-    A2, A4 = m.a2.dehomog_t(), m.a4.dehomog_t()
-    c4 = (A2 * A2 - A4.scale(F.from_int(3))).scale(F.from_int(16))
-    return BinaryForm.from_unipoly(c4, 4 * m.d)
-
-
-def c6_form(m):
-    """c6 = -32(a2(2 a2^2 - 9 a4) + 27 a6), a degree-6d form: 2 products."""
-    F = m.field
-    c = F.from_int
-    A2, A4, A6 = (f.dehomog_t() for f in (m.a2, m.a4, m.a6))
-    inner = A2 * ((A2 * A2).scale(c(2)) - A4.scale(c(9))) + A6.scale(c(27))
-    return BinaryForm.from_unipoly(inner.scale(F.neg(c(32))), 6 * m.d)
 
 
 def minimality_of_forms(field, d, a2, a4, a6):
@@ -152,7 +138,7 @@ def smooth_by_gcd(m):
     not minimal at v has ord_v Delta >= 12, so it is never smooth."""
     if m.field.characteristic < 5:
         raise DomainError("smoothness by the gcd test needs p >= 5")
-    dt, c4 = discriminant(m).dehomog_t(), c4_form(m)
+    dt, c4 = discriminant(m).dehomog_t(), m.c4
     g1 = dt.gcd(dt.hasse(1))
     ord_inf = 12 * m.d - dt.degree()
     return g1.gcd(dt.hasse(2)).degree() == 0 \

@@ -151,7 +151,7 @@ def test_squarefree_disc_not_marked():
     while checked < 30:
         digits = [rng.below(3) for _ in range(15)]
         a2, a4, a6 = _forms_from_digits(F, 1, digits)
-        disc = weierstrass._disc_form(a2, a4, a6)
+        disc = weierstrass._invariant_forms(a2, a4, a6)[2]
         if disc.is_zero():
             continue
         dt = disc.dehomog_t()
@@ -210,7 +210,7 @@ def test_singular_branches_match_jacobian_search(q, d, count):
     disc_zero = 0
     for i, digits in enumerate(rows):
         a2, a4, a6 = _forms_from_digits(F, d, digits)
-        if weierstrass._disc_form(a2, a4, a6).is_zero():
+        if weierstrass._invariant_forms(a2, a4, a6)[2].is_zero():
             want = True
             disc_zero += 1
         else:
@@ -289,7 +289,7 @@ def _scalar_bits(F, d, digits):
     the Kodaira route is_smooth_surface, and is_squarefree."""
     a2, a4, a6 = _forms_from_digits(F, d, digits)
     minimal = weierstrass.minimality_of_forms(F, d, a2, a4, a6)
-    disc = weierstrass._disc_form(a2, a4, a6)
+    disc = weierstrass._invariant_forms(a2, a4, a6)[2]
     if disc.is_zero():
         return {"minimal": minimal, "smooth": False,
                 "squarefree_disc": False, "disc_zero": True}
@@ -342,7 +342,9 @@ def test_run_census_sample_size_floor():
 
 
 def test_run_census_sample_size_ceiling():
-    with pytest.raises(ValueError, match="2\\^28"):
+    # the work bound caps N below 2^28 at every d, as (12d+3)^2 >= 9
+    with pytest.raises(ValueError, match="census work N \\(12d\\+3\\)\\^2 "
+                       "= 4500000000000 is past 2000000000"):
         run_census(5, 1, mode="sample", n=2 * 10 ** 10)
 
 
@@ -443,6 +445,16 @@ def test_random_models_extension_field_large_height():
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_random_models_scalar_work_bound():
+    # 10^4 smooth models over F_{5^16} at d = 16 would take about 26 h one
+    # draw at a time: refused before any draw
+    rng = SplitMix64(0)
+    with pytest.raises(DomainError, match="count \\* \\(k d\\)\\^2 = "
+                       "655360000 is past 100000"):
+        census.random_models(Field(5, 16), 16, rng, 10 ** 4, smooth=True)
+    assert rng.state == SplitMix64(0).state
 
 
 def test_random_models_smooth_implies_minimal():

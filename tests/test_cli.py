@@ -48,6 +48,15 @@ def test_invalid_field_spec_exits_2(capsys):
     assert code == 2
 
 
+def test_prime_power_as_p_exits_2(capsys):
+    # the spec is p or p^k with p prime: 49 = 7^2 is no p
+    code = cli.main(["census", "--q", "49", "--d", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "p = 49 is not prime: a field is p or p^k with p prime, and F_49 " \
+        "is written 7^2" in captured.err
+
+
 def test_small_characteristic_exits_2(capsys):
     code, _ = _run(["census", "--q", "3", "--d", "1"], capsys)
     assert code == 2

@@ -320,19 +320,19 @@ def test_forced_additive_grid_at_degree_3_places_pinned():
 
 
 def test_c6_guard_survives_python_O():
-    # with c6 patched to zero, the IV, I_1* and IV* rows would read chi(0);
+    # with c6 planted as zero, the IV, I_1* and IV* rows would read chi(0);
     # the guard names the place and the type instead, also under -O
     script = (
-        "from selmerfq import localdata, weierstrass\n"
+        "from selmerfq import localdata\n"
         "from selmerfq.ffpoly import BinaryForm, Place, UniPoly, field_make\n"
         "from selmerfq.weierstrass import WeierstrassModel\n"
         "F = field_make(5)\n"
         "def form(D, j):\n"
         "    return BinaryForm(F, D, [int(i == j) for i in range(D + 1)])\n"
-        "weierstrass.c6_form = lambda m: BinaryForm.zero(F, 6 * m.d)\n"
         "for a2, a6 in ((None, 2), (1, 4), (None, 4)):\n"
         "    m = WeierstrassModel(F, 1, form(2, a2), form(4, None),\n"
         "                         form(6, a6))\n"
+        "    m.c6 = BinaryForm.zero(F, 6)\n"
         "    try:\n"
         "        localdata.local_data_at(m, Place(UniPoly.x(F)))\n"
         "    except ValueError as exc:\n"
@@ -383,8 +383,8 @@ def test_group_action_keeps_local_data(case):
     F = m.field
     moved = act(g1, m)
     assert act(g2, moved) == act(compose(g2, g1), m)
-    for form, k in ((weierstrass.discriminant, 12), (weierstrass.c4_form, 4),
-                    (weierstrass.c6_form, 6)):
+    for form, k in ((weierstrass.discriminant, 12),
+                    (lambda m: m.c4, 4), (lambda m: m.c6, 6)):
         assert form(moved).dehomog_t() \
             == form(m).dehomog_t().scale(F.pow(g1.lam, k))
     assert _local_row(moved, v) == _local_row(m, v)

@@ -3,11 +3,12 @@ section searches."""
 
 import pytest
 
-from selmerfq import DomainError, census, ffpoly, weierstrass
+from selmerfq import (DomainError, census, ffpoly, lfunction, localdata,
+                      weierstrass)
 from selmerfq.ffpoly import BinaryForm, Field, UniPoly, field_make
 from selmerfq.rng import SplitMix64
 from selmerfq.weierstrass import (GroupElement, WeierstrassModel, act,
-                                  c4_form, c6_form, compose, discriminant,
+                                  compose, discriminant,
                                   f7_example_model, minimality_bruteforce,
                                   minimality_of_forms, random_model,
                                   singular_surface_points, smooth_by_gcd,
@@ -59,8 +60,7 @@ def test_c4_c6_disc_identity(d):
         rng = SplitMix64(10)
         for _ in range(20):
             m = random_model(F, d, rng)
-            c4 = c4_form(m).dehomog_t()
-            c6 = c6_form(m).dehomog_t()
+            c4, c6 = m.c4.dehomog_t(), m.c6.dehomog_t()
             disc = discriminant(m).dehomog_t()
             lhs = disc.scale(F.from_int(1728))
             rhs = c4 * c4 * c4 - c6 * c6
@@ -70,16 +70,19 @@ def test_c4_c6_disc_identity(d):
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_disc_form_matches_disc_rows(p, d):
-    # the scalar Delta against the batched one row for row; at p = 3, where
-    # the q = 3 locus reads _disc_rows, 1728 Delta = c4^3 - c6^2 says nothing
+    # the scalar c4 and Delta against the batched ones row for row; at p = 3,
+    # where the q = 3 locus reads Delta, 1728 Delta = c4^3 - c6^2 says nothing
     F = Field(p)
     l2, l4, _ = census.coeff_lengths(d)
     rows = SplitMix64(p + d).below_array(p, 40 * (12 * d + 3))
     rows = rows.reshape(40, 12 * d + 3)
     a2, a4, a6 = rows[:, :l2], rows[:, l2:l2 + l4], rows[:, l2 + l4:]
-    for row, f2, f4, f6 in zip(census._disc_rows(a2, a4, a6, p), a2, a4, a6):
+    for c4, disc, f2, f4, f6 in zip(*census._invariant_rows(a2, a4, a6, p),
+                                    a2, a4, a6):
         forms = (BinaryForm(F, len(f) - 1, f.tolist()) for f in (f2, f4, f6))
-        assert weierstrass._disc_form(*forms).coeffs == tuple(row.tolist())
+        c4_form, _, disc_form = weierstrass._invariant_forms(*forms)
+        assert c4_form.coeffs == tuple(c4.tolist())
+        assert disc_form.coeffs == tuple(disc.tolist())
 
 
 def test_json_roundtrip():
@@ -141,28 +144,46 @@ def test_smoothness_of_forms_matches_kodaira_route(p, k, d, seed, draws):
     assert seen == {False, True}
 
 
-def test_smooth_draws_compute_the_discriminant_once(monkeypatch):
-    # minimality is tested on the raw forms, smoothness on the built model
-    # from its own Delta: one _disc_form call per model built
-    F = Field(5, 2)
+def _count_builds(monkeypatch):
+    """A list that gains an entry at each _invariant_forms call."""
     calls = []
-    disc_form = weierstrass._disc_form
+    build = weierstrass._invariant_forms
 
     def counted(*forms):
         calls.append(1)
-        return disc_form(*forms)
+        return build(*forms)
+    monkeypatch.setattr(weierstrass, "_invariant_forms", counted)
+    return calls
+
+
+def test_smooth_draws_compute_the_discriminant_once(monkeypatch):
+    # minimality is tested on the raw forms, smoothness on the built model
+    # from its own Delta and c4: one _invariant_forms call per model built
+    F = Field(5, 2)
+    calls = _count_builds(monkeypatch)
     built = []
     init = WeierstrassModel.__init__
 
     def counted_init(self, *args):
         built.append(1)
         init(self, *args)
-    monkeypatch.setattr(weierstrass, "_disc_form", counted)
     monkeypatch.setattr(WeierstrassModel, "__init__", counted_init)
     rng = SplitMix64(0)
     for _ in range(5):
         random_model(F, 2, rng, smooth=True)
     assert len(built) >= 5 and len(calls) == len(built)
+
+
+def test_readers_of_a_built_model_build_no_forms(monkeypatch):
+    # Tate's algorithm, the gcd test, reciprocity and the point counts read
+    # the c4, c6 and Delta that the model stored when it was built
+    m = random_model(field_make(5), 1, SplitMix64(3), smooth=True)
+    calls = _count_builds(monkeypatch)
+    lfunction.l_polynomial(m)
+    localdata.global_summary(m)
+    smooth_by_gcd(m)
+    localdata.root_number_by_reciprocity(m)
+    assert calls == []
 
 
 def test_gcd_smoothness_needs_p_at_least_5():
