@@ -122,8 +122,8 @@ class Field:
 
     def add(self, a, b):
         F = self.base
-        if F is None:
-            return (a + b) % self.p
+        if F is None or not b:  # b = 0: the scalings of UniPoly.scale
+            return (a + b) % self.q
         return self._join([F.add(x, y)
                            for x, y in zip(self._split(a), self._split(b))])
 
@@ -135,19 +135,12 @@ class Field:
 
     def mul(self, a, b):
         F = self.base
-        if F is None:
-            return (a * b) % self.p
-        n, tail = self._n, self._tail
-        db = self._split(b)
-        prod = [0] * (2 * n - 1)
-        for i, x in enumerate(self._split(a)):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = F.add(prod[i + j], F.mul(x, y))
+        if F is None or a == 1:  # 1: UniPoly.__add__ and monic division
+            return (a * b) % self.q
+        n = self._n
+        prod = F.convolve(self._split(a), self._split(b))
         for i in range(2 * n - 2, n - 1, -1):  # top degree first
-            if prod[i]:
-                for j, c in enumerate(tail):
-                    prod[i - n + j] = F.add(prod[i - n + j], F.mul(prod[i], c))
+            prod[i - n:i] = F.axpy(prod[i], self._tail, prod[i - n:i])
         return self._join(prod[:n])
 
     def pow(self, a, e):
@@ -182,6 +175,36 @@ class Field:
         if self.base is None:
             return 1 if pow(a, (self.p - 1) // 2, self.p) == 1 else -1
         return jacobi(UniPoly(self.base, self._split(a)), self.modulus)
+
+    # -- coefficient-list ops of UniPoly --
+
+    def axpy(self, c, xs, ys):
+        """[c x + y for x, y in zip(xs, ys)]: over F_p on plain ints, one % p
+        per entry, and over an extension by the element ops."""
+        if self.base is None:
+            p = self.p
+            return [(c * x + y) % p for x, y in zip(xs, ys)]
+        return [self.add(self.mul(c, x), y) for x, y in zip(xs, ys)]
+
+    def convolve(self, xs, ys):
+        """The coefficients of (sum xs_i t^i)(sum ys_j t^j), both nonempty.
+        F_p by Kronecker substitution: one integer product in slots of w
+        bits, wide enough for min(len) products below p^2."""
+        n = len(xs) + len(ys) - 1
+        if self.base is None:
+            w = 2 * self.p.bit_length() + min(len(xs), len(ys)).bit_length()
+            A = B = 0
+            for c in reversed(xs):
+                A = A << w | c
+            for c in reversed(ys):
+                B = B << w | c
+            P, mask = A * B, (1 << w) - 1
+            return [(P >> w * i & mask) % self.p for i in range(n)]
+        out = [self.zero] * n
+        for i, x in enumerate(xs):
+            if x:
+                out[i:i + len(ys)] = self.axpy(x, ys, out[i:i + len(ys)])
+        return out
 
     def from_int(self, n):
         """The image of the integer n."""
@@ -287,10 +310,7 @@ class UniPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return UniPoly(F, out)
+        return UniPoly(F, [*F.axpy(F.one, b, a), *a[len(b):]])
 
     def __neg__(self):
         F = self.field
@@ -301,19 +321,13 @@ class UniPoly:
 
     def __mul__(self, other):
         F = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self.coeffs or not other.coeffs:
             return UniPoly.zero(F)
-        out = [F.zero] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca != F.zero:
-                for j, cb in enumerate(b):
-                    out[i + j] = F.add(out[i + j], F.mul(ca, cb))
-        return UniPoly(F, out)
+        return UniPoly(F, F.convolve(self.coeffs, other.coeffs))
 
     def scale(self, c):
         F = self.field
-        return UniPoly(F, [F.mul(c, x) for x in self.coeffs])
+        return UniPoly(F, F.axpy(c, self.coeffs, [F.zero] * len(self.coeffs)))
 
     def divmod(self, other):
         F = self.field
@@ -323,16 +337,12 @@ class UniPoly:
         d = other.degree()
         inv_lead = F.inv(other.leading())
         quot = [F.zero] * max(0, len(rem) - d)
-        while len(rem) - 1 >= d and rem:
-            c = F.mul(rem[-1], inv_lead)
-            k = len(rem) - 1 - d
-            quot[k] = c
-            minus_c = F.neg(c)
-            for i, oc in enumerate(other.coeffs):
-                rem[k + i] = F.add(rem[k + i], F.mul(minus_c, oc))
-            while rem and rem[-1] == F.zero:
-                rem.pop()
-        return UniPoly(F, quot), UniPoly(F, rem)
+        for k in range(len(quot) - 1, -1, -1):
+            c = quot[k] = F.mul(rem[k + d], inv_lead)
+            if c:
+                rem[k:k + d + 1] = F.axpy(F.neg(c), other.coeffs,
+                                          rem[k:k + d + 1])
+        return UniPoly(F, quot), UniPoly(F, rem[:d])
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -434,8 +444,10 @@ def factor(f):
     """Factor a nonzero univariate polynomial into monic irreducibles.
 
     Returns a list of (irreducible monic UniPoly, multiplicity), sorted by
-    (degree, coefficients).  Squarefree decomposition, then distinct-degree,
-    then seeded Cantor-Zassenhaus equal-degree splitting.
+    (degree, coefficients).  Squarefree decomposition, then distinct-degree
+    (over F_p by the Frobenius matrix, in int64 while deg f (p - 1)^2 < 2^63
+    and in Python ints above), then seeded Cantor-Zassenhaus equal-degree
+    splitting.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -452,12 +464,7 @@ def factor(f):
             d = g.hasse(1)
             if d.is_zero():
                 # g = h(x^p); p-th root the coefficients
-                root_coeffs = []
-                e = F.q // p
-                for i in range(0, g.degree() + 1, p):
-                    c = g.coeffs[i] if i < len(g.coeffs) else F.zero
-                    root_coeffs.append(F.pow(c, e))
-                g = UniPoly(F, root_coeffs)
+                g = UniPoly(F, [F.pow(c, F.q // p) for c in g.coeffs[::p]])
                 mult *= p
                 continue
             w = g.gcd(d)
@@ -483,7 +490,7 @@ def factor(f):
         q = F.q
         while True:
             r = UniPoly(F, [F.random(rng) for _ in range(g.degree())])
-            if r.is_zero() or r.is_constant():
+            if r.is_constant():
                 continue
             h = r.powmod((q ** d - 1) // 2, g) - UniPoly.const(F, F.one)
             w = h.gcd(g)
@@ -502,20 +509,36 @@ def factor(f):
 def _distinct_degree(f):
     """Distinct-degree stage of factor: (g, d), d increasing, g != 1 the
     product of the degree-d irreducible factors of a monic squarefree f.
-    For any f the first pair has d = 1 iff f has a root; g = gcd(x^q - x, f)."""
-    x = UniPoly.x(f.field)
-    h, rem, d = x, f, 0
+    For any f the first pair has d = 1 iff f has a root; g = gcd(x^q - x, f).
+    Over F_p, h = x^(p^d) mod f for d >= 2 is h_(d-1) Q, Q the Frobenius
+    matrix with rows x^(ip) mod f, built from h_1 once d = 2 is reached (von
+    zur Gathen and Shoup, Comput. Complexity 2, 1992); int64 holds that
+    product exactly while deg f (p - 1)^2 < 2^63, Python ints above."""
+    F, n = f.field, f.degree()
+    x = UniPoly.x(F)
+    h, rem, d, Q = x, f, 0, None
     while rem.degree() > 0:
         d += 1
         if 2 * d > rem.degree():
             yield rem, rem.degree()
             return
-        h = h.powmod(f.field.q, rem)
+        if d == 1 or F.base is not None:
+            h = h.powmod(F.q, rem)  # at d = 1, rem = f
+        else:
+            if Q is None:  # row i is h_1^i mod f
+                rows = [UniPoly.const(F, F.one)]
+                while len(rows) < n:
+                    rows.append(rows[-1] * h % f)
+                dtype = np.int64 if n * (F.p - 1) ** 2 < 2 ** 63 else object
+                Q = np.array([r.coeffs + (0,) * (n - len(r.coeffs))
+                              for r in rows], dtype)
+                hv = Q[1]
+            hv = hv @ Q % F.p
+            h = UniPoly(F, hv.tolist())
         g = (h - x).gcd(rem)  # deg rem >= 2 > deg x
         if not g.is_constant():
             yield g, d
             rem = rem // g
-            h = h % rem
 
 
 class Place:

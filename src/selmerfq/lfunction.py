@@ -134,6 +134,8 @@ def surface_point_count(m, e):
     The fiber cubic depressed is u^3 + A u + B with A = -c4/48 and
     B = -c6/864.  Rescaled to sign * (v^3 + eps v + B') with eps in
     {0, 1, g}, its character sum is the table entry ExtField.h_eps(B').
+    c4 and c6 are evaluated by Horner, whose prime-field constants c change
+    base-p digit 0 alone: a + c is a - a % p + (a % p + c) % p.
     """
     if m.field.k != 1:
         raise DomainError("extension counting assumes a prime base field")
@@ -145,7 +147,9 @@ def surface_point_count(m, e):
         """form at every (1, t), t in F_Q, then at (0, 1)."""
         acc = np.full(Q, form.coeffs[-1], dtype=np.int64)
         for c in reversed(form.coeffs[:-1]):
-            acc = E.add(E.mul(acc, elts), np.int64(c))
+            acc = E.mul(acc, elts)
+            low = acc % E.p
+            acc += (low + c) % E.p - low
         return np.append(acc, form.coeffs[-1])
 
     F1 = m.field

@@ -1,5 +1,6 @@
 """Finite field, polynomial, and place arithmetic."""
 
+import collections
 import math
 
 import numpy as np
@@ -283,6 +284,56 @@ def test_is_irreducible_matches_sympy(f):
     assert f.is_irreducible() == _sympy_poly(f).is_irreducible
 
 
+# the same oracle, seeded, where the Frobenius matrix of the distinct-degree
+# stage is widest: at p = 2147483659 and 2^64 - 59 a row times a column
+# passes 2^63, so the product must leave int64 (a plain int64 product gave
+# wrong factors at 2147483659), and at p = 5 the degrees 30..48 pass those
+# of any d = 1 discriminant
+
+def _seeded_product(F, rng, lo, hi):
+    """A product of seeded monic factors of degree 1 to 8, each taken once,
+    twice or (where the degree allows) p times, of degree in [lo, hi]."""
+    while True:
+        f = UniPoly.const(F, 1 + rng.below(F.q - 1))
+        while f.degree() < lo:
+            g = UniPoly(F, [F.random(rng) for _ in range(1 + rng.below(8))]
+                        + [F.one])
+            for _ in range((1, 2, F.p)[rng.below(3 if F.p <= hi else 2)]):
+                f = f * g
+        if f.degree() <= hi:
+            return f
+
+
+def _from_sympy(F, poly):
+    return UniPoly(F, [int(c) % F.p for c in reversed(poly.all_coeffs())])
+
+
+@pytest.mark.parametrize("p, lo, hi", [(2147483659, 14, 24),
+                                       (2 ** 64 - 59, 14, 24), (5, 30, 48)])
+def test_factor_gcd_divmod_match_sympy_at_wide_frobenius_matrices(p, lo, hi):
+    F = Field(p)
+    rng = SplitMix64(p)
+    widest = 0
+    for _ in range(6):
+        common = _seeded_product(F, rng, 1, 6)
+        f = common * _seeded_product(F, rng, lo - 6, hi - 6)
+        g = common * _seeded_product(F, rng, 1, hi - 6)
+        sf, sg = _sympy_poly(f), _sympy_poly(g)
+        _, want = sf.factor_list()
+        got = factor(f)
+        assert sorted((h.coeffs, m) for h, m in got) \
+            == sorted((_from_sympy(F, h).coeffs, m) for h, m in want)
+        assert f.gcd(g) == _from_sympy(F, sf.gcd(sg))
+        assert f.divmod(g) == tuple(_from_sympy(F, h) for h in sf.div(sg))
+        # each multiplicity is one squarefree part; the matrix is built
+        # where its factors of degree >= 2 have total degree >= 4
+        nonlinear = collections.Counter()
+        for h, m in got:
+            nonlinear[m] += h.degree() if h.degree() > 1 else 0
+        widest = max(widest, *nonlinear.values())
+    assert widest >= 4
+
+
 # field axioms as properties, on prime, extension and residue fields
 
 _CUBIC_PLACE = Place(UniPoly(field_make(5), [1, 1, 0, 1]))  # t^3 + t + 1
@@ -303,6 +354,27 @@ def test_field_axioms(F, i, j, k):
     assert F.chi(F.mul(a, b)) == F.chi(a) * F.chi(b)
     p = F.characteristic
     assert F.pow(F.add(a, b), p) == F.add(F.pow(a, p), F.pow(b, p))
+
+
+# the coefficient-list ops of Field against their element-op loops; lists
+# of q - 1 give a prime field's largest sums of products
+
+@pytest.mark.parametrize("F", [Field(5), Field(2 ** 64 - 59), Field(5, 2),
+                               _CUBIC_PLACE.residue_field()[0]], ids=repr)
+def test_vector_ops_match_the_element_ops(F):
+    rng = SplitMix64(F.q % 1000)
+    for n in range(40):
+        xs, ys = ([F.q - 1 if n < 4 else F.random(rng)
+                   for _ in range(1 + rng.below(20))] for _ in range(2))
+        c = F.q - 1 if n < 4 else F.random(rng)
+        zs = (ys * len(xs))[:len(xs)]
+        assert F.axpy(c, xs, zs) \
+            == [F.add(F.mul(c, x), z) for x, z in zip(xs, zs)]
+        want = [F.zero] * (len(xs) + len(ys) - 1)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                want[i + j] = F.add(want[i + j], F.mul(x, y))
+        assert F.convolve(xs, ys) == want
 
 
 # chi, inv and jacobi against oracles: Euler's criterion and Fermat's a^(q-2)
