@@ -80,7 +80,16 @@ def test_extfield_tables_match_scalar_powers(p, e):
     for i in range(E.Q - 1):
         assert E.exp[i] == cur and E.log[cur] == i
         cur = F.mul(cur, x)
-    assert cur == F.one and E.log[0] == 0
+    assert cur == F.one and E.log[0] == 2 * (E.Q - 1)
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (5, 2), (7, 2), (3, 3)])
+def test_extfield_mul_matches_scalar_mul_on_every_pair(p, e):
+    # zeros included: log 0 = 2(Q - 1) must land in the zero tail of exp
+    E, F = ExtField(p, e), _scalar_field(p, e)
+    a, b = np.divmod(np.arange(E.Q ** 2), E.Q)
+    assert E.mul(a, b).tolist() == [F.mul(int(x), int(y))
+                                    for x, y in zip(a, b)]
 
 
 @pytest.mark.parametrize("p,e", [(3, e) for e in range(1, 7)]
@@ -163,6 +172,26 @@ def test_fft_rounding_residual_rejected(monkeypatch):
 # fiber count reads h_0(0); every other fiber is good
 CUSPS = {"p": 5, "k": 1, "d": 1, "a2": [0, 0, 0], "a4": [0, 0, 0, 0, 0],
          "a6": [0, 0, 0, 1, 0, 0, 0]}
+
+
+# c6 = 0 on every fiber: y^2 = x^3 + t s^3 x; c4 = 0 on every fiber:
+# y^2 = x^3 + t^3 s^3 + s^6.  With CUSPS they reach the A = 0 row and the
+# B = 0 column of the fiber lookup at every e
+PLANTED = {
+    "c6-zero": {"p": 5, "k": 1, "d": 1, "a2": [0, 0, 0],
+                "a4": [0, 1, 0, 0, 0], "a6": [0, 0, 0, 0, 0, 0, 0]},
+    "c4-zero": {"p": 5, "k": 1, "d": 1, "a2": [0, 0, 0],
+                "a4": [0, 0, 0, 0, 0], "a6": [1, 0, 0, 1, 0, 0, 0]},
+    "cusps": CUSPS,
+}
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_fast_and_slow_counts_agree_on_planted_models(p, name):
+    m = WeierstrassModel.from_json(dict(PLANTED[name], p=p))
+    for e in range(1, 4):
+        assert surface_point_count(m, e) == surface_point_count_slow(m, e)
 
 
 @pytest.mark.parametrize("entries,message", [
@@ -421,7 +450,7 @@ def test_supersingular_epsilon_forced():
 def test_root_number_matches_newton_c8(model, eps):
     # c_8 = eps q^8 by Newton on S_1..S_8, without the functional equation
     m = WeierstrassModel.from_json(model)
-    c = lfunction._newton_coeffs(frobenius_traces(m, 8), 8)
+    c = lfunction._newton_coeffs(frobenius_traces(m, 8))
     assert c[8] == eps * 5 ** 8
     assert localdata.root_number(m) == eps
     L = l_polynomial(m)
@@ -433,7 +462,7 @@ def _signs_from_s5(m):
     eps q^2 c_3 must be Newton's c_5 from S_1..S_5."""
     q = m.field.q
     try:
-        c = lfunction._newton_coeffs(frobenius_traces(m, 5), 5)
+        c = lfunction._newton_coeffs(frobenius_traces(m, 5))
     except ValueError:  # non-integral c_5: no sign fits
         return []
     return [eps for eps in (1, -1) if (c[4] == 0 or eps == 1)
@@ -464,7 +493,7 @@ def test_minus_sign_needs_c4_zero(monkeypatch):
     # eps = -1 forces c_4 = -c_4 in the functional equation
     F, rng = field_make(5), SplitMix64(3)
     m = random_model(F, 1, rng, minimal=True, smooth=True)
-    while lfunction._newton_coeffs(frobenius_traces(m, 4), 4)[4] == 0:
+    while lfunction._newton_coeffs(frobenius_traces(m, 4))[4] == 0:
         m = random_model(F, 1, rng, minimal=True, smooth=True)
     for route in ("root_number", "root_number_by_reciprocity"):
         monkeypatch.setattr(localdata, route, lambda *args: -1)
@@ -502,7 +531,7 @@ def test_s5_check_of_the_returned_l(model):
     # counted S_1..S_5 is eps q^2 c_3, the c_5 of the functional equation
     m = WeierstrassModel.from_json(model)
     L = l_polynomial(m)
-    c = lfunction._newton_coeffs(frobenius_traces(m, 5), 5)
+    c = lfunction._newton_coeffs(frobenius_traces(m, 5))
     assert c[:5] == L.coeffs[:5]
     assert c[5] == L.coeffs[5] == L.epsilon * 5 ** 2 * L.coeffs[3]
 
