@@ -6,8 +6,9 @@ For d = 1 the surface is rational, and Frobenius acts on the E8
 Mordell-Weil lattice as q times an isometry of finite order.  So
 P(T) = L(T/q) is +-prod Phi_k^m_k with phi(k) <= 8, the sign of the
 functional equation is the global root number prod_v w_v of the local
-data, and the analytic rank is m_1.  L follows from S_1..S_4 and that
-sign, which quadratic reciprocity checks; exact division checks the
+data, and the analytic rank is m_1.  L follows from S_1..S_3 and that
+sign, which quadratic reciprocity checks, with S_4 only on the 17 open keys
+(c_1, c_2, c_3, sign) of the products; exact division checks the
 factorization, from which selmer_bounds reads m_1 <= dim Sel_ell <= hi.
 
 Each F_{q^e} = F_p[x]/(f), f the least monic primitive polynomial of degree
@@ -19,11 +20,13 @@ which may differ from the modulus of ffpoly.Field(p, e): only prime-field
 constants and the list of all elements leave ExtField.  The digits make
 (F_{q^e}, +) the grid (Z/p)^e, so h_eps(b) = sum_v chi(v^3 + eps v + b),
 eps in {0, 1, x}, is one FFT convolution over it per field (at q = 23,
-e = 4, the largest l_polynomial builds: 0.2 s, 80 MB peak RSS).  A point
+e = 4, built only on an open key: 0.2 s, 80 MB peak RSS).  A point
 count evaluates c4 and c6 and reads each fiber off h.
 """
 
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -191,16 +194,17 @@ def frobenius_traces(m, m_max):
         raise DomainError("d >= 1 required")
     if not weierstrass.smooth_by_gcd(m):
         raise DomainError("smooth total space required: bad fibers I_1 or II")
-    q = m.field.q
-    out = []
-    for e in range(1, m_max + 1):
-        qe = q ** e
-        s = surface_point_count(m, e) - (1 + 2 * qe + qe * qe)
-        if abs(s) > (12 * m.d - 4) * qe:
-            raise ValueError("weight bound violated: |S_%d| = %d > %d q^%d"
-                             % (e, abs(s), 12 * m.d - 4, e))
-        out.append(s)
-    return out
+    return [_trace(m, e) for e in range(1, m_max + 1)]
+
+
+def _trace(m, e):
+    """S_e of a smooth model, within the weight bound |S_e| <= (12d - 4) q^e."""
+    qe = m.field.q ** e
+    s = surface_point_count(m, e) - (1 + 2 * qe + qe * qe)
+    if abs(s) > (12 * m.d - 4) * qe:
+        raise ValueError("weight bound violated: |S_%d| = %d > %d q^%d"
+                         % (e, abs(s), 12 * m.d - 4, e))
+    return s
 
 
 class LPolynomial:
@@ -255,6 +259,22 @@ def _cyclotomics(n):
 _CYCLOTOMIC = {k: f for k, f in _cyclotomics(30).items() if len(f) <= 9}
 
 
+@functools.cache  # 1 ms, so built on the first l_polynomial call
+def _cyclotomic_products():
+    """{(1, P_1, P_2, P_3, P_8): [P, ...]} over the 224 degree-8 products
+    P(T) = +-prod Phi_k^m_k with P(0) = 1."""
+    partial = [[[1]]] + [[] for _ in range(8)]  # products by degree
+    for phi in _CYCLOTOMIC.values():
+        for n in range(len(phi) - 1, 9):  # ascending n: Phi_k may repeat
+            partial[n] += [np.convolve(f, phi)
+                           for f in partial[n + 1 - len(phi)]]
+    table = {}
+    for P in partial[8]:
+        P = (P * P[0]).tolist()  # P(0) = (-1)^m_1 before
+        table.setdefault((*P[:4], P[8]), []).append(P)
+    return table
+
+
 def cyclotomic_factorization(q, coeffs):
     """{k: m_k} with L(T/q) = +-prod Phi_k^m_k over phi(k) <= 8, for the
     integer coefficients c_0, c_1, ... of L.  Raises ValueError unless
@@ -304,22 +324,23 @@ def _newton_coeffs(power_sums):
 def l_polynomial(m):
     """Integral L-polynomial of a smooth d = 1 model.
 
-    c_1..c_4 come from Newton's identities on S_1..S_4, and the sign eps
-    of the functional equation c_{8-i} = eps q^{8-2i} c_i fills in the top
-    half.  eps is the root number from Tate's algorithm (localdata.
-    root_number), where a fiber type other than I_1 or II means that it and
-    the gcd test of frobenius_traces disagree on smoothness; the root number
-    by quadratic reciprocity must equal it, and eps = -1 forces c_4 = 0.
-    LPolynomial then checks purity by exact cyclotomic division.  Counts run
-    over F_{q^e}, e <= 4, and the domain is q^5 <= 2^24 (q <= 27).
-    """
+    c_1..c_3 come from Newton on S_1..S_3, and eps is the root number from
+    Tate's algorithm (a fiber type other than I_1 or II: it and the gcd test
+    of frobenius_traces disagree on smoothness), which the root number by
+    reciprocity must equal.  L(T/q) is the product of _cyclotomic_products
+    under the key (c_i / q^i, i <= 3; eps), on an open key the one with
+    Newton's c_4 from S_1..S_4; none means purity failed.  37 of the 163
+    (c_1, c_2, c_3) occur under both signs: a sign both routes get wrong
+    alike is caught only where its key is missing.  Counts run over F_{q^e},
+    e <= 3 (4 on an open key), and q^5 <= 2^24 (q <= 27)."""
     if m.d != 1:
         raise DomainError("full L-polynomials are computed for d = 1 only")
     q = m.field.q
     if q ** 5 > _TABLE_BUDGET:  # a wider domain needs a measured memory bound
         raise DomainError("lfunction needs q^5 <= 2^24 (q <= 27), got q = %d"
                           % q)
-    c = _newton_coeffs(frobenius_traces(m, 4))
+    traces = frobenius_traces(m, 3)
+    c = _newton_coeffs(traces)
     try:
         eps = localdata.root_number(m)
     except DomainError as exc:
@@ -328,8 +349,12 @@ def l_polynomial(m):
     if w != eps:
         raise ValueError("root number routes disagree: Tate's algorithm "
                          "gives %d, quadratic reciprocity %d" % (eps, w))
-    if eps == -1 and c[4]:
-        raise ValueError("functional equation check failed: eps = -1 forces "
-                         "c_4 = 0, Newton gives c_4 = %d" % c[4])
-    return LPolynomial(q, c + [eps * q ** (8 - 2 * i) * c[i]
-                               for i in range(3, -1, -1)], eps)
+    key = tuple(Fraction(ci, q ** i) for i, ci in enumerate(c)) + (eps,)
+    fits = _cyclotomic_products().get(key, [])
+    if len(fits) > 1:  # c_4 open: S_4 picks the product
+        c4 = Fraction(_newton_coeffs(traces + [_trace(m, 4)])[4], q ** 4)
+        key, fits = key + (c4,), [P for P in fits if P[4] == c4]
+    if not fits:
+        raise ValueError("weight-2 purity failed: no +-prod Phi_k^m_k of "
+                         "degree 8 has the key (%s)" % ", ".join(map(str, key)))
+    return LPolynomial(q, [a * q ** i for i, a in enumerate(fits[0])], eps)

@@ -489,15 +489,17 @@ def test_root_number_routes_disagree_on_a_wrong_sign(model, monkeypatch,
     assert "root number routes disagree" in captured.err
 
 
-def test_minus_sign_needs_c4_zero(monkeypatch):
-    # eps = -1 forces c_4 = -c_4 in the functional equation
+def test_minus_sign_on_a_c4_model_fits_no_product(monkeypatch):
+    # every eps = -1 product has c_4 = 0, so a planted eps = -1 on a model
+    # with c_4 != 0 leaves a key that no product of cyclotomics has
     F, rng = field_make(5), SplitMix64(3)
     m = random_model(F, 1, rng, minimal=True, smooth=True)
     while lfunction._newton_coeffs(frobenius_traces(m, 4))[4] == 0:
         m = random_model(F, 1, rng, minimal=True, smooth=True)
     for route in ("root_number", "root_number_by_reciprocity"):
         monkeypatch.setattr(localdata, route, lambda *args: -1)
-    with pytest.raises(ValueError, match="eps = -1 forces c_4 = 0"):
+    with pytest.raises(ValueError, match="weight-2 purity failed: .* the "
+                       "key \\(1, -2, 1, 1, -1\\)"):
         l_polynomial(m)
 
 
@@ -561,7 +563,14 @@ def test_q11_model_past_the_s7_budget():
     assert (L.epsilon, L.factorization) == (1, {1: 2, 7: 1})
 
 
-def test_l_polynomial_counts_through_s4_only(monkeypatch):
+@pytest.mark.parametrize("model,degrees", [(SIGN_BY_S7, [1, 2, 3, 4]),
+                                           (SEED0_MODEL, [1, 2, 3])],
+                         ids=["open-key", "unique-key"])
+def test_l_polynomial_counts_s4_only_on_an_open_key(model, degrees,
+                                                    monkeypatch):
+    # SIGN_BY_S7's key (c_1..c_3 / q^i, eps) holds several products, so
+    # S_4 decides; SEED0's holds one, and F_{5^4} is never built
+    monkeypatch.setattr(ExtField, "_cache", {})
     seen = []
     count = lfunction.surface_point_count
 
@@ -569,8 +578,109 @@ def test_l_polynomial_counts_through_s4_only(monkeypatch):
         seen.append(e)
         return count(m, e)
     monkeypatch.setattr(lfunction, "surface_point_count", spy)
-    l_polynomial(WeierstrassModel.from_json(SIGN_BY_S7))
-    assert seen == [1, 2, 3, 4]
+    l_polynomial(WeierstrassModel.from_json(model))
+    assert seen == degrees
+    assert sorted(ExtField._cache) == [(5, e) for e in degrees]
+
+
+@pytest.mark.parametrize("shift,message", [
+    (10 ** 6, "weight bound violated: \\|S_4\\|"),
+    (1, "non-integral Newton coefficient c_4"),
+    (4 * 5 ** 4, "weight-2 purity failed: .* key \\(1, -1, 0, 0, 1, -1\\)"),
+], ids=["weight-bound", "newton", "purity"])
+def test_a_wrong_s4_fails_a_check_on_an_open_key(shift, message, monkeypatch):
+    # SIGN_BY_S7's key holds the products with P_4 = 0 and 1; S_4 + 4 q^4
+    # moves Newton's c_4 / q^4 to -1, which no product of the key has
+    count = lfunction.surface_point_count
+    monkeypatch.setattr(lfunction, "surface_point_count",
+                        lambda m, e: count(m, e) + shift * (e == 4))
+    with pytest.raises(ValueError, match=message):
+        l_polynomial(WeierstrassModel.from_json(SIGN_BY_S7))
+
+
+def _l_polynomial_by_s4(m, eps):
+    """The forced route: Newton on S_1..S_4, the functional equation with
+    eps for the top half, and LPolynomial's exact factorization."""
+    q = m.field.q
+    c = lfunction._newton_coeffs(frobenius_traces(m, 4))
+    return lfunction.LPolynomial(q, c + [eps * q ** (8 - 2 * i) * c[i]
+                                         for i in range(3, -1, -1)], eps)
+
+
+def _assert_lookup_matches_s4(models):
+    """l_polynomial against the forced S_4 route on each model; returns
+    how many models had an open key."""
+    table, opened = lfunction._cyclotomic_products(), 0
+    for m in models:
+        L = l_polynomial(m)
+        forced = _l_polynomial_by_s4(m, L.epsilon)
+        assert (L.coeffs, L.epsilon, L.factorization) == \
+            (forced.coeffs, forced.epsilon, forced.factorization), m
+        q = L.q
+        opened += len(table[tuple(c // q ** i for i, c in enumerate(
+            L.coeffs[:4])) + (L.epsilon,)]) > 1
+    return opened
+
+
+@pytest.mark.parametrize("q,n", [(5, 40), (7, 40), (11, 20), (13, 20),
+                                 (17, 12)])
+def test_lookup_matches_forced_s4_on_seeded_models(q, n):
+    models = random_models(field_make(q), 1, SplitMix64(1000 + q), n,
+                           minimal=True, smooth=True)
+    assert len(models) == n
+    assert 0 < _assert_lookup_matches_s4(models) < n
+
+
+def test_lookup_matches_forced_s4_on_the_root_number_grid():
+    # the d = 1 models of test_root_number_routes_agree_on_a_grid
+    opened = 0
+    for q in (5, 7, 11, 13):
+        models = random_models(field_make(q), 1, SplitMix64(10 * q + 1), 84,
+                               minimal=True, smooth=True)
+        assert len(models) == 84
+        opened += _assert_lookup_matches_s4(models)
+    assert 0 < opened < 336
+
+
+def _totient_multisets(ks, budget):
+    """Sorted tuples from ks (ascending, repeats allowed) whose totients
+    sum to budget."""
+    if budget == 0:
+        yield ()
+    for i, k in enumerate(ks):
+        if sympy.totient(k) <= budget:
+            for rest in _totient_multisets(ks[i:], budget - sympy.totient(k)):
+                yield (k,) + rest
+
+
+def test_cyclotomic_product_table_pinned():
+    # products from sympy's cyclotomic polynomials over every k with
+    # phi(k) <= 8 (the k <= 30 of _CYCLOTOMIC, searched up to 100)
+    T = sympy.Symbol("T")
+    ks = [k for k in range(1, 101) if sympy.totient(k) <= 8]
+    products = {}
+    for ms in _totient_multisets(ks, 8):
+        P = sympy.Poly(sympy.prod(sympy.cyclotomic_poly(k, T) for k in ms), T)
+        P = [int(a) for a in reversed(P.all_coeffs())]
+        products[tuple(a * P[0] for a in P)] = collections.Counter(ms)
+    assert len(products) == 224
+    table = lfunction._cyclotomic_products()
+    assert sorted(map(tuple, sum(table.values(), []))) == sorted(products)
+    assert len(table) == 200
+    for key, fits in table.items():
+        assert all((*P[:4], P[8]) == key for P in fits)
+    open_keys = [key for key, fits in table.items()
+                 if len({P[4] for P in fits}) > 1]
+    assert len(open_keys) == 17 and {key[-1] for key in open_keys} == {1}
+    # eps = -1 forces c_4 = 0; 37 of 163 (c_1, c_2, c_3) take both signs
+    assert {P[4] for key, fits in table.items() if key[-1] == -1
+            for P in fits} == {0}
+    signs = collections.Counter(key[1:4] for key in table)
+    assert (len(signs), list(signs.values()).count(2)) == (163, 37)
+    for q in (5, 13):
+        for P, ms in products.items():
+            assert lfunction.cyclotomic_factorization(
+                q, [a * q ** i for i, a in enumerate(P)]) == ms
 
 
 def test_cyclotomic_factorization_of_seed0():

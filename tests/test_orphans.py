@@ -151,6 +151,7 @@ def _definitions(package):
 def test_every_definition_is_reached_or_named(tmp_path, monkeypatch, capsys):
     # empty caches, so that the tables and the parser are built in the trace
     monkeypatch.setattr(lfunction.ExtField, "_cache", {})
+    lfunction._cyclotomic_products.cache_clear()
     cli.build_parser.cache_clear()
     reports = [
         ["census", "--q", "5", "--d", "1", "--n", "10000"],
