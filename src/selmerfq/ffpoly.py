@@ -98,11 +98,9 @@ class Field:
     @staticmethod
     def _least_irreducible(p, k):
         base = Field(p)
-        for code in range(p ** k):
-            f = UniPoly(base, [code // p ** i % p for i in range(k)] + [1])
-            if f.is_irreducible():
-                return f
-        raise AssertionError("no irreducible of degree %d over F_%d" % (k, p))
+        monics = (UniPoly(base, [code // p ** i % p for i in range(k)] + [1])
+                  for code in range(p ** k))
+        return next(f for f in monics if f.is_irreducible())
 
     def _split(self, a):
         """The base-field digits of a, low degree first."""
@@ -388,7 +386,9 @@ class UniPoly:
         return out
 
     def is_irreducible(self):
-        return self.degree() >= 1 and factor(self) == [(self.monic(), 1)]
+        """Read off the first distinct-degree pair, as count_roots is."""
+        return self.degree() >= 1 and \
+            next(_distinct_degree(self.monic()))[1] == self.degree()
 
     def count_roots(self):
         """Number of distinct roots in the coefficient field, read off the
@@ -509,7 +509,8 @@ def factor(f):
 def _distinct_degree(f):
     """Distinct-degree stage of factor: (g, d), d increasing, g != 1 the
     product of the degree-d irreducible factors of a monic squarefree f.
-    For any f the first pair has d = 1 iff f has a root; g = gcd(x^q - x, f).
+    For any f the first pair has d = 1 iff f has a root, g = gcd(x^q - x, f),
+    and d = deg f iff f is irreducible, squarefree or not.
     Over F_p, h = x^(p^d) mod f for d >= 2 is h_(d-1) Q, Q the Frobenius
     matrix with rows x^(ip) mod f, built from h_1 once d = 2 is reached (von
     zur Gathen and Shoup, Comput. Complexity 2, 1992); int64 holds that

@@ -8,8 +8,9 @@ P(T) = L(T/q) is +-prod Phi_k^m_k with phi(k) <= 8, the sign of the
 functional equation is the global root number prod_v w_v of the local
 data, and the analytic rank is m_1.  L follows from S_1..S_3 and that
 sign, which quadratic reciprocity checks, with S_4 only on the 17 open keys
-(c_1, c_2, c_3, sign) of the products; exact division checks the
-factorization, from which selmer_bounds reads m_1 <= dim Sel_ell <= hi.
+(c_1, c_2, c_3, sign) of the 224 products.  The same table, one knapsack
+pass over the Phi_k, gives each product's multiset {k: m_k}, from which
+selmer_bounds reads m_1 <= dim Sel_ell <= hi.
 
 Each F_{q^e} = F_p[x]/(f), f the least monic primitive polynomial of degree
 e, gets log/exp tables over the generator x, with log 0 = 2(q^e - 1) past
@@ -209,8 +210,9 @@ def _trace(m, e):
 
 class LPolynomial:
     """det(1 - Frob T) on the middle piece of a d = 1 model: degree 8,
-    c_0 = 1.  The constructor factors P(T) = L(T/q) exactly into
-    cyclotomic polynomials and raises when it cannot."""
+    c_0 = 1.  The constructor reads the cyclotomic factorization of
+    P(T) = L(T/q) from the 224 products and raises when P is none of them,
+    a product of another degree or c_0 = -1 included."""
 
     def __init__(self, q, coeffs, epsilon):
         self.q = q
@@ -259,42 +261,32 @@ def _cyclotomics(n):
 _CYCLOTOMIC = {k: f for k, f in _cyclotomics(30).items() if len(f) <= 9}
 
 
-@functools.cache  # 1 ms, so built on the first l_polynomial call
+@functools.cache  # 1.5 ms, so built on first use, not at import
 def _cyclotomic_products():
-    """{(1, P_1, P_2, P_3, P_8): [P, ...]} over the 224 degree-8 products
-    P(T) = +-prod Phi_k^m_k with P(0) = 1."""
-    partial = [[[1]]] + [[] for _ in range(8)]  # products by degree
-    for phi in _CYCLOTOMIC.values():
+    """{P: {k: m_k}} over the 224 degree-8 products P(T) = +-prod Phi_k^m_k,
+    times (-1)^m_1 to P(0) = 1, each P a tuple lowest degree first."""
+    partial = [[([1], {})]] + [[] for _ in range(8)]  # (P, {k: m_k}) by degree
+    for k, phi in _CYCLOTOMIC.items():
         for n in range(len(phi) - 1, 9):  # ascending n: Phi_k may repeat
-            partial[n] += [np.convolve(f, phi)
-                           for f in partial[n + 1 - len(phi)]]
-    table = {}
-    for P in partial[8]:
-        P = (P * P[0]).tolist()  # P(0) = (-1)^m_1 before
-        table.setdefault((*P[:4], P[8]), []).append(P)
-    return table
+            partial[n] += [(np.convolve(f, phi), {**ms, k: ms.get(k, 0) + 1})
+                           for f, ms in partial[n + 1 - len(phi)]]
+    return {tuple((P * P[0]).tolist()): ms for P, ms in partial[8]}
 
 
 def cyclotomic_factorization(q, coeffs):
-    """{k: m_k} with L(T/q) = +-prod Phi_k^m_k over phi(k) <= 8, for the
-    integer coefficients c_0, c_1, ... of L.  Raises ValueError unless
-    q^i | c_i and the division leaves +-1: weight-2 purity, exactly."""
+    """{k: m_k} with L(T/q) = +-prod Phi_k^m_k, read from _cyclotomic_products
+    for the integers c_0 = 1, c_1, ..., c_8 of L.  Raises ValueError unless
+    q^i | c_i and L(T/q) is one of the 224 products, weight-2 purity exactly:
+    a product of another degree, or c_0 = -1, fails as well."""
     if any(c % q ** i for i, c in enumerate(coeffs)):
         raise ValueError("L(T/q) is not integral: q^i does not divide c_i "
                          "in %s" % (coeffs,))
-    P = rest = [c // q ** i for i, c in enumerate(coeffs)]
-    out = {}
-    for k, phi in _CYCLOTOMIC.items():
-        while len(rest) >= len(phi):
-            quot, rem = _divmod_monic(rest, phi)
-            if any(rem):
-                break
-            rest = quot
-            out[k] = out.get(k, 0) + 1
-    if rest not in ([1], [-1]):
-        raise ValueError("weight-2 purity failed: L(T/q) = %s leaves %s "
-                         "after dividing out cyclotomic factors" % (P, rest))
-    return out
+    P = tuple(c // q ** i for i, c in enumerate(coeffs))
+    factorization = _cyclotomic_products().get(P)
+    if factorization is None:
+        raise ValueError("weight-2 purity failed: L(T/q) = %s is no "
+                         "+-prod Phi_k^m_k of degree 8 with P(0) = 1" % (P,))
+    return dict(factorization)
 
 
 def selmer_bounds(L, ell):
@@ -327,12 +319,13 @@ def l_polynomial(m):
     c_1..c_3 come from Newton on S_1..S_3, and eps is the root number from
     Tate's algorithm (a fiber type other than I_1 or II: it and the gcd test
     of frobenius_traces disagree on smoothness), which the root number by
-    reciprocity must equal.  L(T/q) is the product of _cyclotomic_products
-    under the key (c_i / q^i, i <= 3; eps), on an open key the one with
-    Newton's c_4 from S_1..S_4; none means purity failed.  37 of the 163
-    (c_1, c_2, c_3) occur under both signs: a sign both routes get wrong
-    alike is caught only where its key is missing.  Counts run over F_{q^e},
-    e <= 3 (4 on an open key), and q^5 <= 2^24 (q <= 27)."""
+    reciprocity must equal.  L(T/q) is the product P of _cyclotomic_products
+    with the key (P_1, P_2, P_3, P_8) = (c_i / q^i, i <= 3; eps), on an
+    open key the one with Newton's c_4 from S_1..S_4; none means purity
+    failed.  37 of the 163 (c_1, c_2, c_3) occur under both signs: a sign
+    both routes get wrong alike is caught only where its key is missing.
+    Counts run over F_{q^e}, e <= 3 (4 on an open key), and q^5 <= 2^24
+    (q <= 27)."""
     if m.d != 1:
         raise DomainError("full L-polynomials are computed for d = 1 only")
     q = m.field.q
@@ -349,12 +342,15 @@ def l_polynomial(m):
     if w != eps:
         raise ValueError("root number routes disagree: Tate's algorithm "
                          "gives %d, quadratic reciprocity %d" % (eps, w))
-    key = tuple(Fraction(ci, q ** i) for i, ci in enumerate(c)) + (eps,)
-    fits = _cyclotomic_products().get(key, [])
+    fits = [P for P in _cyclotomic_products() if P[8] == eps
+            and P[1] * q == c[1] and P[2] * q ** 2 == c[2]
+            and P[3] * q ** 3 == c[3]]
     if len(fits) > 1:  # c_4 open: S_4 picks the product
-        c4 = Fraction(_newton_coeffs(traces + [_trace(m, 4)])[4], q ** 4)
-        key, fits = key + (c4,), [P for P in fits if P[4] == c4]
+        c.append(_newton_coeffs(traces + [_trace(m, 4)])[4])
+        fits = [P for P in fits if P[4] * q ** 4 == c[4]]
     if not fits:
+        key = [Fraction(ci, q ** i) for i, ci in enumerate(c)]
         raise ValueError("weight-2 purity failed: no +-prod Phi_k^m_k of "
-                         "degree 8 has the key (%s)" % ", ".join(map(str, key)))
+                         "degree 8 has the key (%s)"
+                         % ", ".join(map(str, key[:4] + [eps] + key[4:])))
     return LPolynomial(q, [a * q ** i for i, a in enumerate(fits[0])], eps)

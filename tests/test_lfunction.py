@@ -1,6 +1,7 @@
 """Extension-field point counts, Frobenius traces, and L-polynomials."""
 
 import collections
+import functools
 import json
 import os
 import subprocess
@@ -368,6 +369,23 @@ def _charpoly_reversed(w):
     return coeffs
 
 
+@functools.cache
+def _sympy_product(factorization):
+    """prod Phi_k^m_k from sympy's cyclotomic polynomials, lowest degree
+    first, for a sorted tuple of (k, m_k)."""
+    T = sympy.Symbol("T")
+    P = sympy.Poly(sympy.prod(sympy.cyclotomic_poly(k, T) ** m_k
+                              for k, m_k in factorization), T)
+    return [int(a) for a in reversed(P.all_coeffs())]
+
+
+def _assert_factors_as(P, factorization):
+    """P(T) = +-prod Phi_k^m_k, expanded by sympy: an oracle independent of
+    the table that LPolynomial reads its factorization from."""
+    ref = _sympy_product(tuple(sorted(factorization.items())))
+    assert list(P) in (ref, [-a for a in ref]), (P, factorization)
+
+
 # E8 Dynkin diagram, Bourbaki labels 0..7: the chain 0-2-3-4-5-6-7 and 1-3
 E8_EDGES = [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)]
 
@@ -400,6 +418,7 @@ def test_selmer_bounds_bracket_on_weyl_e8():
         assert (w.T @ cartan @ w == cartan).all()
         P = _charpoly_reversed(w)
         L = lfunction.LPolynomial(5, [c * 5 ** i for i, c in enumerate(P)], 1)
+        _assert_factors_as(P, L.factorization)
         for ell in (2, 3):
             lo, hi, is_exact = selmer_bounds(L, ell)
             kernel = 8 - _rank_mod(w - np.eye(8, dtype=np.int64), ell)
@@ -610,16 +629,22 @@ def _l_polynomial_by_s4(m, eps):
 def _assert_lookup_matches_s4(models):
     """l_polynomial against the forced S_4 route on each model; returns
     how many models had an open key."""
-    table, opened = lfunction._cyclotomic_products(), 0
+    keys = collections.Counter(map(_key, lfunction._cyclotomic_products()))
+    opened = 0
     for m in models:
         L = l_polynomial(m)
         forced = _l_polynomial_by_s4(m, L.epsilon)
         assert (L.coeffs, L.epsilon, L.factorization) == \
             (forced.coeffs, forced.epsilon, forced.factorization), m
-        q = L.q
-        opened += len(table[tuple(c // q ** i for i, c in enumerate(
-            L.coeffs[:4])) + (L.epsilon,)]) > 1
+        P = [c // L.q ** i for i, c in enumerate(L.coeffs)]
+        _assert_factors_as(P, L.factorization)
+        opened += keys[_key(P)] > 1
     return opened
+
+
+def _key(P):
+    """(P_1, P_2, P_3, P_8): c_1..c_3 / q^i and the sign of a product."""
+    return (*P[1:4], P[8])
 
 
 @pytest.mark.parametrize("q,n", [(5, 40), (7, 40), (11, 20), (13, 20),
@@ -655,7 +680,8 @@ def _totient_multisets(ks, budget):
 
 def test_cyclotomic_product_table_pinned():
     # products from sympy's cyclotomic polynomials over every k with
-    # phi(k) <= 8 (the k <= 30 of _CYCLOTOMIC, searched up to 100)
+    # phi(k) <= 8 (the k <= 30 of _CYCLOTOMIC, searched up to 100), each
+    # with its multiset
     T = sympy.Symbol("T")
     ks = [k for k in range(1, 101) if sympy.totient(k) <= 8]
     products = {}
@@ -665,22 +691,36 @@ def test_cyclotomic_product_table_pinned():
         products[tuple(a * P[0] for a in P)] = collections.Counter(ms)
     assert len(products) == 224
     table = lfunction._cyclotomic_products()
-    assert sorted(map(tuple, sum(table.values(), []))) == sorted(products)
-    assert len(table) == 200
-    for key, fits in table.items():
-        assert all((*P[:4], P[8]) == key for P in fits)
-    open_keys = [key for key, fits in table.items()
-                 if len({P[4] for P in fits}) > 1]
+    assert {P: collections.Counter(ms) for P, ms in table.items()} == products
+    # the multisets list k ascending, as reports print them
+    assert all(list(ms) == sorted(ms) for ms in table.values())
+    keys = collections.defaultdict(set)
+    for P in table:
+        keys[_key(P)].add(P[4])
+    assert len(keys) == 200
+    open_keys = [key for key, c4s in keys.items() if len(c4s) > 1]
     assert len(open_keys) == 17 and {key[-1] for key in open_keys} == {1}
     # eps = -1 forces c_4 = 0; 37 of 163 (c_1, c_2, c_3) take both signs
-    assert {P[4] for key, fits in table.items() if key[-1] == -1
-            for P in fits} == {0}
-    signs = collections.Counter(key[1:4] for key in table)
+    assert set().union(*(c4s for key, c4s in keys.items()
+                         if key[-1] == -1)) == {0}
+    signs = collections.Counter(key[:3] for key in keys)
     assert (len(signs), list(signs.values()).count(2)) == (163, 37)
     for q in (5, 13):
         for P, ms in products.items():
             assert lfunction.cyclotomic_factorization(
                 q, [a * q ** i for i, a in enumerate(P)]) == ms
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1, 0, 0, 0, -5 ** 4],  # Phi_1 Phi_2 Phi_4 = T^4 - 1, degree 4
+    [-c for c in SEED0_L],  # c_0 = -1
+    [int(c) for c in np.convolve(SEED0_L, [1, -5])],  # times Phi_1, degree 9
+], ids=["degree-4", "c0-minus-one", "degree-9"])
+def test_products_off_the_table_fail_purity(coeffs):
+    # +-prod Phi_k^m_k of another degree, or with P(0) = -1, is none of
+    # the 224 products
+    with pytest.raises(ValueError, match="weight-2 purity failed"):
+        lfunction.LPolynomial(5, coeffs, 1)
 
 
 def test_cyclotomic_factorization_of_seed0():

@@ -73,6 +73,8 @@ NAMED = {
     "weierstrass.act": "G acting on models, for invariance tests",
     # run at import, before any report
     "lfunction._cyclotomics": "the cyclotomic table, built at import",
+    "lfunction._divmod_monic":
+        "Phi_k by exact division, for _cyclotomics at import",
 }
 
 # y^2 = x^3 + t^2 s^2 x + t^3 s^3 + t^6 over F_5: I_0* at t = 0, where the
